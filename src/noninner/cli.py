@@ -8,9 +8,12 @@ Subcommands:
     audit <dir> [--json]        certify a corpus directory against its
                                 manifest route expectations
 
-Exit codes: 0 success; 1 usage, I/O or manifest mismatch; 2 parse error
-or inconsistent presentation; 3 certified theorem violation.  When
-several failures occur the highest-priority code wins (3 over 2 over 1).
+Exit codes: 0 success; 1 usage, I/O, manifest mismatch or malformed
+manifest entry, a group above the element bound, or a failed selection
+or certification step; 2 parse error or inconsistent presentation; 3
+certified theorem violation.  When several failures occur the
+highest-priority code wins (3 over 2 over 1).  `audit` reports each
+failure as a per-group status and goes on with the next group.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .certify import certify_group
 from .eligibility import decide_route, diagnostics, select_generators, select_n
 from .errors import (
     InconsistentPresentationError,
+    OrderBoundError,
     PcpSyntaxError,
     SelectionError,
     TheoremViolationError,
@@ -156,6 +160,12 @@ def _cmd_audit(args) -> int:
     for group_id in sorted(groups):
         entry = groups[group_id]
         row = {"group_id": group_id, "expected_route": entry.get("route")}
+        if "file" not in entry:
+            row["status"] = "MANIFEST_ERROR"
+            row["detail"] = 'manifest entry has no "file"'
+            worst = max(worst, EXIT_USAGE)
+            results.append(row)
+            continue
         try:
             doc = parse_pcp_file(root / entry["file"])
             report = certify_group(doc.presentation, group_id=group_id)
@@ -169,6 +179,12 @@ def _cmd_audit(args) -> int:
             row["status"] = "PARSE_ERROR"
             row["detail"] = str(exc)
             worst = max(worst, EXIT_PARSE)
+            results.append(row)
+            continue
+        except (OrderBoundError, SelectionError, RuntimeError, OSError) as exc:
+            row["status"] = "ERROR"
+            row["detail"] = str(exc)
+            worst = max(worst, EXIT_USAGE)
             results.append(row)
             continue
         row["route"] = report.route
@@ -223,6 +239,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except SelectionError as exc:
         print(f"selection failed: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OrderBoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -43,7 +43,8 @@ class CosetTable:
         self.group = group
         self.sub = sub
         self.min_table = coset_min_table(group, sub)
-        reps = np.unique(self.min_table)
+        idx = np.arange(group.element_count, dtype=np.int64)
+        reps = np.nonzero(self.min_table == idx)[0]
         self.rep_indices = [int(r) for r in reps]
         pos = np.full(group.element_count, -1, dtype=np.int64)
         pos[reps] = np.arange(len(reps))
@@ -117,38 +118,42 @@ class Derivation:
 
 class _Decomposer:
     """Extracts the exponents (i, j, t) of the unique factorization
-    g = x * [a,b]^t * a^j * b^i with x in Z_{m-4}."""
+    g = x * [a,b]^t * a^j * b^i with x in Z_{m-4}, for many elements at
+    once.  Three stages strip b, a and [a,b] in turn: each right-
+    multiplies the entries still outside its target subgroup
+    (C_G(N), Phi, Z_{m-4}) by the inverse of its generator, counting
+    the steps."""
 
-    __slots__ = ("group", "p", "b_inv", "a_inv", "c_inv", "cent", "phi", "deep")
+    __slots__ = ("group", "stages")
 
     def __init__(self, ctx: SelectionContext):
         G = ctx.group
         self.group = G
-        self.p = G.p
-        self.b_inv = G.inv(ctx.b)
-        self.a_inv = G.inv(ctx.a)
-        self.c_inv = G.inv(ctx.comm_a_b)
-        self.cent = ctx.centralizer_n.elements
-        self.phi = ctx.phi.elements
-        self.deep = ctx.z_deep.elements
+        self.stages = (
+            (G.idx(G.inv(ctx.b)), ctx.centralizer_n.mask, "b"),
+            (G.idx(G.inv(ctx.a)), ctx.phi.mask, "a"),
+            (G.idx(G.inv(ctx.comm_a_b)), ctx.z_deep.mask, "[a, b]"),
+        )
 
-    def _strip(self, x: Element, inv: Element, target: frozenset, what: str):
+    def exponents(self, idxs) -> List[np.ndarray]:
+        """Arrays [i, j, t] of the exponents of the elements `idxs`."""
         G = self.group
-        e = 0
-        while x not in target:
-            x = G.mul(x, inv)
-            e += 1
-            if e >= self.p:
-                raise RuntimeError(
-                    f"factorization failed: no power of {what} reaches the target"
-                )
-        return x, e
-
-    def exponents(self, g: Element) -> Tuple[int, int, int]:
-        u, i = self._strip(g, self.b_inv, self.cent, "b")
-        v, j = self._strip(u, self.a_inv, self.phi, "a")
-        _, t = self._strip(v, self.c_inv, self.deep, "[a, b]")
-        return i, j, t
+        x = np.array(idxs, dtype=np.int64)
+        out = []
+        for inv, target, what in self.stages:
+            e = np.zeros_like(x)
+            for step in range(G.p):
+                outside = ~target[x]
+                if not outside.any():
+                    break
+                if step == G.p - 1:
+                    raise RuntimeError(
+                        f"factorization failed: no power of {what} reaches the target"
+                    )
+                x[outside] = G.mul_indices(x[outside], inv)
+                e[outside] += 1
+            out.append(e)
+        return out
 
 
 def _decomposer(ctx: SelectionContext) -> _Decomposer:
@@ -162,72 +167,91 @@ def _decomposer(ctx: SelectionContext) -> _Decomposer:
 def coset_exponents(ctx: SelectionContext, g: Element) -> Tuple[int, int, int]:
     """(i, j, t) with g = x * [a,b]^t * a^j * b^i, x in Z_{m-4},
     exponents in [0, p)."""
-    return _decomposer(ctx).exponents(g)
+    i, j, t = _decomposer(ctx).exponents([ctx.group.idx(g)])
+    return int(i[0]), int(j[0]), int(t[0])
+
+
+def _b_value(ctx: SelectionContext, i: int, j: int, t: int) -> Element:
+    G = ctx.group
+    return G.mul(G.pow(ctx.w, i), G.pow(ctx.comm_w_b, (i * (i - 1)) // 2))
+
+
+def _a_value(ctx: SelectionContext, i: int, j: int, t: int) -> Element:
+    G = ctx.group
+    return G.mul(G.pow(ctx.w, j), G.pow(ctx.comm_w_b, i * j + t))
 
 
 def b_exponent_value(ctx: SelectionContext, g: Element) -> Element:
     """w^i * [w,b]^(i(i-1)/2) where i is the b-exponent of g.  The
     half-integer exponent is taken as an exact integer (i(i-1) is even)
     before any reduction."""
-    G = ctx.group
-    i, _, _ = coset_exponents(ctx, g)
-    return G.mul(G.pow(ctx.w, i), G.pow(ctx.comm_w_b, (i * (i - 1)) // 2))
+    return _b_value(ctx, *coset_exponents(ctx, g))
 
 
 def a_exponent_value(ctx: SelectionContext, g: Element) -> Element:
     """w^j * [w,b]^(ij + t) where i, j, t are the exponents of g."""
-    G = ctx.group
-    i, j, t = coset_exponents(ctx, g)
-    return G.mul(G.pow(ctx.w, j), G.pow(ctx.comm_w_b, i * j + t))
+    return _a_value(ctx, *coset_exponents(ctx, g))
 
 
 def _build(ctx: SelectionContext, formula) -> Derivation:
+    """The derivation with value formula(ctx, i, j, t) at each coset
+    representative; the formula is evaluated once per distinct (i, j, t)."""
     G = ctx.group
     ct = CosetTable(G, ctx.n_sub)
     zn = center_of(G, ctx.n_sub)
-    values = {r: formula(ctx, G.vec(r)) for r in ct.rep_indices}
+    exps = _decomposer(ctx).exponents(ct.rep_indices)
+    by_exponents: Dict[Tuple[int, int, int], Element] = {}
+    values = {}
+    for r, key in zip(ct.rep_indices, zip(*(e.tolist() for e in exps))):
+        if key not in by_exponents:
+            by_exponents[key] = formula(ctx, *key)
+        values[r] = by_exponents[key]
     return Derivation(G, ctx.n_sub, ct, values, zn)
 
 
 def derivation_from_b_exponent(ctx: SelectionContext) -> Derivation:
-    return _build(ctx, b_exponent_value)
+    return _build(ctx, _b_value)
 
 
 def derivation_from_a_exponent(ctx: SelectionContext) -> Derivation:
-    return _build(ctx, a_exponent_value)
+    return _build(ctx, _a_value)
 
 
 def verify_cocycle(d: Derivation):
     """None if the cocycle identity holds for every pair of cosets, else
-    a counterexample (g1, g2, lhs, rhs)."""
+    a counterexample (g1, g2, lhs, rhs).
+
+    Values are coded by their position in Z(N); the products in Z(N) and
+    the conjugates of Z(N) by every representative are tabulated once,
+    and each representative g2 then checks all g1 with one array product.
+    """
     G = d.group
     ct = d.coset_table
     reps = np.array(ct.rep_indices, dtype=np.int64)
-    zn_elems = [G.vec(int(i)) for i in d.zn.indices]
-    code_of = {x: c for c, x in enumerate(zn_elems)}
-    nz = len(zn_elems)
-    mul_code = np.empty((nz, nz), dtype=np.int64)
-    for c1, x1 in enumerate(zn_elems):
-        for c2, x2 in enumerate(zn_elems):
-            mul_code[c1, c2] = code_of[G.mul(x1, x2)]
-    val_code = np.array([code_of[d.values[int(r)]] for r in reps])
-    for t2, r2 in enumerate(reps):
-        g2 = G.vec(int(r2))
-        conj2 = np.array([code_of[G.conj(x, g2)] for x in zn_elems])
-        perm = G.right_mult_perm(g2)
-        prods = ct.min_table[perm[reps]]
+    zn_idx = d.zn.indices
+    nz = len(zn_idx)
+    code = np.full(G.element_count, -1, dtype=np.int64)
+    code[zn_idx] = np.arange(nz)
+    mul_code = code[G.mul_indices(np.repeat(zn_idx, nz), np.tile(zn_idx, nz))].reshape(nz, nz)
+    val_code = code[[G.idx(d.values[r]) for r in ct.rep_indices]]
+    inv_reps = G.inv_table()[reps]
+    # conj_code[c, t] codes reps[t]^-1 * z_c * reps[t]
+    conj_code = np.array(
+        [code[G.mul_indices(G.mul_indices(inv_reps, z), reps)] for z in zn_idx.tolist()]
+    )
+    for t2, r2 in enumerate(ct.rep_indices):
+        prods = ct.min_table[G.mul_indices(reps, r2)]
         lhs = val_code[ct.rep_pos[prods]]
-        rhs = mul_code[conj2[val_code], val_code[t2]]
+        rhs = mul_code[conj_code[val_code, t2], val_code[t2]]
         bad = np.nonzero(lhs != rhs)[0]
         if bad.size:
             t1 = int(bad[0])
-            g1 = G.vec(int(reps[t1]))
             d._verified = False
             return (
-                g1,
-                g2,
-                zn_elems[int(lhs[t1])],
-                zn_elems[int(rhs[t1])],
+                G.vec(ct.rep_indices[t1]),
+                G.vec(r2),
+                G.vec(int(zn_idx[lhs[t1]])),
+                G.vec(int(zn_idx[rhs[t1]])),
             )
     d._verified = True
     return None
@@ -245,12 +269,12 @@ def lift_to_automorphism(d: Derivation) -> GroupMap:
     images = [G.mul(g, d.value_at(g)) for g in G.gens]
     f = GroupMap(G, images)
     table = f.apply_table()
-    mt = d.coset_table.min_table
-    for r in d.coset_table.rep_indices:
-        members = np.nonzero(mt == r)[0]
-        perm = G.right_mult_perm(d.values[r])
-        if not (table[members] == perm[members]).all():
-            raise RuntimeError("lift does not equal g * d(Ng) on some element")
+    ct = d.coset_table
+    mt = ct.min_table
+    value_idx = np.array([G.idx(d.values[r]) for r in ct.rep_indices], dtype=np.int64)
+    idx = np.arange(G.element_count, dtype=np.int64)
+    if not (table == G.mul_indices(idx, value_idx[ct.rep_pos[mt]])).all():
+        raise RuntimeError("lift does not equal g * d(Ng) on some element")
     n_idx = d.n_sub.indices
     if not (table[n_idx] == n_idx).all():
         raise RuntimeError("lift does not fix N elementwise")

@@ -43,22 +43,24 @@ class GroupMap:
 
     def apply_table(self) -> np.ndarray:
         """Array T with T[i] = idx(apply(vec(i))), built by peeling the
-        last letter: apply(x' * g_k) = apply(x') * images[k]."""
+        last letter: apply(x' * g_k) = apply(x') * images[k].
+
+        The elements whose last nonzero coordinate is k, with value e,
+        form one level; each level is a single product of index arrays,
+        taken after the levels that hold its parents x'.
+        """
         if self._table is None:
             G = self.group
-            n = G.element_count
             G._check_bound()
-            img_idx = [G.idx(im) for im in self.images]
-            strides = [G.p ** (G.ngens - k) for k in range(1, G.ngens + 1)]
-            table = np.empty(n, dtype=np.int64)
-            table[0] = 0
-            for i in range(1, n):
-                x = G.vec(i)
-                k = G.ngens
-                while x[k - 1] == 0:
-                    k -= 1
-                prev = i - strides[k - 1]
-                table[i] = G.mul_idx(int(table[prev]), img_idx[k - 1])
+            p = G.p
+            table = np.zeros(G.element_count, dtype=np.int64)
+            for k in range(1, G.ngens + 1):
+                s = G._stride(k)
+                heads = np.arange(p ** (k - 1), dtype=np.int64) * p * s
+                image = G.idx(self.images[k - 1])
+                for e in range(1, p):
+                    ys = heads + e * s
+                    table[ys] = G.mul_indices(table[ys - s], image)
             self._table = table
         return self._table
 
@@ -148,13 +150,7 @@ def _conj_columns(group: PcGroup) -> list[np.ndarray]:
     cols = group._cache.get("conj_columns")
     if cols is None:
         inv_t = group.inv_table()
-        cols = []
-        for g in group.gens:
-            left = group.left_mult_perm(g)
-            arr = np.empty(group.element_count, dtype=np.int64)
-            for i in range(group.element_count):
-                arr[i] = group.mul_idx(int(inv_t[i]), int(left[i]))
-            cols.append(arr)
+        cols = [group.mul_indices(inv_t, group.left_mult_perm(g)) for g in group.gens]
         group._cache["conj_columns"] = cols
     return cols
 

@@ -198,7 +198,7 @@ class PcGroup:
         self.identity: Element = (0,) * pres.ngens
         self._conj_cache: dict[tuple[int, int], Element] = {}
         self._power_values: dict[int, Element] = {}
-        self._rtables: dict[int, np.ndarray] = {}
+        self._rtables: list = []
         self._inv_table: Optional[np.ndarray] = None
         self._cache: dict = {}
         if validate:
@@ -446,53 +446,106 @@ class PcGroup:
             n, out[k] = divmod(n, self.p)
         return tuple(out)
 
+    # ------------------------------------------------------------------
+    # index-table arithmetic
+    #
+    # Arithmetic over many elements at once works on index arrays through
+    # the m generator tables T_k[i] = idx(vec(i) * g_k).  The tables are
+    # built from the relations alone, so the collector above is needed
+    # only for the consistency check and for single tuple elements.
+
+    def _stride(self, k: int) -> int:
+        """Index of g_k, the place value of coordinate k."""
+        return self.p ** (self.ngens - k)
+
     def _rtable(self, g: int) -> np.ndarray:
-        """Index table for right multiplication by g_g."""
-        tab = self._rtables.get(g)
-        if tab is None:
+        """Index table for right multiplication by g_g.
+
+        All m tables are built together by collection from the left,
+        deepest generator first.  Split x = u t into its prefix u
+        (coordinates up to g) and its tail t (coordinates beyond g); then
+        x g_g = (u g_g) t^(g_g).  u g_g is u with coordinate g raised by
+        one or, where that would reach p, u with coordinate g cleared and
+        the power relation word of g_g appended.  t^(g_g) is the product
+        of the conjugates g_j^(g_g) = g_j [g_j, g_g] over the letters g_j
+        of t, so it is a run of gathers through the tables of deeper
+        generators.
+        """
+        if not self._rtables:
             self._check_bound()
-            n = self.element_count
-            arr = np.empty(n, dtype=np.int64)
-            for i, x in enumerate(self.elements()):
-                arr[i] = self.idx(self._mul_gen(x, g, 1))
-            tab = arr
-            self._rtables[g] = tab
-        return tab
+            p, m = self.p, self.ngens
+            idx = np.arange(self.element_count, dtype=np.int64)
+            tables: list = [None] * (m + 1)
+            for k in range(m, 0, -1):
+                s = self._stride(k)
+                prefix = idx - idx % s
+                cur = prefix + s
+                top = (idx // s) % p == p - 1
+                power = sum(e * self._stride(j) for j, e in self.pres.power(k))
+                cur[top] = prefix[top] - (p - 1) * s + power
+                for j in range(k + 1, m + 1):
+                    conj_word = ((j, 1),) + self.pres.commutator(j, k)
+                    digit = (idx // self._stride(j)) % p
+                    for r in range(1, p):
+                        sel = digit >= r
+                        part = cur[sel]
+                        for letter, e in conj_word:
+                            for _ in range(e):
+                                part = tables[letter][part]
+                        cur[sel] = part
+                tables[k] = cur
+            self._rtables = tables
+        return self._rtables[g]
+
+    def mul_indices(self, a, b) -> np.ndarray:
+        """Elementwise product of index arrays, idx(vec(a[i]) * vec(b[i])).
+
+        `b` may also be a single index, which then multiplies every entry
+        of `a`.  Each coordinate k of b is applied as that many steps
+        through the table of g_k, masked to the entries whose coordinate
+        k is at least the step.
+        """
+        b = np.asarray(b, dtype=np.int64)
+        if b.ndim == 0:
+            out = np.array(a, dtype=np.int64)
+            for k, e in enumerate(self.vec(int(b)), start=1):
+                for _ in range(e):
+                    out = self._rtable(k)[out]
+            return out
+        out = np.array(np.broadcast_to(a, b.shape), dtype=np.int64)
+        for k in range(1, self.ngens + 1):
+            digit = (b // self._stride(k)) % self.p
+            for r in range(1, self.p):
+                sel = digit >= r
+                if not sel.any():
+                    break
+                out[sel] = self._rtable(k)[out[sel]]
+        return out
 
     def right_mult_perm(self, y: Element) -> np.ndarray:
         """Permutation array P with P[i] = idx(vec(i) * y)."""
         self._check_bound()
-        perm = np.arange(self.element_count, dtype=np.int64)
-        for k in range(1, self.ngens + 1):
-            e = y[k - 1]
-            if e:
-                tab = self._rtable(k)
-                for _ in range(e):
-                    perm = tab[perm]
-        return perm
+        return self.mul_indices(np.arange(self.element_count, dtype=np.int64), self.idx(y))
 
     def mul_idx(self, i: int, j: int) -> int:
-        cur = i
-        y = self.vec(j)
-        for k in range(1, self.ngens + 1):
-            e = y[k - 1]
-            if e:
-                tab = self._rtable(k)
-                for _ in range(e):
-                    cur = int(tab[cur])
-        return cur
-
-    def inv_idx(self, i: int) -> int:
-        return int(self.inv_table()[i])
+        return int(self.mul_indices(i, j))
 
     def inv_table(self) -> np.ndarray:
-        """Array T with T[i] = idx(vec(i)**-1)."""
+        """Array T with T[i] = idx(vec(i)**-1).
+
+        Cancels coordinates left to right over all elements at once, as
+        `inv` does for one element.
+        """
         if self._inv_table is None:
             self._check_bound()
-            arr = np.empty(self.element_count, dtype=np.int64)
-            for n, x in enumerate(self.elements()):
-                arr[n] = self.idx(self.inv(x))
-            self._inv_table = arr
+            cur = np.arange(self.element_count, dtype=np.int64)
+            out = np.zeros_like(cur)
+            for k in range(1, self.ngens + 1):
+                s = self._stride(k)
+                step = (-(cur // s) % self.p) * s
+                out += step
+                cur = self.mul_indices(cur, step)
+            self._inv_table = out
         return self._inv_table
 
     def left_mult_perm(self, y: Element) -> np.ndarray:

@@ -35,24 +35,23 @@ class Subgroup:
     across different ways of constructing the same subgroup.
     """
 
-    def __init__(self, group: PcGroup, elements: Iterable[Element], check: bool = False):
+    __slots__ = ("group", "_state")
+
+    def __init__(self, group: PcGroup, elements: Iterable[Element]):
         self.group = group
-        self.elements = frozenset(elements)
+        self._state = _SubgroupState(frozenset(elements))
         if group.identity not in self.elements:
             raise ValueError("subgroup must contain the identity")
-        self._basis: Optional[tuple[Element, ...]] = None
-        self._indices: Optional[np.ndarray] = None
-        if check:
-            self._check_closed()
 
-    def _check_closed(self) -> None:
-        G = self.group
-        for x in self.elements:
-            if G.inv(x) not in self.elements:
-                raise ValueError(f"set not closed under inversion at {x}")
-            for b in self.basis:
-                if G.mul(x, b) not in self.elements:
-                    raise ValueError(f"set not closed under product at {x} * {b}")
+    @classmethod
+    def _view(cls, group: PcGroup, state: "_SubgroupState") -> "Subgroup":
+        sub = cls.__new__(cls)
+        sub.group, sub._state = group, state
+        return sub
+
+    @property
+    def elements(self) -> frozenset:
+        return self._state.elements
 
     @property
     def order(self) -> int:
@@ -72,15 +71,26 @@ class Subgroup:
 
     @property
     def indices(self) -> np.ndarray:
-        if self._indices is None:
-            self._indices = np.array(sorted(self.group.idx(x) for x in self.elements), dtype=np.int64)
-        return self._indices
+        state = self._state
+        if state.indices is None:
+            state.indices = np.array(sorted(self.group.idx(x) for x in self.elements), dtype=np.int64)
+        return state.indices
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Boolean membership array over all element indices."""
+        state = self._state
+        if state.mask is None:
+            state.mask = np.zeros(self.group.element_count, dtype=bool)
+            state.mask[self.indices] = True
+        return state.mask
 
     @property
     def basis(self) -> tuple[Element, ...]:
-        if self._basis is None:
-            self._basis = self._canonical_basis()
-        return self._basis
+        state = self._state
+        if state.basis is None:
+            state.basis = self._canonical_basis()
+        return state.basis
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -143,6 +153,39 @@ class Subgroup:
         return f"Subgroup(order={self.order}, pivots={self.pivots})"
 
 
+class _SubgroupState:
+    """Everything a Subgroup knows apart from its group, shared by every
+    view of it.  The group's cache keeps these states, not Subgroups: a
+    cached Subgroup would refer back to the group, and that reference
+    cycle would keep the group and all its tables alive until the next
+    full garbage collection."""
+
+    __slots__ = ("elements", "indices", "mask", "basis")
+
+    def __init__(self, elements: frozenset):
+        self.elements = elements
+        self.indices: Optional[np.ndarray] = None
+        self.mask: Optional[np.ndarray] = None
+        self.basis: Optional[tuple[Element, ...]] = None
+
+
+def _cached(group: PcGroup, key: str):
+    """The cached Subgroup, or list of Subgroups, under `key`, or None."""
+    states = group._cache.get(key)
+    if isinstance(states, list):
+        return [Subgroup._view(group, s) for s in states]
+    return None if states is None else Subgroup._view(group, states)
+
+
+def _store(group: PcGroup, key: str, value):
+    """Cache a Subgroup or a list of Subgroups by state; returns it."""
+    if isinstance(value, list):
+        group._cache[key] = [sub._state for sub in value]
+    else:
+        group._cache[key] = value._state
+    return value
+
+
 def subgroup_from_indices(group: PcGroup, idxs: Iterable[int]) -> Subgroup:
     return Subgroup(group, (group.vec(int(i)) for i in idxs))
 
@@ -152,10 +195,9 @@ def trivial_subgroup(group: PcGroup) -> Subgroup:
 
 
 def whole_group(group: PcGroup) -> Subgroup:
-    sub = group._cache.get("whole")
+    sub = _cached(group, "whole")
     if sub is None:
-        sub = Subgroup(group, group.elements())
-        group._cache["whole"] = sub
+        sub = _store(group, "whole", Subgroup(group, group.elements()))
     return sub
 
 
@@ -191,50 +233,50 @@ def normal_closure(group: PcGroup, seeds: Iterable[Element]) -> Subgroup:
     perms = _conj_gen_perms(group)
     sub = closure(group, seeds)
     while True:
-        member = np.zeros(group.element_count, dtype=bool)
-        member[sub.indices] = True
-        fresh: set[int] = set()
+        fresh = np.zeros(group.element_count, dtype=bool)
         for perm in perms:
-            imgs = perm[sub.indices]
-            fresh.update(imgs[~member[imgs]].tolist())
-        if not fresh:
+            fresh[perm[sub.indices]] = True
+        fresh &= ~sub.mask
+        if not fresh.any():
             return sub
         sub = closure(
-            group, list(sub.basis) + [group.vec(i) for i in sorted(fresh)]
+            group, list(sub.basis) + [group.vec(int(i)) for i in np.nonzero(fresh)[0]]
         )
 
 
 def is_normal(group: PcGroup, sub: Subgroup) -> bool:
     perms = _conj_gen_perms(group)
-    member = np.zeros(group.element_count, dtype=bool)
-    member[sub.indices] = True
-    return all(bool(member[perm[sub.indices]].all()) for perm in perms)
+    return all(bool(sub.mask[perm[sub.indices]].all()) for perm in perms)
 
 
 def coset_min_table(group: PcGroup, sub: Subgroup) -> np.ndarray:
     """Array M with M[i] = smallest index in the right coset vec(i)*S.
 
     Two indices share a value exactly when they lie in the same right
-    coset; for normal S these are the cosets of G/S.
+    coset; for normal S these are the cosets of G/S.  A running minimum
+    over the elements of S keeps the memory at O(|G|).
     """
-    perms = [group.right_mult_perm(s) for s in sub.elements]
-    return np.minimum.reduce(perms)
+    idx = np.arange(group.element_count, dtype=np.int64)
+    out = idx.copy()
+    # indices[0] is the identity, whose coset step leaves `out` as it is
+    for s in sub.indices[1:].tolist():
+        np.minimum(out, group.mul_indices(idx, s), out=out)
+    return out
 
 
 def center(group: PcGroup) -> Subgroup:
-    sub = group._cache.get("center")
+    sub = _cached(group, "center")
     if sub is None:
         mask = np.ones(group.element_count, dtype=bool)
         for g in group.gens:
             mask &= group.right_mult_perm(g) == group.left_mult_perm(g)
-        sub = subgroup_from_indices(group, np.nonzero(mask)[0])
-        group._cache["center"] = sub
+        sub = _store(group, "center", subgroup_from_indices(group, np.nonzero(mask)[0]))
     return sub
 
 
 def upper_central_series(group: PcGroup) -> list[Subgroup]:
     """[1 = Z_0, Z_1, ..., Z_c = G], strictly ascending."""
-    series = group._cache.get("ucs")
+    series = _cached(group, "ucs")
     if series is not None:
         return series
     perms = _conj_gen_perms(group)
@@ -248,8 +290,7 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
         if nxt.order <= series[-1].order:
             raise RuntimeError("upper central series stalled; group not nilpotent")
         series.append(nxt)
-    group._cache["ucs"] = series
-    return series
+    return _store(group, "ucs", series)
 
 
 def lower_central_series(group: PcGroup) -> list[Subgroup]:
@@ -260,7 +301,7 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
     closure the current term is central, so the closure is the full
     commutator subgroup of the term with the group.
     """
-    series = group._cache.get("lcs")
+    series = _cached(group, "lcs")
     if series is not None:
         return series
     perms = _conj_gen_perms(group)
@@ -268,18 +309,15 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
     series = [whole_group(group)]
     while series[-1].order > 1:
         cur = series[-1]
-        comm_idxs: set[int] = set()
-        for i in cur.indices.tolist():
-            xi = int(inv_t[i])
-            for perm in perms:
-                comm_idxs.add(group.mul_idx(xi, int(perm[i])))
-        comm_idxs.discard(0)
-        nxt = normal_closure(group, [group.vec(i) for i in sorted(comm_idxs)])
+        comms = np.zeros(group.element_count, dtype=bool)
+        for perm in perms:
+            comms[group.mul_indices(inv_t[cur.indices], perm[cur.indices])] = True
+        comms[0] = False
+        nxt = normal_closure(group, [group.vec(int(i)) for i in np.nonzero(comms)[0]])
         if not nxt < cur:
             raise RuntimeError("lower central series stalled; group not nilpotent")
         series.append(nxt)
-    group._cache["lcs"] = series
-    return series
+    return _store(group, "lcs", series)
 
 
 def nilpotency_class(group: PcGroup) -> int:
@@ -296,14 +334,13 @@ def frattini(group: PcGroup) -> Subgroup:
     Modulo the derived subgroup the group is abelian, so the p-th
     powers of the defining generators generate all p-th powers there.
     """
-    sub = group._cache.get("frattini")
+    sub = _cached(group, "frattini")
     if sub is None:
         derived = lower_central_series(group)[1] if group.element_count > 1 else trivial_subgroup(group)
         seeds = list(derived.basis)
         for k in range(1, group.ngens + 1):
             seeds.append(group._power_value(k))
-        sub = closure(group, seeds)
-        group._cache["frattini"] = sub
+        sub = _store(group, "frattini", closure(group, seeds))
     return sub
 
 
@@ -341,7 +378,12 @@ def center_of(group: PcGroup, sub: Subgroup) -> Subgroup:
 def quotient_exponent_is_p(group: PcGroup, sub: Subgroup) -> bool:
     """Whether every p-th power lands in `sub` (normal), i.e. the
     quotient has exponent dividing p."""
-    return all(group.pow(x, group.p) in sub.elements for x in group.elements())
+    group._check_bound()
+    x = np.arange(group.element_count, dtype=np.int64)
+    power = x
+    for _ in range(group.p - 1):
+        power = group.mul_indices(power, x)
+    return bool(sub.mask[power].all())
 
 
 def quotient_is_cyclic(group: PcGroup, upper: Subgroup, lower: Subgroup) -> bool:
@@ -372,12 +414,11 @@ class QuotientCoords:
     whole group by sifting the defining generators; the exponents that
     land on the added pivots give a homomorphism onto F_p^dim with
     kernel S (the quotient being abelian makes the interleaved S-factors
-    drop out regardless of position).
+    drop out regardless of position).  Only the images of the defining
+    generators are kept, and they refer to no group.
     """
 
     def __init__(self, group: PcGroup, sub: Subgroup):
-        self.group = group
-        self.sub = sub
         p = group.p
         for j in range(2, group.ngens + 1):
             for i in range(1, j):
@@ -401,23 +442,29 @@ class QuotientCoords:
                     ext[k] = group.pow(x, pow(a, -1, p))
                     added.append(k)
                     break
-        self._ext = ext
+        self.p = p
         self.added_pivots = tuple(sorted(added))
         self.dim = len(self.added_pivots)
+        self._gen_coords = [self._sift(group, ext, g) for g in group.gens]
 
-    def coords(self, y: Element) -> tuple[int, ...]:
-        """Image of y in F_p^dim."""
-        G = self.group
-        p = G.p
+    def _sift(self, group: PcGroup, ext: dict, y: Element) -> tuple[int, ...]:
+        p = group.p
         out = {k: 0 for k in self.added_pivots}
         x = y
-        while x != G.identity:
+        while x != group.identity:
             k = leading_index(x)
             a = x[k - 1]  # type: ignore[index]
-            b = self._ext.get(k)
-            if b is None:
-                raise ValueError(f"element {y} does not sift through the extended basis")
             if k in out:
                 out[k] = a
-            x = G.mul(G.pow(b, p - a), x)
+            x = group.mul(group.pow(ext[k], p - a), x)
         return tuple(out[k] for k in self.added_pivots)
+
+    def coords(self, y: Element) -> tuple[int, ...]:
+        """Image of y in F_p^dim: the sum of e_k times the image of g_k
+        over the coordinates e_k of y, as the map is a homomorphism onto
+        an elementary abelian group."""
+        out = [0] * self.dim
+        for e, image in zip(y, self._gen_coords):
+            for t, c in enumerate(image):
+                out[t] += e * c
+        return tuple(v % self.p for v in out)

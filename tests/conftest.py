@@ -31,6 +31,12 @@ def _load_group(corpus_dir: Path, group_id: str) -> PcGroup:
 
 
 @pytest.fixture(scope="session")
+def corpus_groups(corpus_dir, manifest) -> dict[str, PcGroup]:
+    """Every group of the shipped corpus, by id."""
+    return {gid: _load_group(corpus_dir, gid) for gid in sorted(manifest["groups"])}
+
+
+@pytest.fixture(scope="session")
 def heis3(corpus_dir) -> PcGroup:
     return _load_group(corpus_dir, "heisenberg_3")
 

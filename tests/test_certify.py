@@ -133,3 +133,45 @@ def test_certify_is_deterministic(eligible_groups, eligible_reports):
     d2 = report_to_dict(again)
     d1.pop("timings"), d2.pop("timings")
     assert d1 == d2
+
+
+def test_certify_collector_call_budget(corpus_dir, monkeypatch):
+    """Certification works on index tables; the tuple collector serves
+    only single elements, so its call count stays small and exact."""
+    from noninner.pcgroup import PcGroup
+    from noninner.pcpfile import parse_pcp_file
+
+    calls = {"n": 0}
+    original = PcGroup.mul
+
+    def counted(self, x, y):
+        calls["n"] += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(PcGroup, "mul", counted)
+    for gid in ("g2187_a", "g2187_b", "g2187_c", "g2187_d"):
+        doc = parse_pcp_file(corpus_dir / f"{gid}.pcp")
+        calls["n"] = 0
+        report = certify_group(doc.presentation, group_id=gid)
+        assert report.certificates is not None, gid
+        assert calls["n"] <= 50_000, (gid, calls["n"])
+
+
+def test_group_is_freed_without_a_garbage_collection(corpus_dir):
+    """The group's caches hold no reference back to the group, so its
+    tables go as soon as the last reference does."""
+    import gc
+    import weakref
+
+    from noninner.pcgroup import PcGroup
+    from noninner.pcpfile import parse_pcp_file
+
+    group = PcGroup(parse_pcp_file(corpus_dir / "g2187_a.pcp").presentation)
+    assert certify_group(group, group_id="g2187_a").certificates is not None
+    ref = weakref.ref(group)
+    gc.disable()
+    try:
+        del group
+        assert ref() is None
+    finally:
+        gc.enable()

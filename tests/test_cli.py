@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from noninner.cli import main
+from noninner.errors import OrderBoundError, SelectionError
 
 INCONSISTENT = (
     "pcp 1\nprime 3\nngens 3\npow 1 = 2^1\npow 2 = 3^1\ncomm 2 1 = 3^1\n"
@@ -109,6 +110,17 @@ def test_certify_json_and_out_file(corpus_dir, tmp_path, capsys):
     assert data["p"] == 5
 
 
+def test_certify_above_element_bound(tmp_path, capsys):
+    path = tmp_path / "big.pcp"
+    path.write_text("pcp 1\nprime 3\nngens 11\n")
+    assert main(["certify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "element bound" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -173,6 +185,39 @@ def test_audit_parse_error_beats_mismatch(small_corpus, capsys):
     by_id = {row["group_id"]: row for row in data["results"]}
     assert by_id["heisenberg_3"]["status"] == "PARSE_ERROR"
     assert by_id["wreath_81"]["status"] == "ROUTE_MISMATCH"
+
+
+def test_audit_manifest_entry_without_file(small_corpus, capsys):
+    manifest = json.loads((small_corpus / "manifest.json").read_text())
+    del manifest["groups"]["heisenberg_3"]["file"]
+    (small_corpus / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["audit", str(small_corpus), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    by_id = {row["group_id"]: row for row in data["results"]}
+    assert by_id["heisenberg_3"]["status"] == "MANIFEST_ERROR"
+    assert by_id["dihedral_8"]["status"] == "OK"
+    assert by_id["wreath_81"]["status"] == "OK"
+
+
+@pytest.mark.parametrize("error", [OrderBoundError, SelectionError, RuntimeError])
+def test_audit_certify_error_is_a_group_status(small_corpus, capsys, monkeypatch, error):
+    import noninner.cli as cli
+
+    real = cli.certify_group
+
+    def failing(presentation, group_id):
+        if group_id == "heisenberg_3":
+            raise error("injected failure")
+        return real(presentation, group_id=group_id)
+
+    monkeypatch.setattr(cli, "certify_group", failing)
+    assert main(["audit", str(small_corpus), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    by_id = {row["group_id"]: row for row in data["results"]}
+    assert by_id["heisenberg_3"]["status"] == "ERROR"
+    assert by_id["heisenberg_3"]["detail"] == "injected failure"
+    # the groups after the failing one are still audited
+    assert by_id["wreath_81"]["status"] == "OK"
 
 
 def test_audit_missing_manifest(tmp_path, capsys):

@@ -231,3 +231,37 @@ def test_wreath_inverse_of_product(corpus_wreath, i, j):
     x, y = G.vec(i), G.vec(j)
     assert G.inv(G.mul(x, y)) == G.mul(G.inv(y), G.inv(x))
     assert G.mul_idx(i, j) == G.idx(G.mul(x, y))
+
+
+# ---------------------------------------------------------------------------
+# index tables against the collector, which is their oracle
+
+
+def test_generator_and_inverse_tables_match_collector(corpus_groups):
+    for gid, G in corpus_groups.items():
+        gens = G.gens
+        inv_t = G.inv_table()
+        for i, x in enumerate(G.elements()):
+            for k, g in enumerate(gens, start=1):
+                assert int(G._rtable(k)[i]) == G.idx(G.mul(x, g)), (gid, x, k)
+            assert int(inv_t[i]) == G.idx(G.inv(x)), (gid, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["dihedral_8", "heisenberg_5", "wreath_81", "g2187_c"]),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=25),
+)
+def test_array_product_matches_mul(corpus_groups, gid, pairs):
+    import numpy as np
+
+    G = corpus_groups[gid]
+    a = np.array([i % G.element_count for i, _ in pairs], dtype=np.int64)
+    b = np.array([j % G.element_count for _, j in pairs], dtype=np.int64)
+    expected = [G.idx(G.mul(G.vec(int(i)), G.vec(int(j)))) for i, j in zip(a, b)]
+    assert G.mul_indices(a, b).tolist() == expected
+    # a single right factor multiplies every entry
+    assert G.mul_indices(a, int(b[0])).tolist() == [
+        G.idx(G.mul(G.vec(int(i)), G.vec(int(b[0])))) for i in a
+    ]
+    assert G.mul_idx(int(a[0]), int(b[0])) == expected[0]

@@ -5,6 +5,7 @@ import pytest
 
 from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.structure import (
+    QuotientCoords,
     Subgroup,
     center,
     center_of,
@@ -183,3 +184,54 @@ def test_nested_series_inclusions(corpus_heis_x_c3):
         assert lower < upper
     # gamma_2 <= Z_{c-1} for class-2 groups: derived inside the centre
     assert lcs[1] <= ucs[1]
+
+
+SMALL_IDS = ["dihedral_8", "heisenberg_3", "heisenberg_5", "wreath_81", "heis_x_c3"]
+
+
+def test_quotient_exponent_matches_tuple_power_scan(corpus_groups):
+    for gid in SMALL_IDS:
+        G = corpus_groups[gid]
+        subs = upper_central_series(G) + lower_central_series(G) + [frattini(G)]
+        for sub in subs:
+            scan = all(G.pow(x, G.p) in sub.elements for x in G.elements())
+            assert quotient_exponent_is_p(G, sub) == scan, (gid, sub)
+
+
+def test_coset_min_table_matches_stacked_minimum(corpus_groups):
+    for gid, G in corpus_groups.items():
+        subs = upper_central_series(G)[:-1] + [frattini(G)]
+        for sub in subs:
+            stacked = np.minimum.reduce([G.right_mult_perm(s) for s in sub])
+            assert np.array_equal(coset_min_table(G, sub), stacked), (gid, sub)
+
+
+def test_coset_min_table_memory_is_linear(corpus_groups):
+    import tracemalloc
+
+    G = corpus_groups["g2187_a"]
+    phi = frattini(G)  # 243 elements
+    expected = coset_min_table(G, phi)  # also builds the generator tables
+    tracemalloc.start()
+    try:
+        table = coset_min_table(G, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, expected)
+    assert peak < 1_000_000, peak
+
+
+def test_frattini_coords_are_a_homomorphism_with_kernel_phi(corpus_groups):
+    for gid in SMALL_IDS:
+        G = corpus_groups[gid]
+        phi = frattini(G)
+        qc = QuotientCoords(G, phi)
+        assert G.p**qc.dim * phi.order == G.element_count, gid
+        els = list(G.elements())
+        zero = (0,) * qc.dim
+        for x in els:
+            assert (qc.coords(x) == zero) == (x in phi), (gid, x)
+            for y in els[:: max(1, len(els) // 20)]:
+                expected = tuple((a + b) % G.p for a, b in zip(qc.coords(x), qc.coords(y)))
+                assert qc.coords(G.mul(x, y)) == expected, (gid, x, y)
