@@ -9,11 +9,13 @@ Subcommands:
                                 manifest route expectations
 
 Exit codes: 0 success; 1 usage, I/O, manifest mismatch or malformed
-manifest entry, a group above the element bound, or a failed selection
-or certification step; 2 parse error or inconsistent presentation; 3
-certified theorem violation.  When several failures occur the
-highest-priority code wins (3 over 2 over 1).  `audit` reports each
-failure as a per-group status and goes on with the next group.
+manifest entry, a group above the element bound (or, for `conditions`,
+a central-automorphism solve that would hold more tail tuples than that
+bound), or a failed selection or certification step; 2 parse error or
+inconsistent presentation; 3 certified theorem violation.  When several
+failures occur the highest-priority code wins (3 over 2 over 1).
+`audit` reports each failure as a per-group status and goes on with the
+next group.
 """
 
 from __future__ import annotations

@@ -19,12 +19,10 @@ the exponents.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import OrderBoundError
 from .eligibility import SelectionContext
 from .maps import GroupMap
 from .pcgroup import Element, PcGroup
@@ -59,11 +57,6 @@ class CosetTable:
 
     def rep(self, x: Element) -> Element:
         return self.group.vec(int(self.min_table[self.group.idx(x)]))
-
-
-def canonical_rep(group: PcGroup, sub: Subgroup, x: Element) -> Element:
-    """Index-least element of the coset (sub)*x."""
-    return CosetTable(group, sub).rep(x)
 
 
 class Derivation:
@@ -281,69 +274,3 @@ def lift_to_automorphism(d: Derivation) -> GroupMap:
     if not (mt[table] == mt).all():
         raise RuntimeError("lift does not preserve every N-coset")
     return f
-
-
-def combine(d1: Derivation, d2: Derivation) -> Derivation:
-    """Pointwise product of two derivations on the same cosets (the
-    group operation of the derivation group, since values commute)."""
-    if d1.group is not d2.group or d1.n_sub != d2.n_sub:
-        raise ValueError("derivations live on different coset spaces")
-    G = d1.group
-    values = {r: G.mul(v, d2.values[r]) for r, v in d1.values.items()}
-    return Derivation(G, d1.n_sub, d1.coset_table, values, d1.zn)
-
-
-def all_derivations(
-    group: PcGroup, n_sub: Subgroup, bound: int = 3**5
-) -> List[Derivation]:
-    """Every derivation on the cosets of `n_sub` with values in Z(N).
-
-    Enumerates assignments of values to the generator cosets, propagates
-    each by breadth-first search along the cocycle identity, and keeps
-    the assignments that extend consistently and pass full verification.
-    Raises OrderBoundError when the coset count or the assignment count
-    exceeds `bound`.
-    """
-    G = group
-    ct = CosetTable(G, n_sub)
-    zn = center_of(G, n_sub)
-    if ct.count > bound:
-        raise OrderBoundError(
-            f"coset count {ct.count} exceeds enumeration bound {bound}"
-        )
-    if zn.order**G.ngens > bound:
-        raise OrderBoundError(
-            f"{zn.order}^{G.ngens} candidate assignments exceed bound {bound}"
-        )
-    zn_elems = [G.vec(int(i)) for i in zn.indices]
-    gen_perms = [G.right_mult_perm(g) for g in G.gens]
-    identity_rep = int(ct.min_table[0])
-    results: List[Derivation] = []
-    seen: set = set()
-    for combo in itertools.product(zn_elems, repeat=G.ngens):
-        values: Dict[int, Element] = {identity_rep: G.identity}
-        ok = True
-        queue = [identity_rep]
-        while queue and ok:
-            r = queue.pop()
-            gr = values[r]
-            for k in range(G.ngens):
-                r2 = int(ct.min_table[gen_perms[k][r]])
-                val = G.mul(G.conj(gr, G.gens[k]), combo[k])
-                known = values.get(r2)
-                if known is None:
-                    values[r2] = val
-                    queue.append(r2)
-                elif known != val:
-                    ok = False
-                    break
-        if not ok or len(values) != ct.count:
-            continue
-        key = tuple(sorted((r, v) for r, v in values.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        d = Derivation(G, n_sub, ct, values, zn)
-        if verify_cocycle(d) is None:
-            results.append(d)
-    return results

@@ -79,15 +79,6 @@ class GroupMap:
         return f"GroupMap({list(self.images)})"
 
 
-def identity_map(group: PcGroup) -> GroupMap:
-    return GroupMap(group, group.gens)
-
-
-def inner_map(group: PcGroup, g: Element) -> GroupMap:
-    """Conjugation x -> g^-1 x g as a GroupMap."""
-    return GroupMap(group, [group.conj(gen, g) for gen in group.gens])
-
-
 def compose(f: GroupMap, g: GroupMap) -> GroupMap:
     """Map applying f first, then g."""
     if f.group is not g.group:

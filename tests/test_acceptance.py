@@ -15,9 +15,7 @@ import pytest
 from noninner.cli import main
 from noninner.cocycles import (
     a_exponent_value,
-    all_derivations,
     b_exponent_value,
-    combine,
     derivation_from_a_exponent,
     derivation_from_b_exponent,
     lift_to_automorphism,
@@ -51,7 +49,12 @@ from noninner.structure import (
     upper_central_series,
 )
 
-from util_oracles import heisenberg_matrices, table_group_from_pcgroup
+from util_oracles import (
+    all_derivations,
+    combine,
+    heisenberg_matrices,
+    table_group_from_pcgroup,
+)
 
 
 def as_set(sub) -> set:

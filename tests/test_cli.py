@@ -121,6 +121,19 @@ def test_certify_above_element_bound(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ngens", [4, 5])
+def test_conditions_central_automorphisms_past_the_element_bound(tmp_path, capsys, ngens):
+    # elementary abelian 3^4 and 3^5: 81^4 and 243^5 central tail tuples
+    path = tmp_path / "abelian.pcp"
+    path.write_text(f"pcp 1\nprime 3\nngens {ngens}\n")
+    assert main(["conditions", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "route: NOT_COCLASS_2" in captured.out
+    assert captured.err.startswith("error: ")
+    assert "element bound" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # audit
 

@@ -5,11 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from noninner.cocycles import (
     CosetTable,
-    all_derivations,
     a_exponent_value,
     b_exponent_value,
-    canonical_rep,
-    combine,
     coset_exponents,
     derivation_from_a_exponent,
     derivation_from_b_exponent,
@@ -20,6 +17,7 @@ from noninner.eligibility import select_generators, select_n
 from noninner.errors import OrderBoundError
 from noninner.maps import is_central_map, map_order, verify_automorphism
 from noninner.structure import center, whole_group
+from util_oracles import all_derivations, canonical_rep, combine
 
 
 @pytest.fixture(scope="module")

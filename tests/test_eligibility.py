@@ -1,6 +1,10 @@
 """Route decisions, subgroup/generator selection, central automorphisms."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noninner.eligibility import (
     Route,
@@ -12,6 +16,7 @@ from noninner.eligibility import (
 )
 from noninner.errors import SelectionError
 from noninner.maps import map_order, verify_automorphism
+from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.structure import (
     center,
     centralizer,
@@ -21,6 +26,7 @@ from noninner.structure import (
     upper_central_series,
     whole_group,
 )
+from util_oracles import central_automorphisms_by_enumeration
 
 # Frozen expected route per corpus group.  dihedral_8 also has coclass 1,
 # so it doubles as a precedence check: the parity gate must fire first.
@@ -174,9 +180,100 @@ def test_diagnostics_detects_abelian_direct_factor(corpus_heis_x_c3):
     d = diagnostics(corpus_heis_x_c3)
     # Heisenberg x C3 has an abelian direct factor: Z(G) is not inside G'
     assert d["purely_nonabelian_sufficient"] is False
+    assert d["central_aut_count"] == 486
 
 
 def test_frattini_contains_n(eligible_groups):
     for gid, G in eligible_groups.items():
         assert select_n(G) <= frattini(G)
         assert whole_group(G).order == 3**7
+
+
+def test_central_automorphisms_match_enumeration_on_corpus(corpus_groups):
+    checked = 0
+    for gid, G in corpus_groups.items():
+        if center(G).order ** G.ngens > 2187:
+            continue
+        expected = central_automorphisms_by_enumeration(G)
+        assert central_automorphisms(G) == expected, gid
+        checked += 1
+    assert checked >= 9
+
+
+def test_central_automorphisms_of_cyclic_9():
+    # Z = G, and g1 -> g1 z1 forces z2 = z1^3; g1 z1 generates unless
+    # z1 lies in the coset g1^-1 Phi, which leaves 6 of the 9 choices
+    G = PcGroup(PcPresentation(3, 2, powers={1: [(2, 1)]}))
+    auts = central_automorphisms(G)
+    assert len(auts) == 6
+    assert auts == central_automorphisms_by_enumeration(G)
+
+
+def _factor(kind: str, tails: tuple) -> tuple:
+    """(ngens, powers, commutators) of one factor over p = 3, numbered
+    from 1.  The Heisenberg factor may carry power tails on g1 and g2
+    (the exponent-9 extraspecial group when either is nonzero)."""
+    if kind == "heisenberg_3":
+        a, b, c = tails
+        powers = {i: [(3, e)] for i, e in ((1, a), (2, b)) if e}
+        return 3, powers, {(2, 1): [(3, c)]}
+    if kind == "C9":
+        return 2, {1: [(2, tails[2])]}, {}
+    return 1, {}, {}
+
+
+# factor kinds with (number of generators, order of the center)
+FACTOR_KINDS = {"heisenberg_3": (3, 3), "C3": (1, 3), "C9": (2, 9)}
+
+# the products with at most 729 candidate maps |Z|^m
+SMALL_PRODUCTS = [
+    kinds
+    for n in (1, 2, 3)
+    for kinds in itertools.product(sorted(FACTOR_KINDS), repeat=n)
+    if math.prod(FACTOR_KINDS[k][1] for k in kinds)
+    ** sum(FACTOR_KINDS[k][0] for k in kinds)
+    <= 729
+]
+
+
+@st.composite
+def small_direct_products(draw) -> PcPresentation:
+    kinds = draw(st.sampled_from(SMALL_PRODUCTS))
+    ngens, powers, comms = 0, {}, {}
+    for kind in kinds:
+        tails = draw(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 2))
+        )
+        n, pw, cm = _factor(kind, tails)
+        for i, word in pw.items():
+            powers[i + ngens] = [(k + ngens, e) for k, e in word]
+        for (j, i), word in cm.items():
+            comms[(j + ngens, i + ngens)] = [(k + ngens, e) for k, e in word]
+        ngens += n
+    return PcPresentation(3, ngens, powers=powers, commutators=comms)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_direct_products())
+def test_central_automorphisms_match_enumeration_on_products(pres):
+    G = PcGroup(pres)
+    assert central_automorphisms(G) == central_automorphisms_by_enumeration(G)
+
+
+def test_central_automorphisms_collector_call_budget(corpus_dir, monkeypatch):
+    """The tails are solved on index arrays: past the route decision the
+    tuple collector serves only the Frattini coordinates."""
+    from noninner.pcpfile import parse_pcp_file
+
+    G = PcGroup(parse_pcp_file(corpus_dir / "heis_x_c3.pcp").presentation)
+    decide_route(G)
+    calls = {"n": 0}
+    original = PcGroup.mul
+
+    def counted(self, x, y):
+        calls["n"] += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(PcGroup, "mul", counted)
+    assert len(central_automorphisms(G)) == 486
+    assert calls["n"] <= 1_000, calls["n"]

@@ -1,15 +1,28 @@
-"""Brute-force oracles, independent of the library internals.
+"""Brute-force oracles for the tests.
 
-Everything here works on explicit multiplication tables built from the
+`TableGroup` works on explicit multiplication tables built from the
 group operation alone (no collection, no series shortcuts), so the
 library's structural output can be checked against first principles.
+
+The helpers after it are plain constructions and enumerations over the
+library's own types (maps, derivations, coset tables) that the program
+itself does not need: the tests use them as reference values and as
+oracles for the faster routines that replace them.
 """
 
 from __future__ import annotations
 
+import itertools
 from itertools import combinations, product
+from typing import Dict, List
 
 import numpy as np
+
+from noninner.cocycles import CosetTable, Derivation, verify_cocycle
+from noninner.errors import OrderBoundError
+from noninner.maps import GroupMap, verify_automorphism
+from noninner.pcgroup import Element, PcGroup
+from noninner.structure import Subgroup, center, center_of
 
 
 class TableGroup:
@@ -199,3 +212,102 @@ def table_group_from_pcgroup(group) -> TableGroup:
     """
     elements = list(group.elements())
     return TableGroup(elements, group.mul)
+
+
+# ---------------------------------------------------------------------------
+# maps, derivations and central automorphisms by enumeration
+
+
+def identity_map(group: PcGroup) -> GroupMap:
+    return GroupMap(group, group.gens)
+
+
+def inner_map(group: PcGroup, g: Element) -> GroupMap:
+    """Conjugation x -> g^-1 x g as a GroupMap."""
+    return GroupMap(group, [group.conj(gen, g) for gen in group.gens])
+
+
+def canonical_rep(group: PcGroup, sub: Subgroup, x: Element) -> Element:
+    """Index-least element of the coset (sub)*x."""
+    return CosetTable(group, sub).rep(x)
+
+
+def combine(d1: Derivation, d2: Derivation) -> Derivation:
+    """Pointwise product of two derivations on the same cosets (the
+    group operation of the derivation group, since values commute)."""
+    if d1.group is not d2.group or d1.n_sub != d2.n_sub:
+        raise ValueError("derivations live on different coset spaces")
+    G = d1.group
+    values = {r: G.mul(v, d2.values[r]) for r, v in d1.values.items()}
+    return Derivation(G, d1.n_sub, d1.coset_table, values, d1.zn)
+
+
+def all_derivations(
+    group: PcGroup, n_sub: Subgroup, bound: int = 3**5
+) -> List[Derivation]:
+    """Every derivation on the cosets of `n_sub` with values in Z(N).
+
+    Enumerates assignments of values to the generator cosets, propagates
+    each by breadth-first search along the cocycle identity, and keeps
+    the assignments that extend consistently and pass full verification.
+    Raises OrderBoundError when the coset count or the assignment count
+    exceeds `bound`.
+    """
+    G = group
+    ct = CosetTable(G, n_sub)
+    zn = center_of(G, n_sub)
+    if ct.count > bound:
+        raise OrderBoundError(
+            f"coset count {ct.count} exceeds enumeration bound {bound}"
+        )
+    if zn.order**G.ngens > bound:
+        raise OrderBoundError(
+            f"{zn.order}^{G.ngens} candidate assignments exceed bound {bound}"
+        )
+    zn_elems = [G.vec(int(i)) for i in zn.indices]
+    gen_perms = [G.right_mult_perm(g) for g in G.gens]
+    identity_rep = int(ct.min_table[0])
+    results: List[Derivation] = []
+    seen: set = set()
+    for combo in itertools.product(zn_elems, repeat=G.ngens):
+        values: Dict[int, Element] = {identity_rep: G.identity}
+        ok = True
+        queue = [identity_rep]
+        while queue and ok:
+            r = queue.pop()
+            gr = values[r]
+            for k in range(G.ngens):
+                r2 = int(ct.min_table[gen_perms[k][r]])
+                val = G.mul(G.conj(gr, G.gens[k]), combo[k])
+                known = values.get(r2)
+                if known is None:
+                    values[r2] = val
+                    queue.append(r2)
+                elif known != val:
+                    ok = False
+                    break
+        if not ok or len(values) != ct.count:
+            continue
+        key = tuple(sorted((r, v) for r, v in values.items()))
+        if key in seen:
+            continue
+        seen.add(key)
+        d = Derivation(G, n_sub, ct, values, zn)
+        if verify_cocycle(d) is None:
+            results.append(d)
+    return results
+
+
+def central_automorphisms_by_enumeration(group: PcGroup) -> list[GroupMap]:
+    """All automorphisms sending each generator g to g*z with z central,
+    found by honest enumeration of |Z|^m candidate maps."""
+    G = group
+    z = center(G)
+    z_elems = [G.vec(int(i)) for i in z.indices]
+    out: list[GroupMap] = []
+    for combo in itertools.product(z_elems, repeat=G.ngens):
+        images = [G.mul(gen, combo[k]) for k, gen in enumerate(G.gens)]
+        f = GroupMap(G, images)
+        if verify_automorphism(f) is None:
+            out.append(f)
+    return out
