@@ -79,7 +79,7 @@ class Derivation:
         if set(values) != set(coset_table.rep_indices):
             raise ValueError("values must be given at exactly the canonical reps")
         for v in values.values():
-            if v not in zn.elements:
+            if v not in zn:
                 raise ValueError("derivation value outside Z(N)")
         self.values = dict(values)
         self._verified: Optional[bool] = None

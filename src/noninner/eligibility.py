@@ -35,6 +35,7 @@ from .structure import (
     minimal_generator_count,
     nilpotency_class,
     omega1,
+    power_table,
     quotient_exponent_is_p,
     quotient_is_cyclic,
     upper_central_series,
@@ -131,14 +132,16 @@ def decide_route(group: PcGroup) -> RouteDecision:
 
 
 def _is_elementary_abelian(group: PcGroup, sub: Subgroup) -> bool:
-    els = sub.elements
-    for x in els:
-        if group.pow(x, group.p) != group.identity:
-            return False
-        for y in els:
-            if group.mul(x, y) != group.mul(y, x):
-                return False
-    return True
+    """Exponent p from the power table, and pairwise commuting basis
+    elements, which generate `sub`."""
+    if power_table(group)[sub.indices].any():
+        return False
+    basis = sub.basis
+    return all(
+        group.mul(x, y) == group.mul(y, x)
+        for i, x in enumerate(basis)
+        for y in basis[i + 1 :]
+    )
 
 
 def select_n(group: PcGroup) -> Subgroup:
@@ -159,25 +162,21 @@ def select_n(group: PcGroup) -> Subgroup:
         raise SelectionError(
             f"second center has order {z2.order}, expected {p**3}"
         )
-    z2_elementary = all(
-        group.pow(x, p) == group.identity for x in z2.elements
-    )
-    if z2_elementary:
+    if not power_table(group)[z2.indices].any():
+        # Z_2 has exponent p and Z is central of order p, so <Z, x> has
+        # order p^2 and is the candidate of each of its elements outside Z
         candidates: list[Subgroup] = []
-        seen: set[frozenset] = set()
-        for idx in z2.indices:
-            x = group.vec(int(idx))
-            if x in z1.elements:
+        covered = z1.mask.copy()
+        for x in z2.indices.tolist():
+            if covered[x]:
                 continue
-            cand = closure(group, list(z1.basis) + [x])
-            if frozenset(cand.elements) in seen:
-                continue
-            seen.add(frozenset(cand.elements))
+            cand = closure(group, np.append(z1.indices, x))
+            covered |= cand.mask
             if cand.order == p * p and _is_elementary_abelian(group, cand):
                 candidates.append(cand)
         if not candidates:
             raise SelectionError("no rank-2 exponent-p subgroup between Z and Z_2")
-        n_sub = min(candidates, key=lambda s: tuple(int(i) for i in s.indices))
+        n_sub = min(candidates, key=lambda s: s.indices.tolist())
     else:
         n_sub = omega1(group, z2)
     # Verification of everything the construction relies on.
@@ -265,27 +264,17 @@ def select_generators(group: PcGroup, n_sub: Subgroup) -> SelectionContext:
     if not phi <= cent:
         raise SelectionError("Frattini subgroup does not centralize N")
 
-    b = None
-    for i in range(group.element_count):
-        x = group.vec(i)
-        if x not in cent.elements:
-            b = x
-            break
-    if b is None:
+    outside = np.nonzero(~cent.mask)[0]
+    if not outside.size:
         raise SelectionError("no element outside C_G(N); N is central")
-    a = None
-    for i in cent.indices:
-        x = group.vec(int(i))
-        if x not in phi.elements:
-            a = x
-            break
-    if a is None:
+    b = group.vec(int(outside[0]))
+    outside = cent.indices[~phi.mask[cent.indices]]
+    if not outside.size:
         raise SelectionError("C_G(N) has no element outside Phi")
+    a = group.vec(int(outside[0]))
     w = None
-    for i in n_sub.indices:
-        x = group.vec(int(i))
-        if x in z1.elements:
-            continue
+    for i in n_sub.indices[~z1.mask[n_sub.indices]].tolist():
+        x = group.vec(i)
         if group.comm(x, b) != group.identity:
             w = x
             break
@@ -295,12 +284,12 @@ def select_generators(group: PcGroup, n_sub: Subgroup) -> SelectionContext:
     comm_a_b = group.comm(a, b)
     comm_w_b = group.comm(w, b)
 
-    if closure(group, [a, b]).order != group.element_count:
+    if closure(group, [group.idx(a), group.idx(b)]).order != group.element_count:
         raise SelectionError("a and b do not generate the group")
     z_deep = series[m - 4]
-    if comm_a_b not in phi.elements or comm_a_b in z_deep.elements:
+    if comm_a_b not in phi or comm_a_b in z_deep:
         raise SelectionError("[a, b] does not lie in Phi minus Z_{m-4}")
-    if comm_w_b == group.identity or comm_w_b not in z1.elements:
+    if comm_w_b == group.identity or comm_w_b not in z1:
         raise SelectionError("[w, b] does not lie in Z minus 1")
     if group.order_of(w) != p or group.order_of(comm_w_b) != p:
         raise SelectionError("w or [w, b] does not have order p")

@@ -1,16 +1,17 @@
 """Subgroups, central series and quotient coordinates for PcGroup.
 
-Subgroups are stored as explicit element sets (the package targets
-groups of desk-scale order, a few thousand elements) together with a
-canonical induced generating sequence derived purely from the set, so
-equal subgroups always present identical bases.  Heavy scans are
-vectorized through the group's right/left multiplication permutation
-tables.
+A subgroup is stored as the sorted index array of its elements (the
+package targets groups of desk-scale order, a few thousand elements);
+its membership mask and a canonical induced generating sequence are
+derived from that array on demand, so equal subgroups always present
+identical bases.  Closures, series and quotient predicates work on
+index arrays through the group's generator tables and the cached table
+of p-th powers; only basis elements are exponent tuples.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +27,8 @@ def leading_index(x: Element) -> Optional[int]:
 
 
 class Subgroup:
-    """A subgroup given by its full element set.
+    """A subgroup given by the sorted index array of its elements (the
+    identity, index 0, first).
 
     The canonical basis has one element per pivot depth: for each depth
     k carrying part of the subgroup, the index-smallest element with
@@ -37,11 +39,14 @@ class Subgroup:
 
     __slots__ = ("group", "_state")
 
-    def __init__(self, group: PcGroup, elements: Iterable[Element]):
-        self.group = group
-        self._state = _SubgroupState(frozenset(elements))
-        if group.identity not in self.elements:
+    def __init__(self, group: PcGroup, indices: Sequence[int] | np.ndarray):
+        idx = np.asarray(indices, dtype=np.int64)
+        if not idx.size or idx[0] != 0:
             raise ValueError("subgroup must contain the identity")
+        if (idx[1:] <= idx[:-1]).any():
+            raise ValueError("subgroup indices must be sorted and distinct")
+        self.group = group
+        self._state = _SubgroupState(idx)
 
     @classmethod
     def _view(cls, group: PcGroup, state: "_SubgroupState") -> "Subgroup":
@@ -50,12 +55,13 @@ class Subgroup:
         return sub
 
     @property
-    def elements(self) -> frozenset:
-        return self._state.elements
+    def indices(self) -> np.ndarray:
+        """Sorted element indices."""
+        return self._state.indices
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._state.indices)
 
     @property
     def log_order(self) -> int:
@@ -70,19 +76,12 @@ class Subgroup:
         return k
 
     @property
-    def indices(self) -> np.ndarray:
-        state = self._state
-        if state.indices is None:
-            state.indices = np.array(sorted(self.group.idx(x) for x in self.elements), dtype=np.int64)
-        return state.indices
-
-    @property
     def mask(self) -> np.ndarray:
         """Boolean membership array over all element indices."""
         state = self._state
         if state.mask is None:
             state.mask = np.zeros(self.group.element_count, dtype=bool)
-            state.mask[self.indices] = True
+            state.mask[state.indices] = True
         return state.mask
 
     @property
@@ -99,15 +98,15 @@ class Subgroup:
     def _canonical_basis(self) -> tuple[Element, ...]:
         G = self.group
         p = G.p
+        idx = self.indices
         chosen: dict[int, Element] = {}
         for k in range(1, G.ngens + 1):
-            cands = [
-                x
-                for x in self.elements
-                if x[k - 1] == 1 and all(x[t] == 0 for t in range(k - 1))
-            ]
-            if cands:
-                chosen[k] = min(cands, key=G.idx)
+            # the indices in [s, 2s) are the elements with leading
+            # coordinate 1 at k; the first of them is the least
+            s = G._stride(k)
+            pos = int(np.searchsorted(idx, s))
+            if pos < len(idx) and idx[pos] < 2 * s:
+                chosen[k] = G.vec(int(idx[pos]))
         pivots = sorted(chosen)
         # deepest first, so reducers are already in final form
         for k in reversed(pivots):
@@ -127,27 +126,21 @@ class Subgroup:
         return basis
 
     def __contains__(self, x: Element) -> bool:
-        return x in self.elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Element]:
-        return iter(sorted(self.elements, key=self.group.idx))
+        return bool(self.mask[self.group.idx(x)])
 
     def __le__(self, other: "Subgroup") -> bool:
-        return self.elements <= other.elements
+        return bool(other.mask[self.indices].all())
 
     def __lt__(self, other: "Subgroup") -> bool:
-        return self.elements < other.elements
+        return self.order < other.order and self <= other
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.group is other.group and self.elements == other.elements
+        return self.group is other.group and np.array_equal(self.indices, other.indices)
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash(self.indices.tobytes())
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, pivots={self.pivots})"
@@ -160,11 +153,10 @@ class _SubgroupState:
     cycle would keep the group and all its tables alive until the next
     full garbage collection."""
 
-    __slots__ = ("elements", "indices", "mask", "basis")
+    __slots__ = ("indices", "mask", "basis")
 
-    def __init__(self, elements: frozenset):
-        self.elements = elements
-        self.indices: Optional[np.ndarray] = None
+    def __init__(self, indices: np.ndarray):
+        self.indices = indices
         self.mask: Optional[np.ndarray] = None
         self.basis: Optional[tuple[Element, ...]] = None
 
@@ -186,30 +178,50 @@ def _store(group: PcGroup, key: str, value):
     return value
 
 
-def subgroup_from_indices(group: PcGroup, idxs: Iterable[int]) -> Subgroup:
-    return Subgroup(group, (group.vec(int(i)) for i in idxs))
-
-
 def trivial_subgroup(group: PcGroup) -> Subgroup:
-    return Subgroup(group, [group.identity])
+    return Subgroup(group, [0])
 
 
 def whole_group(group: PcGroup) -> Subgroup:
     sub = _cached(group, "whole")
     if sub is None:
-        sub = _store(group, "whole", Subgroup(group, group.elements()))
+        group._check_bound()
+        sub = _store(group, "whole", Subgroup(group, np.arange(group.element_count)))
     return sub
 
 
-def closure(group: PcGroup, seeds: Iterable[Element]) -> Subgroup:
-    """Subgroup generated by `seeds` (breadth-first over index tables)."""
+def power_table(group: PcGroup) -> np.ndarray:
+    """Array P with P[i] = idx(vec(i)**p), built once per group."""
+    table = group._cache.get("power_table")
+    if table is None:
+        group._check_bound()
+        x = np.arange(group.element_count, dtype=np.int64)
+        table = x
+        for _ in range(group.p - 1):
+            table = group.mul_indices(table, x)
+        group._cache["power_table"] = table
+    return table
+
+
+def closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
+    """Subgroup generated by the elements with indices `seeds`.
+
+    The seeds are taken in turn; a seed outside the subgroup found so
+    far joins the generators, and the subgroup grows breadth-first by
+    right multiplication with every generator.  Seeds already inside
+    cost nothing, so a long seed list (all commutators of a term, say)
+    adds at most log_p |G| generators, each one permutation of G.
+    """
     n = group.element_count
-    seed_list = [s for s in dict.fromkeys(seeds) if s != group.identity]
+    idx = np.arange(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    if seed_list:
-        perms = [group.right_mult_perm(s) for s in seed_list]
-        frontier = np.array([0], dtype=np.int64)
+    perms: list[np.ndarray] = []
+    for s in np.asarray(seeds, dtype=np.int64).tolist():
+        if seen[s]:
+            continue
+        perms.append(group.mul_indices(idx, s))
+        frontier = np.nonzero(seen)[0]
         while frontier.size:
             new_mask = np.zeros(n, dtype=bool)
             for perm in perms:
@@ -217,7 +229,7 @@ def closure(group: PcGroup, seeds: Iterable[Element]) -> Subgroup:
             new_mask &= ~seen
             seen |= new_mask
             frontier = np.nonzero(new_mask)[0]
-    return subgroup_from_indices(group, np.nonzero(seen)[0])
+    return Subgroup(group, np.nonzero(seen)[0])
 
 
 def _conj_gen_perms(group: PcGroup) -> list[np.ndarray]:
@@ -228,8 +240,9 @@ def _conj_gen_perms(group: PcGroup) -> list[np.ndarray]:
     return perms
 
 
-def normal_closure(group: PcGroup, seeds: Iterable[Element]) -> Subgroup:
-    """Smallest normal subgroup containing `seeds`."""
+def normal_closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
+    """Smallest normal subgroup containing the elements with indices
+    `seeds`."""
     perms = _conj_gen_perms(group)
     sub = closure(group, seeds)
     while True:
@@ -239,9 +252,7 @@ def normal_closure(group: PcGroup, seeds: Iterable[Element]) -> Subgroup:
         fresh &= ~sub.mask
         if not fresh.any():
             return sub
-        sub = closure(
-            group, list(sub.basis) + [group.vec(int(i)) for i in np.nonzero(fresh)[0]]
-        )
+        sub = closure(group, np.concatenate([sub.indices, np.nonzero(fresh)[0]]))
 
 
 def is_normal(group: PcGroup, sub: Subgroup) -> bool:
@@ -270,7 +281,7 @@ def center(group: PcGroup) -> Subgroup:
         mask = np.ones(group.element_count, dtype=bool)
         for g in group.gens:
             mask &= group.right_mult_perm(g) == group.left_mult_perm(g)
-        sub = _store(group, "center", subgroup_from_indices(group, np.nonzero(mask)[0]))
+        sub = _store(group, "center", Subgroup(group, np.nonzero(mask)[0]))
     return sub
 
 
@@ -286,7 +297,7 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
         mask = np.ones(group.element_count, dtype=bool)
         for perm in perms:
             mask &= m_table[perm] == m_table
-        nxt = subgroup_from_indices(group, np.nonzero(mask)[0])
+        nxt = Subgroup(group, np.nonzero(mask)[0])
         if nxt.order <= series[-1].order:
             raise RuntimeError("upper central series stalled; group not nilpotent")
         series.append(nxt)
@@ -313,7 +324,7 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
         for perm in perms:
             comms[group.mul_indices(inv_t[cur.indices], perm[cur.indices])] = True
         comms[0] = False
-        nxt = normal_closure(group, [group.vec(int(i)) for i in np.nonzero(comms)[0]])
+        nxt = normal_closure(group, np.nonzero(comms)[0])
         if not nxt < cur:
             raise RuntimeError("lower central series stalled; group not nilpotent")
         series.append(nxt)
@@ -337,10 +348,8 @@ def frattini(group: PcGroup) -> Subgroup:
     sub = _cached(group, "frattini")
     if sub is None:
         derived = lower_central_series(group)[1] if group.element_count > 1 else trivial_subgroup(group)
-        seeds = list(derived.basis)
-        for k in range(1, group.ngens + 1):
-            seeds.append(group._power_value(k))
-        sub = _store(group, "frattini", closure(group, seeds))
+        powers = [group.idx(group._power_value(k)) for k in range(1, group.ngens + 1)]
+        sub = _store(group, "frattini", closure(group, np.concatenate([derived.indices, powers])))
     return sub
 
 
@@ -354,20 +363,19 @@ def centralizer(group: PcGroup, targets: Iterable[Element]) -> Subgroup:
     mask = np.ones(group.element_count, dtype=bool)
     for t in targets:
         mask &= group.right_mult_perm(t) == group.left_mult_perm(t)
-    return subgroup_from_indices(group, np.nonzero(mask)[0])
+    return Subgroup(group, np.nonzero(mask)[0])
 
 
 def omega1(group: PcGroup, sub: Subgroup) -> Subgroup:
     """Subgroup generated by the elements of `sub` of order dividing p."""
-    seeds = [x for x in sub.elements if group.pow(x, group.p) == group.identity]
-    return closure(group, seeds)
+    return closure(group, sub.indices[power_table(group)[sub.indices] == 0])
 
 
 def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     """Intersection of two subgroups of the same group."""
     if a.group is not b.group:
         raise ValueError("subgroups of different groups")
-    return Subgroup(a.group, a.elements & b.elements)
+    return Subgroup(a.group, a.indices[b.mask[a.indices]])
 
 
 def center_of(group: PcGroup, sub: Subgroup) -> Subgroup:
@@ -378,33 +386,24 @@ def center_of(group: PcGroup, sub: Subgroup) -> Subgroup:
 def quotient_exponent_is_p(group: PcGroup, sub: Subgroup) -> bool:
     """Whether every p-th power lands in `sub` (normal), i.e. the
     quotient has exponent dividing p."""
-    group._check_bound()
-    x = np.arange(group.element_count, dtype=np.int64)
-    power = x
-    for _ in range(group.p - 1):
-        power = group.mul_indices(power, x)
-    return bool(sub.mask[power].all())
+    return bool(sub.mask[power_table(group)].all())
 
 
 def quotient_is_cyclic(group: PcGroup, upper: Subgroup, lower: Subgroup) -> bool:
-    """Whether upper/lower is cyclic (lower normal in upper, p-group
-    quotient, so cyclic iff some coset has full order)."""
+    """Whether upper/lower is cyclic (lower normal in upper).
+
+    The quotient is a p-group, so it is cyclic exactly when its exponent
+    equals its order; the exponent is the least p^k that takes every
+    element of `upper` into `lower`."""
     if not lower <= upper:
         raise ValueError("lower must be contained in upper")
-    quotient_order = upper.order // lower.order
-    if quotient_order == 1:
-        return True
-    best = 1
-    for x in upper.elements:
-        y = x
-        k = 1
-        while y not in lower.elements:
-            y = group.pow(y, group.p)
-            k *= group.p
-        if k == quotient_order:
-            return True
-        best = max(best, k)
-    return best == quotient_order
+    powers = power_table(group)
+    y = upper.indices
+    k = 1
+    while not lower.mask[y].all():
+        y = powers[y]
+        k *= group.p
+    return k == upper.order // lower.order
 
 
 class QuotientCoords:
@@ -422,10 +421,10 @@ class QuotientCoords:
         p = group.p
         for j in range(2, group.ngens + 1):
             for i in range(1, j):
-                if group.collect(group.pres.commutator(j, i)) not in sub.elements:
+                if group.collect(group.pres.commutator(j, i)) not in sub:
                     raise ValueError("quotient is not abelian")
         for k in range(1, group.ngens + 1):
-            if group._power_value(k) not in sub.elements:
+            if group._power_value(k) not in sub:
                 raise ValueError("quotient does not have exponent p")
         ext: dict[int, Element] = {}
         for b in sub.basis:

@@ -41,6 +41,7 @@ from noninner.pcpfile import parse_pcp_file
 from noninner.structure import (
     center,
     center_of,
+    closure,
     frattini,
     lower_central_series,
     minimal_generator_count,
@@ -259,7 +260,8 @@ def test_certified_noninner_automorphisms(eligible_groups, eligible_reports):
         assert report.chosen in ("b_shift", "a_shift"), gid
 
         f = GroupMap(G, [tuple(im) for im in report.images])
-        assert verify_automorphism(f, check_closure=True) is None, gid
+        assert verify_automorphism(f) is None, gid
+        assert closure(G, [G.idx(x) for x in f.images]).order == G.element_count, gid
         assert map_order(f) == G.p, gid
         assert not is_central_map(f), gid
         # Exhaustive inner search: scans every candidate conjugator.

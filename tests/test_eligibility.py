@@ -95,7 +95,7 @@ def test_select_n_postconditions_and_determinism(eligible_groups):
         assert n_sub.order == p * p
         assert z1 < n_sub < z2
         assert is_normal(G, n_sub)
-        assert all(G.pow(x, p) == G.identity for x in n_sub)
+        assert all(G.pow(G.vec(i), p) == G.identity for i in n_sub.indices.tolist())
         cent = centralizer(G, n_sub.basis)
         assert cent.order * p == G.element_count
         assert select_n(G) == n_sub  # deterministic
@@ -124,17 +124,17 @@ def test_select_generators_frame(eligible_groups):
     for gid, G in eligible_groups.items():
         ctx = select_generators(G, select_n(G))
         p, m = G.p, G.ngens
-        assert closure(G, [ctx.a, ctx.b]).order == G.element_count
-        assert ctx.a in ctx.centralizer_n.elements
-        assert ctx.b not in ctx.centralizer_n.elements
-        assert ctx.a not in ctx.phi.elements
-        assert ctx.w in ctx.n_sub.elements and ctx.w not in ctx.z1.elements
+        assert closure(G, [G.idx(ctx.a), G.idx(ctx.b)]).order == G.element_count
+        assert ctx.a in ctx.centralizer_n
+        assert ctx.b not in ctx.centralizer_n
+        assert ctx.a not in ctx.phi
+        assert ctx.w in ctx.n_sub and ctx.w not in ctx.z1
         assert ctx.comm_w_b == G.comm(ctx.w, ctx.b) != G.identity
-        assert ctx.comm_w_b in ctx.z1.elements
+        assert ctx.comm_w_b in ctx.z1
         assert G.order_of(ctx.w) == p
         assert ctx.comm_a_b == G.comm(ctx.a, ctx.b)
-        assert ctx.comm_a_b in ctx.phi.elements
-        assert ctx.comm_a_b not in ctx.z_deep.elements
+        assert ctx.comm_a_b in ctx.phi
+        assert ctx.comm_a_b not in ctx.z_deep
         assert ctx.z_deep == upper_central_series(G)[m - 4]
         summary = ctx.summary()
         assert set(summary) == {"N_basis", "a", "b", "w", "comm_a_b", "comm_w_b"}

@@ -1,8 +1,11 @@
 """Structural computations checked against brute-force table oracles."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from noninner.eligibility import _is_elementary_abelian
 from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.structure import (
     QuotientCoords,
@@ -21,6 +24,7 @@ from noninner.structure import (
     nilpotency_class,
     normal_closure,
     omega1,
+    power_table,
     quotient_exponent_is_p,
     quotient_is_cyclic,
     trivial_subgroup,
@@ -28,7 +32,14 @@ from noninner.structure import (
     whole_group,
 )
 
-from util_oracles import table_group_from_pcgroup
+from util_oracles import (
+    canonical_basis_by_scan,
+    is_elementary_abelian_by_pairs,
+    omega1_by_pow,
+    quotient_is_cyclic_by_scan,
+    subgroup_tuples,
+    table_group_from_pcgroup,
+)
 
 
 def as_set(sub: Subgroup) -> frozenset:
@@ -93,11 +104,11 @@ def test_closure_and_normality_in_dihedral(corpus_dihedral):
     G = corpus_dihedral
     oracle = table_group_from_pcgroup(G)
     g1 = G.generator(1)
-    tiny = closure(G, [g1])
+    tiny = closure(G, [G.idx(g1)])
     assert tiny.order == 2
     assert as_set(tiny) == oracle.closure({G.idx(g1)})
     assert not is_normal(G, tiny)
-    big = normal_closure(G, [g1])
+    big = normal_closure(G, [G.idx(g1)])
     assert big.order == 4
     assert is_normal(G, big)
     assert g1 in big
@@ -117,22 +128,61 @@ def test_centralizer_of_everything_is_center(corpus_wreath):
     assert centralizer(G, []) == whole_group(G)
 
 
-def test_subgroup_basics(heis3):
-    G = heis3
-    triv = trivial_subgroup(G)
-    whole = whole_group(G)
-    assert triv.order == 1 and whole.order == 27
-    assert triv < whole
-    z = center(G)
-    assert intersection(z, whole) == z
-    assert intersection(z, triv) == triv
-    assert center_of(G, whole) == z
-    assert center_of(G, z) == z  # abelian subgroup is its own centre
-    # basis regenerates the subgroup
-    assert closure(G, z.basis) == z
-    assert len(whole.basis) == whole.log_order == 3
-    for x in z:
-        assert x in z
+def _named_subgroups(G) -> list:
+    """Every term of both central series, Phi, Z and Z(Phi)."""
+    phi = frattini(G)
+    return (
+        upper_central_series(G)
+        + lower_central_series(G)
+        + [phi, center(G), center_of(G, phi)]
+    )
+
+
+def test_subgroup_basics(corpus_groups):
+    for gid, G in corpus_groups.items():
+        triv = trivial_subgroup(G)
+        whole = whole_group(G)
+        assert triv.order == 1 and whole.order == G.element_count, gid
+        assert triv < whole, gid
+        z = center(G)
+        assert intersection(z, whole) == z, gid
+        assert intersection(z, triv) == triv, gid
+        assert center_of(G, whole) == z, gid
+        assert center_of(G, z) == z, gid  # abelian subgroup is its own centre
+        # basis regenerates the subgroup
+        assert closure(G, [G.idx(b) for b in z.basis]) == z, gid
+        assert len(whole.basis) == whole.log_order == G.ngens, gid
+        # the relations agree with those of plain sets of indices
+        subs = _named_subgroups(G)
+        sets = [as_set(s) for s in subs]
+        for a, sa in zip(subs, sets):
+            assert len(sa) == a.order, gid
+            assert [G.vec(i) in a for i in range(G.element_count)] == [
+                i in sa for i in range(G.element_count)
+            ], gid
+            for b, sb in zip(subs, sets):
+                assert (a == b) == (sa == sb), gid
+                if sa == sb:
+                    assert hash(a) == hash(b), gid
+                assert (a <= b) == (sa <= sb), gid
+                assert (a < b) == (sa < sb), gid
+                assert as_set(intersection(a, b)) == sa & sb, gid
+
+
+def test_subgroup_scans_match_tuple_oracles(corpus_groups):
+    for gid, G in corpus_groups.items():
+        power = functools.cache(lambda x, G=G: G.pow(x, G.p))
+        for sub in _named_subgroups(G):
+            assert sub.basis == canonical_basis_by_scan(G, sub), (gid, sub)
+            assert omega1(G, sub) == omega1_by_pow(G, sub, power), (gid, sub)
+            assert _is_elementary_abelian(G, sub) == is_elementary_abelian_by_pairs(
+                G, sub, power
+            ), (gid, sub)
+        for series in (upper_central_series(G), lower_central_series(G)[::-1]):
+            for lower, upper in zip(series, series[1:]):
+                assert quotient_is_cyclic(G, upper, lower) == quotient_is_cyclic_by_scan(
+                    G, upper, lower, power
+                ), (gid, upper, lower)
 
 
 def test_coset_min_table_properties(heis3):
@@ -153,7 +203,7 @@ def test_omega1_and_cyclic_quotients():
     whole = whole_group(c9)
     om = omega1(c9, whole)
     assert om.order == 3
-    assert all(c9.pow(x, 3) == c9.identity for x in om)
+    assert all(c9.pow(x, 3) == c9.identity for x in subgroup_tuples(c9, om))
     assert quotient_is_cyclic(c9, whole, trivial_subgroup(c9))
     assert not quotient_exponent_is_p(c9, trivial_subgroup(c9))
     assert quotient_exponent_is_p(c9, om)
@@ -170,7 +220,7 @@ def test_heisenberg_quotients(heis3):
 def test_normal_closure_matches_closure_for_normal_seed(corpus_wreath):
     G = corpus_wreath
     derived = lower_central_series(G)[1]
-    assert normal_closure(G, derived.basis) == derived
+    assert normal_closure(G, [G.idx(b) for b in derived.basis]) == derived
     assert is_normal(G, derived)
 
 
@@ -192,9 +242,12 @@ SMALL_IDS = ["dihedral_8", "heisenberg_3", "heisenberg_5", "wreath_81", "heis_x_
 def test_quotient_exponent_matches_tuple_power_scan(corpus_groups):
     for gid in SMALL_IDS:
         G = corpus_groups[gid]
+        powers = [G.idx(G.pow(x, G.p)) for x in G.elements()]
+        assert power_table(G).tolist() == powers, gid
         subs = upper_central_series(G) + lower_central_series(G) + [frattini(G)]
         for sub in subs:
-            scan = all(G.pow(x, G.p) in sub.elements for x in G.elements())
+            members = as_set(sub)
+            scan = all(i in members for i in powers)
             assert quotient_exponent_is_p(G, sub) == scan, (gid, sub)
 
 
@@ -202,7 +255,8 @@ def test_coset_min_table_matches_stacked_minimum(corpus_groups):
     for gid, G in corpus_groups.items():
         subs = upper_central_series(G)[:-1] + [frattini(G)]
         for sub in subs:
-            stacked = np.minimum.reduce([G.right_mult_perm(s) for s in sub])
+            perms = [G.right_mult_perm(s) for s in subgroup_tuples(G, sub)]
+            stacked = np.minimum.reduce(perms)
             assert np.array_equal(coset_min_table(G, sub), stacked), (gid, sub)
 
 

@@ -22,7 +22,7 @@ from noninner.cocycles import CosetTable, Derivation, verify_cocycle
 from noninner.errors import OrderBoundError
 from noninner.maps import GroupMap, verify_automorphism
 from noninner.pcgroup import Element, PcGroup
-from noninner.structure import Subgroup, center, center_of
+from noninner.structure import Subgroup, center, center_of, closure
 
 
 class TableGroup:
@@ -311,3 +311,78 @@ def central_automorphisms_by_enumeration(group: PcGroup) -> list[GroupMap]:
         if verify_automorphism(f) is None:
             out.append(f)
     return out
+
+
+# ---------------------------------------------------------------------------
+# subgroup scans over exponent tuples, which the index arrays and the
+# table of p-th powers replaced
+
+
+def subgroup_tuples(group: PcGroup, sub: Subgroup) -> list[Element]:
+    """The elements of `sub` as exponent tuples, in index order."""
+    return [group.vec(i) for i in sub.indices.tolist()]
+
+
+def canonical_basis_by_scan(group: PcGroup, sub: Subgroup) -> tuple[Element, ...]:
+    """The canonical basis by scanning every element for each pivot
+    candidate: the index-least element with leading coordinate 1 at k,
+    reduced deepest pivot first."""
+    G = group
+    p = G.p
+    els = subgroup_tuples(G, sub)
+    chosen: dict[int, Element] = {}
+    for k in range(1, G.ngens + 1):
+        cands = [
+            x for x in els if x[k - 1] == 1 and all(x[t] == 0 for t in range(k - 1))
+        ]
+        if cands:
+            chosen[k] = min(cands, key=G.idx)
+    pivots = sorted(chosen)
+    for k in reversed(pivots):
+        b = chosen[k]
+        for k2 in pivots:
+            if k2 > k:
+                e = b[k2 - 1]
+                if e:
+                    b = G.mul(b, G.pow(chosen[k2], p - e))
+        chosen[k] = b
+    return tuple(chosen[k] for k in pivots)
+
+
+# The scans below take `power`, x -> x**p on exponent tuples; the tests
+# pass the tuple collector's `pow`, memoised per group, so that a scan
+# over a 3^7 group costs at most one `pow` per element.
+
+
+def omega1_by_pow(group: PcGroup, sub: Subgroup, power) -> Subgroup:
+    """Closure of the elements x of `sub` with x**p = 1."""
+    seeds = [
+        group.idx(x) for x in subgroup_tuples(group, sub) if power(x) == group.identity
+    ]
+    return closure(group, seeds)
+
+
+def is_elementary_abelian_by_pairs(group: PcGroup, sub: Subgroup, power) -> bool:
+    """Exponent p and commutativity of every pair of elements."""
+    els = subgroup_tuples(group, sub)
+    if any(power(x) != group.identity for x in els):
+        return False
+    return all(group.mul(x, y) == group.mul(y, x) for x in els for y in els)
+
+
+def quotient_is_cyclic_by_scan(
+    group: PcGroup, upper: Subgroup, lower: Subgroup, power
+) -> bool:
+    """Whether some element of `upper` has order |upper/lower| modulo
+    `lower`, by repeated p-th powers of each element."""
+    quotient_order = upper.order // lower.order
+    lower_set = set(subgroup_tuples(group, lower))
+    for x in subgroup_tuples(group, upper):
+        y = x
+        k = 1
+        while y not in lower_set:
+            y = power(y)
+            k *= group.p
+        if k == quotient_order:
+            return True
+    return False
