@@ -7,6 +7,7 @@ certificates that at least one of them is noninner.
 """
 
 from .errors import (
+    CertificationError,
     InconsistentPresentationError,
     OrderBoundError,
     PcpSyntaxError,
@@ -38,6 +39,7 @@ __all__ = [
     "report_to_json",
     "report_to_text",
     "PresentationError",
+    "CertificationError",
     "InconsistentPresentationError",
     "OrderBoundError",
     "PcpSyntaxError",

@@ -24,7 +24,7 @@ from .cocycles import (
     verify_cocycle,
 )
 from .eligibility import Route, decide_route, select_generators, select_n
-from .errors import TheoremViolationError
+from .errors import CertificationError, TheoremViolationError
 from .maps import (
     find_conjugating_element,
     fixes_elementwise,
@@ -97,7 +97,7 @@ def certify_group(
     for name, deriv in (("b_shift", deriv_b), ("a_shift", deriv_a)):
         counterexample = verify_cocycle(deriv)
         if counterexample is not None:
-            raise RuntimeError(
+            raise CertificationError(
                 f"{name} derivation failed cocycle verification at "
                 f"cosets of {counterexample[0]} and {counterexample[1]}"
             )
@@ -109,12 +109,12 @@ def certify_group(
     for name, f in (("b_shift", map_b), ("a_shift", map_a)):
         reason = verify_automorphism(f)
         if reason is not None:
-            raise RuntimeError(f"{name} lift is not an automorphism: {reason}")
+            raise CertificationError(f"{name} lift is not an automorphism: {reason}")
         order = map_order(f)
         if order != group.p:
-            raise RuntimeError(f"{name} lift has order {order}, expected {group.p}")
+            raise CertificationError(f"{name} lift has order {order}, expected {group.p}")
         if is_central_map(f):
-            raise RuntimeError(f"{name} lift is a central automorphism")
+            raise CertificationError(f"{name} lift is a central automorphism")
     timings["verify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -137,7 +137,7 @@ def certify_group(
         chosen, chosen_map = "a_shift", map_a
         fixed_name, fixed_sub = "Z_M_MINUS_4", ctx.z_deep
     if not fixes_elementwise(chosen_map, fixed_sub):
-        raise RuntimeError(
+        raise CertificationError(
             f"{chosen} does not fix {fixed_name} elementwise as it must"
         )
     timings["inner_search"] = time.perf_counter() - t0
@@ -157,7 +157,7 @@ def certify_group(
         **base,
         context=ctx.summary(),
         chosen=chosen,
-        images=[list(x) for x in chosen_map.images],
+        images=[list(group.vec(int(i))) for i in chosen_map.image_indices],
         certificates=certificates,
         timings=timings,
     )

@@ -8,14 +8,16 @@ Subcommands:
     audit <dir> [--json]        certify a corpus directory against its
                                 manifest route expectations
 
-Exit codes: 0 success; 1 usage, I/O, manifest mismatch or malformed
-manifest entry, a group above the element bound (or, for `conditions`,
-a central-automorphism solve that would hold more tail tuples than that
-bound), or a failed selection or certification step; 2 parse error or
-inconsistent presentation; 3 certified theorem violation.  When several
-failures occur the highest-priority code wins (3 over 2 over 1).
-`audit` reports each failure as a per-group status and goes on with the
-next group.
+Exit codes: 0 success; 1 usage, I/O, manifest mismatch, a malformed
+manifest or manifest entry, a group above the element bound (or, for
+`conditions`, a central-automorphism solve that would hold more tail
+tuples than that bound), a failed selection step (`selection failed:`)
+or a failed certification check (`certification failed:`); 2 parse
+error or inconsistent presentation; 3 certified theorem violation.
+When several failures occur the highest-priority code wins (3 over 2
+over 1).  `audit` reports each failure of a group as a per-group status
+and goes on with the next group; a manifest that is not valid JSON or
+has no "groups" object ends it at once.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 from .certify import certify_group
 from .eligibility import decide_route, diagnostics, select_generators, select_n
 from .errors import (
+    CertificationError,
     InconsistentPresentationError,
     OrderBoundError,
     PcpSyntaxError,
@@ -155,16 +158,26 @@ def _cmd_audit(args) -> int:
     if not manifest_path.is_file():
         print(f"error: no manifest.json in {root}", file=sys.stderr)
         return EXIT_USAGE
-    manifest = json.loads(manifest_path.read_text())
-    groups = manifest.get("groups", {})
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        print(f"error: {manifest_path} is not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    groups = manifest.get("groups", {}) if isinstance(manifest, dict) else None
+    if not isinstance(groups, dict):
+        print(f'error: {manifest_path} needs a "groups" object', file=sys.stderr)
+        return EXIT_USAGE
     worst = EXIT_OK
     results = []
     for group_id in sorted(groups):
         entry = groups[group_id]
-        row = {"group_id": group_id, "expected_route": entry.get("route")}
-        if "file" not in entry:
+        valid = isinstance(entry, dict)
+        row = {"group_id": group_id, "expected_route": entry.get("route") if valid else None}
+        if not valid or "file" not in entry:
             row["status"] = "MANIFEST_ERROR"
-            row["detail"] = 'manifest entry has no "file"'
+            row["detail"] = (
+                'manifest entry has no "file"' if valid else "manifest entry is not an object"
+            )
             worst = max(worst, EXIT_USAGE)
             results.append(row)
             continue
@@ -241,6 +254,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except SelectionError as exc:
         print(f"selection failed: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except CertificationError as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OrderBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

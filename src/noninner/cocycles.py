@@ -19,48 +19,42 @@ the exponents.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .eligibility import SelectionContext
+from .errors import CertificationError
 from .maps import GroupMap
 from .pcgroup import Element, PcGroup
-from .structure import Subgroup, center_of, coset_min_table, is_normal
+from .structure import Subgroup, coset_min_table, intersection, is_normal
 
 
 class CosetTable:
     """Canonical representatives for the cosets of a normal subgroup:
-    each element maps to the index-least member of its coset."""
+    each element maps to the index-least member of its coset, and
+    `rep_pos` gives each representative's position in `rep_indices`."""
 
-    __slots__ = ("group", "sub", "min_table", "rep_indices", "rep_pos")
+    __slots__ = ("min_table", "rep_indices", "rep_pos")
 
     def __init__(self, group: PcGroup, sub: Subgroup):
         if not is_normal(group, sub):
             raise ValueError("coset tables require a normal subgroup")
-        self.group = group
-        self.sub = sub
         self.min_table = coset_min_table(group, sub)
         idx = np.arange(group.element_count, dtype=np.int64)
-        reps = np.nonzero(self.min_table == idx)[0]
-        self.rep_indices = [int(r) for r in reps]
+        self.rep_indices = np.nonzero(self.min_table == idx)[0]
         pos = np.full(group.element_count, -1, dtype=np.int64)
-        pos[reps] = np.arange(len(reps))
+        pos[self.rep_indices] = np.arange(len(self.rep_indices))
         self.rep_pos = pos
 
     @property
     def count(self) -> int:
         return len(self.rep_indices)
 
-    def rep_idx(self, i: int) -> int:
-        return int(self.min_table[i])
-
-    def rep(self, x: Element) -> Element:
-        return self.group.vec(int(self.min_table[self.group.idx(x)]))
-
 
 class Derivation:
-    """A map on N-cosets with values in Z(N), stored at canonical reps."""
+    """A map on N-cosets with values in Z(N): `values[t]` is the index
+    of the value at the coset of `coset_table.rep_indices[t]`."""
 
     __slots__ = ("group", "n_sub", "coset_table", "values", "zn", "_verified")
 
@@ -69,41 +63,20 @@ class Derivation:
         group: PcGroup,
         n_sub: Subgroup,
         coset_table: CosetTable,
-        values: Dict[int, Element],
+        values: Sequence[int] | np.ndarray,
         zn: Subgroup,
     ):
         self.group = group
         self.n_sub = n_sub
         self.coset_table = coset_table
         self.zn = zn
-        if set(values) != set(coset_table.rep_indices):
+        values = np.array(values, dtype=np.int64)
+        if values.shape != (coset_table.count,):
             raise ValueError("values must be given at exactly the canonical reps")
-        for v in values.values():
-            if v not in zn:
-                raise ValueError("derivation value outside Z(N)")
-        self.values = dict(values)
+        if not zn.mask[values].all():
+            raise ValueError("derivation value outside Z(N)")
+        self.values = values
         self._verified: Optional[bool] = None
-
-    def value_at_idx(self, i: int) -> Element:
-        return self.values[int(self.coset_table.min_table[i])]
-
-    def value_at(self, x: Element) -> Element:
-        return self.value_at_idx(self.group.idx(x))
-
-    def items(self) -> List[Tuple[int, Element]]:
-        return sorted(self.values.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return (
-            self.group is other.group
-            and self.n_sub == other.n_sub
-            and self.values == other.values
-        )
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.items()))
 
     def __repr__(self) -> str:
         return f"Derivation(on {self.coset_table.count} cosets)"
@@ -140,7 +113,7 @@ class _Decomposer:
                 if not outside.any():
                     break
                 if step == G.p - 1:
-                    raise RuntimeError(
+                    raise CertificationError(
                         f"factorization failed: no power of {what} reaches the target"
                     )
                 x[outside] = G.mul_indices(x[outside], inv)
@@ -164,50 +137,38 @@ def coset_exponents(ctx: SelectionContext, g: Element) -> Tuple[int, int, int]:
     return int(i[0]), int(j[0]), int(t[0])
 
 
-def _b_value(ctx: SelectionContext, i: int, j: int, t: int) -> Element:
-    G = ctx.group
-    return G.mul(G.pow(ctx.w, i), G.pow(ctx.comm_w_b, (i * (i - 1)) // 2))
+def _powers(group: PcGroup, x: int) -> np.ndarray:
+    """Indices of x^0, ..., x^(p-1)."""
+    out = [0]
+    for _ in range(group.p - 1):
+        out.append(int(group.mul_indices(out[-1], x)))
+    return np.array(out, dtype=np.int64)
 
 
-def _a_value(ctx: SelectionContext, i: int, j: int, t: int) -> Element:
-    G = ctx.group
-    return G.mul(G.pow(ctx.w, j), G.pow(ctx.comm_w_b, i * j + t))
-
-
-def b_exponent_value(ctx: SelectionContext, g: Element) -> Element:
-    """w^i * [w,b]^(i(i-1)/2) where i is the b-exponent of g.  The
-    half-integer exponent is taken as an exact integer (i(i-1) is even)
-    before any reduction."""
-    return _b_value(ctx, *coset_exponents(ctx, g))
-
-
-def a_exponent_value(ctx: SelectionContext, g: Element) -> Element:
-    """w^j * [w,b]^(ij + t) where i, j, t are the exponents of g."""
-    return _a_value(ctx, *coset_exponents(ctx, g))
-
-
-def _build(ctx: SelectionContext, formula) -> Derivation:
-    """The derivation with value formula(ctx, i, j, t) at each coset
-    representative; the formula is evaluated once per distinct (i, j, t)."""
+def _build(ctx: SelectionContext, exponents) -> Derivation:
+    """The derivation with value w^e * [w,b]^f at each coset
+    representative, where (e, f) = exponents(i, j, t) on the arrays of
+    the representatives' exponents.  w and [w,b] have order p (checked
+    by select_generators), so e and f are read modulo p."""
     G = ctx.group
     ct = CosetTable(G, ctx.n_sub)
-    zn = center_of(G, ctx.n_sub)
-    exps = _decomposer(ctx).exponents(ct.rep_indices)
-    by_exponents: Dict[Tuple[int, int, int], Element] = {}
-    values = {}
-    for r, key in zip(ct.rep_indices, zip(*(e.tolist() for e in exps))):
-        if key not in by_exponents:
-            by_exponents[key] = formula(ctx, *key)
-        values[r] = by_exponents[key]
+    zn = intersection(ctx.centralizer_n, ctx.n_sub)
+    e, f = exponents(*_decomposer(ctx).exponents(ct.rep_indices))
+    w_pow = _powers(G, G.idx(ctx.w))
+    c_pow = _powers(G, G.idx(ctx.comm_w_b))
+    values = G.mul_indices(w_pow[e % G.p], c_pow[f % G.p])
     return Derivation(G, ctx.n_sub, ct, values, zn)
 
 
 def derivation_from_b_exponent(ctx: SelectionContext) -> Derivation:
-    return _build(ctx, _b_value)
+    """Value w^i * [w,b]^(i(i-1)/2); i(i-1) is even, so the exponent is
+    an exact integer before any reduction."""
+    return _build(ctx, lambda i, j, t: (i, i * (i - 1) // 2))
 
 
 def derivation_from_a_exponent(ctx: SelectionContext) -> Derivation:
-    return _build(ctx, _a_value)
+    """Value w^j * [w,b]^(ij + t)."""
+    return _build(ctx, lambda i, j, t: (j, i * j + t))
 
 
 def verify_cocycle(d: Derivation):
@@ -220,19 +181,19 @@ def verify_cocycle(d: Derivation):
     """
     G = d.group
     ct = d.coset_table
-    reps = np.array(ct.rep_indices, dtype=np.int64)
+    reps = ct.rep_indices
     zn_idx = d.zn.indices
     nz = len(zn_idx)
     code = np.full(G.element_count, -1, dtype=np.int64)
     code[zn_idx] = np.arange(nz)
     mul_code = code[G.mul_indices(np.repeat(zn_idx, nz), np.tile(zn_idx, nz))].reshape(nz, nz)
-    val_code = code[[G.idx(d.values[r]) for r in ct.rep_indices]]
+    val_code = code[d.values]
     inv_reps = G.inv_table()[reps]
     # conj_code[c, t] codes reps[t]^-1 * z_c * reps[t]
     conj_code = np.array(
         [code[G.mul_indices(G.mul_indices(inv_reps, z), reps)] for z in zn_idx.tolist()]
     )
-    for t2, r2 in enumerate(ct.rep_indices):
+    for t2, r2 in enumerate(reps.tolist()):
         prods = ct.min_table[G.mul_indices(reps, r2)]
         lhs = val_code[ct.rep_pos[prods]]
         rhs = mul_code[conj_code[val_code, t2], val_code[t2]]
@@ -241,7 +202,7 @@ def verify_cocycle(d: Derivation):
             t1 = int(bad[0])
             d._verified = False
             return (
-                G.vec(ct.rep_indices[t1]),
+                G.vec(int(reps[t1])),
                 G.vec(r2),
                 G.vec(int(zn_idx[lhs[t1]])),
                 G.vec(int(zn_idx[rhs[t1]])),
@@ -259,18 +220,18 @@ def lift_to_automorphism(d: Derivation) -> GroupMap:
     if not d._verified:
         raise ValueError("derivation failed cocycle verification; not lifting")
     G = d.group
-    images = [G.mul(g, d.value_at(g)) for g in G.gens]
-    f = GroupMap(G, images)
-    table = f.apply_table()
     ct = d.coset_table
     mt = ct.min_table
-    value_idx = np.array([G.idx(d.values[r]) for r in ct.rep_indices], dtype=np.int64)
+    value = d.values[ct.rep_pos[mt]]  # index of d(Ng) at every index g
+    gens = G.gen_indices
+    f = GroupMap(G, G.mul_indices(gens, value[gens]))
+    table = f.apply_table()
     idx = np.arange(G.element_count, dtype=np.int64)
-    if not (table == G.mul_indices(idx, value_idx[ct.rep_pos[mt]])).all():
-        raise RuntimeError("lift does not equal g * d(Ng) on some element")
+    if not (table == G.mul_indices(idx, value)).all():
+        raise CertificationError("lift does not equal g * d(Ng) on some element")
     n_idx = d.n_sub.indices
     if not (table[n_idx] == n_idx).all():
-        raise RuntimeError("lift does not fix N elementwise")
+        raise CertificationError("lift does not fix N elementwise")
     if not (mt[table] == mt).all():
-        raise RuntimeError("lift does not preserve every N-coset")
+        raise CertificationError("lift does not preserve every N-coset")
     return f

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fp
 from .errors import OrderBoundError, SelectionError
-from .maps import GroupMap, _frattini_coords
+from .maps import _frattini_coords
 from .pcgroup import Element, PcGroup
 from .structure import (
     Subgroup,
@@ -312,9 +312,11 @@ def select_generators(group: PcGroup, n_sub: Subgroup) -> SelectionContext:
     )
 
 
-def central_automorphisms(group: PcGroup) -> list[GroupMap]:
+def central_automorphisms(group: PcGroup) -> np.ndarray:
     """All automorphisms sending each generator g_k to g_k z_k with z_k
-    central, in the order of itertools.product over Z in index order.
+    central, as an (n, m) array whose rows are the indices of the m
+    generator images, in the order of itertools.product over Z in index
+    order.
 
     As the tails are central, the images satisfy the power relation
     g_k^p = w_k exactly when z_k^p = prod_l z_l^e_l(w_k), and the
@@ -370,9 +372,7 @@ def central_automorphisms(group: PcGroup) -> list[GroupMap]:
     rows = rows[np.lexsort(rows.T[::-1])]
 
     qc = _frattini_coords(G)
-    gen_coords = np.array([qc.coords(g) for g in G.gens], dtype=np.int64)
-    z_coords = np.array([qc.coords(G.vec(int(z))) for z in z_idx], dtype=np.int64)
-    mats = (gen_coords + z_coords[np.searchsorted(z_idx, rows)]) % p
+    mats = (qc.coords(G.gen_indices) + qc.coords(z_idx)[np.searchsorted(z_idx, rows)]) % p
     distinct, which = np.unique(
         mats.reshape(len(rows), -1), axis=0, return_inverse=True
     )
@@ -381,10 +381,7 @@ def central_automorphisms(group: PcGroup) -> list[GroupMap]:
     )
     rows = rows[full[which.reshape(-1)]]
     # z_k is central, so z_k g_k is the image g_k z_k
-    images = np.column_stack(
-        [G.mul_indices(rows[:, k], G.idx(g)) for k, g in enumerate(G.gens)]
-    )
-    return [GroupMap(G, [G.vec(i) for i in row]) for row in images.tolist()]
+    return G.mul_indices(rows, np.broadcast_to(G.gen_indices, rows.shape))
 
 
 def diagnostics(group: PcGroup) -> dict:

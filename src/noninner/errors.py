@@ -38,6 +38,14 @@ class SelectionError(RuntimeError):
     means either the eligibility gate or the selection logic is wrong."""
 
 
+class CertificationError(RuntimeError):
+    """A step of the certification of an eligible group failed its own
+    check: a derivation is no cocycle, a lift is no automorphism of
+    order p, or it is central or fixes the wrong subgroup.  Like
+    SelectionError, this indicates a bug rather than a property of the
+    input."""
+
+
 class TheoremViolationError(RuntimeError):
     """Both lifted automorphisms of an eligible group turned out inner.
     The construction guarantees at least one is not, so this indicates

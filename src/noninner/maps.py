@@ -1,6 +1,7 @@
 """Generator-image maps: application, verification, order, innerness.
 
-A GroupMap assigns an image to each defining generator.  Nothing is
+A GroupMap assigns an image to each defining generator, held as an
+element index; every check evaluates it through its table.  Nothing is
 assumed about it until verify_automorphism has passed; after that the
 usual automorphism machinery (composition order, inner-witness search,
 fixed subgroups) applies.
@@ -8,42 +9,36 @@ fixed subgroups) applies.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import fp
+from .errors import CertificationError
 from .pcgroup import Element, PcGroup
-from .structure import QuotientCoords, Subgroup, center, frattini
+from .structure import QuotientCoords, Subgroup, center, frattini, power_table
 
 
 class GroupMap:
-    """Map determined by generator images, applied in normal-form order:
-    (e_1, ..., e_m) goes to images[1]**e_1 * ... * images[m]**e_m."""
+    """Map determined by the indices of the generator images, applied in
+    normal-form order: (e_1, ..., e_m) goes to
+    image_1**e_1 * ... * image_m**e_m."""
 
-    __slots__ = ("group", "images", "_table")
+    __slots__ = ("group", "image_indices", "_table")
 
-    def __init__(self, group: PcGroup, images: Sequence[Element]):
-        if len(images) != group.ngens:
+    def __init__(self, group: PcGroup, image_indices: Sequence[int] | np.ndarray):
+        image_indices = np.array(image_indices, dtype=np.int64)
+        if image_indices.shape != (group.ngens,):
             raise ValueError(
-                f"expected {group.ngens} generator images, got {len(images)}"
+                f"expected {group.ngens} generator images, got {image_indices.size}"
             )
         self.group = group
-        self.images = tuple(images)
+        self.image_indices = image_indices
         self._table: Optional[np.ndarray] = None
 
-    def apply(self, x: Element) -> Element:
-        G = self.group
-        out = G.identity
-        for k in range(G.ngens):
-            e = x[k]
-            if e:
-                out = G.mul(out, G.pow(self.images[k], e))
-        return out
-
     def apply_table(self) -> np.ndarray:
-        """Array T with T[i] = idx(apply(vec(i))), built by peeling the
-        last letter: apply(x' * g_k) = apply(x') * images[k].
+        """Array T with T[i] = index of the image of vec(i), built by
+        peeling the last letter: f(x' * g_k) = f(x') * image_k.
 
         The elements whose last nonzero coordinate is k, with value e,
         form one level; each level is a single product of index arrays,
@@ -57,33 +52,24 @@ class GroupMap:
             for k in range(1, G.ngens + 1):
                 s = G._stride(k)
                 heads = np.arange(p ** (k - 1), dtype=np.int64) * p * s
-                image = G.idx(self.images[k - 1])
                 for e in range(1, p):
                     ys = heads + e * s
-                    table[ys] = G.mul_indices(table[ys - s], image)
+                    table[ys] = G.mul_indices(table[ys - s], self.image_indices[k - 1])
             self._table = table
         return self._table
 
     def is_identity(self) -> bool:
-        return self.images == tuple(self.group.gens)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupMap):
-            return NotImplemented
-        return self.group is other.group and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
+        return bool(np.array_equal(self.image_indices, self.group.gen_indices))
 
     def __repr__(self) -> str:
-        return f"GroupMap({list(self.images)})"
+        return f"GroupMap({self.image_indices.tolist()})"
 
 
 def compose(f: GroupMap, g: GroupMap) -> GroupMap:
     """Map applying f first, then g."""
     if f.group is not g.group:
         raise ValueError("maps act on different groups")
-    return GroupMap(f.group, [g.apply(im) for im in f.images])
+    return GroupMap(f.group, g.apply_table()[f.image_indices])
 
 
 def _frattini_coords(group: PcGroup) -> QuotientCoords:
@@ -98,26 +84,34 @@ def verify_automorphism(f: GroupMap) -> Optional[str]:
     """None when f is an automorphism, else a failure reason.
 
     Homomorphism: every defining relation must hold on the images
-    (including the trivial ones).  Bijectivity: the images must generate,
-    which for a p-group reduces to full rank modulo the Frattini
-    subgroup.
+    (including the trivial ones); both sides of all relations are
+    evaluated at once on index arrays, the right-hand side through f's
+    table, and the first failure in the order g1, ..., gm, then [g2, g1],
+    [g3, g1], [g3, g2], ... is reported.  Bijectivity: the images must
+    generate, which for a p-group reduces to full rank modulo the
+    Frattini subgroup.
     """
     G = f.group
-    p = G.p
-    for k in range(1, G.ngens + 1):
-        lhs = G.pow(f.images[k - 1], p)
-        rhs = f.apply(G._power_value(k))
-        if lhs != rhs:
-            return f"power relation for g{k} is not preserved"
-    for j in range(2, G.ngens + 1):
-        for i in range(1, j):
-            lhs = G.comm(f.images[j - 1], f.images[i - 1])
-            rhs = f.apply(G.collect(G.pres.commutator(j, i)))
-            if lhs != rhs:
-                return f"commutator relation [g{j}, g{i}] is not preserved"
+    m = G.ngens
+    images = f.image_indices
+    table = f.apply_table()
+    lhs = power_table(G)[images]
+    rhs = table[[G._word_index(G.pres.power(k)) for k in range(1, m + 1)]]
+    bad = np.nonzero(lhs != rhs)[0]
+    if bad.size:
+        return f"power relation for g{bad[0] + 1} is not preserved"
+    pairs = [(j, i) for j in range(2, m + 1) for i in range(1, j)]
+    x = images[[j - 1 for j, _ in pairs]]
+    y = images[[i - 1 for _, i in pairs]]
+    # [x, y] = (y x)^-1 (x y)
+    lhs = G.mul_indices(G.inv_table()[G.mul_indices(y, x)], G.mul_indices(x, y))
+    rhs = table[[G._word_index(G.pres.commutator(j, i)) for j, i in pairs]]
+    bad = np.nonzero(lhs != rhs)[0]
+    if bad.size:
+        j, i = pairs[bad[0]]
+        return f"commutator relation [g{j}, g{i}] is not preserved"
     qc = _frattini_coords(G)
-    mat = [qc.coords(im) for im in f.images]
-    if fp.rank(mat, p) != qc.dim:
+    if fp.rank(qc.coords(images), G.p) != qc.dim:
         return "images do not generate the group"
     return None
 
@@ -130,7 +124,7 @@ def map_order(f: GroupMap, bound: int = 10_000) -> int:
         cur = compose(cur, f)
         k += 1
         if k > bound:
-            raise RuntimeError(f"map order exceeds bound {bound}")
+            raise CertificationError(f"map order exceeds bound {bound}")
     return k
 
 
@@ -154,7 +148,7 @@ def find_conjugating_element(f: GroupMap) -> Optional[Element]:
     cols = _conj_columns(G)
     mask = np.ones(G.element_count, dtype=bool)
     for k in range(G.ngens):
-        mask &= cols[k] == G.idx(f.images[k])
+        mask &= cols[k] == f.image_indices[k]
     hits = np.nonzero(mask)[0]
     if hits.size:
         return G.vec(int(hits[0]))
@@ -176,8 +170,5 @@ def fixes_elementwise(f: GroupMap, sub: Subgroup) -> bool:
 def is_central_map(f: GroupMap) -> bool:
     """Whether g^-1 f(g) is central for every generator."""
     G = f.group
-    z = center(G)
-    return all(
-        G.mul(G.inv(gen), f.images[k]) in z
-        for k, gen in enumerate(G.gens)
-    )
+    tails = G.mul_indices(G.inv_table()[G.gen_indices], f.image_indices)
+    return bool(center(G).mask[tails].all())

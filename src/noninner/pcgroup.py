@@ -351,8 +351,9 @@ class PcGroup:
         while e:
             if e & 1:
                 out = self.mul(out, base)
-            base = self.mul(base, base)
             e >>= 1
+            if e:
+                base = self.mul(base, base)
         return out
 
     def conj(self, x: Element, y: Element) -> Element:
@@ -458,6 +459,16 @@ class PcGroup:
         """Index of g_k, the place value of coordinate k."""
         return self.p ** (self.ngens - k)
 
+    def _word_index(self, word: Word) -> int:
+        """Index of a relation word; its letters ascend with exponents in
+        [1, p), so the word is already a normal form."""
+        return sum(e * self._stride(k) for k, e in word)
+
+    @property
+    def gen_indices(self) -> np.ndarray:
+        """Indices of g_1, ..., g_m."""
+        return self.p ** np.arange(self.ngens - 1, -1, -1, dtype=np.int64)
+
     def _rtable(self, g: int) -> np.ndarray:
         """Index table for right multiplication by g_g.
 
@@ -481,7 +492,7 @@ class PcGroup:
                 prefix = idx - idx % s
                 cur = prefix + s
                 top = (idx // s) % p == p - 1
-                power = sum(e * self._stride(j) for j, e in self.pres.power(k))
+                power = self._word_index(self.pres.power(k))
                 cur[top] = prefix[top] - (p - 1) * s + power
                 for j in range(k + 1, m + 1):
                     conj_word = ((j, 1),) + self.pres.commutator(j, k)

@@ -442,9 +442,12 @@ class QuotientCoords:
                     added.append(k)
                     break
         self.p = p
+        self._places = group.gen_indices
         self.added_pivots = tuple(sorted(added))
         self.dim = len(self.added_pivots)
-        self._gen_coords = [self._sift(group, ext, g) for g in group.gens]
+        self._gen_coords = np.array(
+            [self._sift(group, ext, g) for g in group.gens], dtype=np.int64
+        ).reshape(group.ngens, self.dim)
 
     def _sift(self, group: PcGroup, ext: dict, y: Element) -> tuple[int, ...]:
         p = group.p
@@ -458,12 +461,10 @@ class QuotientCoords:
             x = group.mul(group.pow(ext[k], p - a), x)
         return tuple(out[k] for k in self.added_pivots)
 
-    def coords(self, y: Element) -> tuple[int, ...]:
-        """Image of y in F_p^dim: the sum of e_k times the image of g_k
-        over the coordinates e_k of y, as the map is a homomorphism onto
-        an elementary abelian group."""
-        out = [0] * self.dim
-        for e, image in zip(y, self._gen_coords):
-            for t, c in enumerate(image):
-                out[t] += e * c
-        return tuple(v % self.p for v in out)
+    def coords(self, indices) -> np.ndarray:
+        """Images in F_p^dim of the elements with the given indices, one
+        row each: the sum of e_k times the image of g_k over the
+        coordinates e_k of the element, as the map is a homomorphism
+        onto an elementary abelian group."""
+        digits = np.asarray(indices, dtype=np.int64).reshape(-1, 1) // self._places % self.p
+        return digits @ self._gen_coords % self.p

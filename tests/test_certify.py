@@ -106,9 +106,9 @@ def test_certified_images_rebuild_the_automorphism(eligible_groups, eligible_rep
     map from them alone must reproduce every certified property."""
     for gid, report in eligible_reports.items():
         G = eligible_groups[gid]
-        f = GroupMap(G, [tuple(im) for im in report.images])
+        f = GroupMap(G, [G.idx(tuple(im)) for im in report.images])
         assert verify_automorphism(f) is None
-        assert closure(G, [G.idx(x) for x in f.images]).order == G.element_count
+        assert closure(G, f.image_indices).order == G.element_count
         assert map_order(f) == 3
         from noninner.eligibility import select_generators, select_n
         from noninner.maps import find_conjugating_element, is_central_map
@@ -138,14 +138,21 @@ def test_certify_is_deterministic(eligible_groups, eligible_reports):
 
 
 def test_certify_collector_call_budget(corpus_dir, monkeypatch):
-    """Certification works on index tables; the tuple collector serves
-    only single elements, so its call count stays small and exact.
-    Subgroups are index arrays, so few indices become tuples (`vec`)."""
+    """Certification works on index tables, maps included; the tuple
+    collector serves only single elements, so its call count stays small
+    and exact.  Subgroups and maps are index arrays, so few indices
+    become tuples (`vec`).  Three centralizers are computed: C_G(Z(Phi))
+    for the route, and C_G(N) in select_n and in select_generators; the
+    derivation builds take Z(N) as C_G(N) meet N."""
+    import sys
+
+    import noninner.structure as structure
     from noninner.pcgroup import PcGroup
     from noninner.pcpfile import parse_pcp_file
 
-    calls = {"mul": 0, "vec": 0}
+    calls = {"mul": 0, "vec": 0, "centralizer": 0}
     original_mul, original_vec = PcGroup.mul, PcGroup.vec
+    original_centralizer = structure.centralizer
 
     def counted_mul(self, x, y):
         calls["mul"] += 1
@@ -155,15 +162,23 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
         calls["vec"] += 1
         return original_vec(self, n)
 
+    def counted_centralizer(*args, **kwargs):
+        calls["centralizer"] += 1
+        return original_centralizer(*args, **kwargs)
+
     monkeypatch.setattr(PcGroup, "mul", counted_mul)
     monkeypatch.setattr(PcGroup, "vec", counted_vec)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("noninner") and getattr(module, "centralizer", None) is original_centralizer:
+            monkeypatch.setattr(module, "centralizer", counted_centralizer)
     for gid in ("g2187_a", "g2187_b", "g2187_c", "g2187_d"):
         doc = parse_pcp_file(corpus_dir / f"{gid}.pcp")
-        calls.update(mul=0, vec=0)
+        calls.update(mul=0, vec=0, centralizer=0)
         report = certify_group(doc.presentation, group_id=gid)
         assert report.certificates is not None, gid
-        assert calls["mul"] <= 50_000, (gid, calls)
-        assert calls["vec"] <= 3_000, (gid, calls)
+        assert calls["mul"] <= 3_000, (gid, calls)
+        assert calls["vec"] <= 1_500, (gid, calls)
+        assert calls["centralizer"] <= 3, (gid, calls)
 
 
 def test_group_is_freed_without_a_garbage_collection(corpus_dir):

@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from noninner.cli import main
-from noninner.errors import OrderBoundError, SelectionError
+from noninner.errors import CertificationError, OrderBoundError, SelectionError
 
 INCONSISTENT = (
     "pcp 1\nprime 3\nngens 3\npow 1 = 2^1\npow 2 = 3^1\ncomm 2 1 = 3^1\n"
@@ -121,6 +121,18 @@ def test_certify_above_element_bound(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_certify_failed_check_is_a_typed_error(corpus_dir, eligible_ids, capsys, monkeypatch):
+    import noninner.certify as certify
+
+    monkeypatch.setattr(certify, "verify_automorphism", lambda f: "injected failure")
+    assert main(["certify", corpus_path(corpus_dir, eligible_ids[0])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "certification failed: b_shift lift is not an automorphism: injected failure\n"
+    )
+
+
 @pytest.mark.parametrize("ngens", [4, 5])
 def test_conditions_central_automorphisms_past_the_element_bound(tmp_path, capsys, ngens):
     # elementary abelian 3^4 and 3^5: 81^4 and 243^5 central tail tuples
@@ -212,7 +224,9 @@ def test_audit_manifest_entry_without_file(small_corpus, capsys):
     assert by_id["wreath_81"]["status"] == "OK"
 
 
-@pytest.mark.parametrize("error", [OrderBoundError, SelectionError, RuntimeError])
+@pytest.mark.parametrize(
+    "error", [OrderBoundError, SelectionError, RuntimeError, CertificationError]
+)
 def test_audit_certify_error_is_a_group_status(small_corpus, capsys, monkeypatch, error):
     import noninner.cli as cli
 
@@ -236,6 +250,33 @@ def test_audit_certify_error_is_a_group_status(small_corpus, capsys, monkeypatch
 def test_audit_missing_manifest(tmp_path, capsys):
     assert main(["audit", str(tmp_path)]) == 1
     assert "no manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ["{not json", '{"groups": ["heisenberg_3.pcp"]}', '["groups"]', "\xff"]
+)
+def test_audit_malformed_manifest(tmp_path, capsys, text):
+    (tmp_path / "manifest.json").write_bytes(text.encode("latin-1"))
+    assert main(["audit", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_audit_manifest_entry_not_an_object(small_corpus, capsys):
+    manifest = json.loads((small_corpus / "manifest.json").read_text())
+    manifest["groups"]["heisenberg_3"] = "heisenberg_3.pcp"
+    (small_corpus / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["audit", str(small_corpus), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    by_id = {row["group_id"]: row for row in data["results"]}
+    assert by_id["heisenberg_3"]["status"] == "MANIFEST_ERROR"
+    assert by_id["heisenberg_3"]["detail"] == "manifest entry is not an object"
+    assert by_id["dihedral_8"]["status"] == "OK"
+    assert by_id["wreath_81"]["status"] == "OK"
+    assert main(["audit", str(small_corpus)]) == 1
+    assert "heisenberg_3     MANIFEST_ERROR" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

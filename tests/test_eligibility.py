@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from noninner.eligibility import (
     select_n,
 )
 from noninner.errors import SelectionError
-from noninner.maps import map_order, verify_automorphism
+from noninner.maps import GroupMap, map_order, verify_automorphism
 from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.structure import (
     center,
@@ -155,11 +156,12 @@ def test_central_automorphisms_of_heisenberg(heis3):
     # maps g1 -> g1 z^a, g2 -> g2 z^b lift to automorphisms; the image of
     # g3 = [g2, g1] is forced, so exactly 3^2 maps survive
     assert len(auts) == 9
-    assert len(set(auts)) == 9
+    assert len({tuple(row) for row in auts.tolist()}) == 9
     identity_count = 0
-    for f in auts:
+    for row in auts:
+        f = GroupMap(heis3, row)
         assert verify_automorphism(f) is None
-        assert f.images[2] == heis3.generator(3)  # g3 image forced
+        assert f.image_indices[2] == heis3.idx(heis3.generator(3))  # g3 image forced
         if f.is_identity():
             identity_count += 1
         else:
@@ -195,7 +197,7 @@ def test_central_automorphisms_match_enumeration_on_corpus(corpus_groups):
         if center(G).order ** G.ngens > 2187:
             continue
         expected = central_automorphisms_by_enumeration(G)
-        assert central_automorphisms(G) == expected, gid
+        assert np.array_equal(central_automorphisms(G), expected), gid
         checked += 1
     assert checked >= 9
 
@@ -206,7 +208,7 @@ def test_central_automorphisms_of_cyclic_9():
     G = PcGroup(PcPresentation(3, 2, powers={1: [(2, 1)]}))
     auts = central_automorphisms(G)
     assert len(auts) == 6
-    assert auts == central_automorphisms_by_enumeration(G)
+    assert np.array_equal(auts, central_automorphisms_by_enumeration(G))
 
 
 def _factor(kind: str, tails: tuple) -> tuple:
@@ -257,23 +259,36 @@ def small_direct_products(draw) -> PcPresentation:
 @given(small_direct_products())
 def test_central_automorphisms_match_enumeration_on_products(pres):
     G = PcGroup(pres)
-    assert central_automorphisms(G) == central_automorphisms_by_enumeration(G)
+    assert np.array_equal(central_automorphisms(G), central_automorphisms_by_enumeration(G))
 
 
 def test_central_automorphisms_collector_call_budget(corpus_dir, monkeypatch):
     """The tails are solved on index arrays: past the route decision the
-    tuple collector serves only the Frattini coordinates."""
+    tuple collector serves only the Frattini coordinates.  The solutions
+    are index rows, which diagnostics only counts, so hardly any index
+    becomes a tuple (`vec`)."""
     from noninner.pcpfile import parse_pcp_file
 
-    G = PcGroup(parse_pcp_file(corpus_dir / "heis_x_c3.pcp").presentation)
+    pres = parse_pcp_file(corpus_dir / "heis_x_c3.pcp").presentation
+    G, fresh = PcGroup(pres), PcGroup(pres)
     decide_route(G)
-    calls = {"n": 0}
-    original = PcGroup.mul
+    decide_route(fresh)
+    calls = {"mul": 0, "vec": 0}
+    original_mul, original_vec = PcGroup.mul, PcGroup.vec
 
-    def counted(self, x, y):
-        calls["n"] += 1
-        return original(self, x, y)
+    def counted_mul(self, x, y):
+        calls["mul"] += 1
+        return original_mul(self, x, y)
 
-    monkeypatch.setattr(PcGroup, "mul", counted)
+    def counted_vec(self, n):
+        calls["vec"] += 1
+        return original_vec(self, n)
+
+    monkeypatch.setattr(PcGroup, "mul", counted_mul)
+    monkeypatch.setattr(PcGroup, "vec", counted_vec)
     assert len(central_automorphisms(G)) == 486
-    assert calls["n"] <= 1_000, calls["n"]
+    assert calls["mul"] <= 1_000, calls
+    calls.update(mul=0, vec=0)
+    assert diagnostics(fresh)["central_aut_count"] == 486
+    assert calls["mul"] <= 100, calls
+    assert calls["vec"] <= 100, calls

@@ -165,6 +165,36 @@ def test_pow_matches_repeated_multiplication(heis):
         assert heis.pow(x, -2) == heis.mul(heis.inv(x), heis.inv(x))
 
 
+def test_pow_squares_no_further_than_the_last_bit(heis, monkeypatch):
+    """pow(x, e) makes one product per set bit of e and one squaring per
+    bit after the first, e.g. two for x^3 and one more to multiply."""
+    state = {"outermost": 0, "depth": 0}
+    original = PcGroup.mul
+
+    def counted(self, x, y):
+        state["outermost"] += state["depth"] == 0
+        state["depth"] += 1
+        try:
+            return original(self, x, y)
+        finally:
+            state["depth"] -= 1
+
+    monkeypatch.setattr(PcGroup, "mul", counted)
+    for e in range(1, 10):
+        state["outermost"] = 0
+        heis.pow((1, 2, 1), e)
+        assert state["outermost"] == bin(e).count("1") + e.bit_length() - 1, e
+
+
+def test_pow_matches_power_table(corpus_groups):
+    from noninner.structure import power_table
+
+    for gid, G in corpus_groups.items():
+        table = power_table(G)
+        for i in range(0, G.element_count, max(1, G.element_count // 300)):
+            assert G.idx(G.pow(G.vec(i), G.p)) == int(table[i]), (gid, i)
+
+
 def test_collect_normalizes_words(heis):
     # g2 g1 = g1 g2 [g2, g1] = g1 g2 g3
     assert heis.collect([(2, 1), (1, 1)]) == (1, 1, 1)

@@ -7,20 +7,23 @@ library's structural output can be checked against first principles.
 The helpers after it are plain constructions and enumerations over the
 library's own types (maps, derivations, coset tables) that the program
 itself does not need: the tests use them as reference values and as
-oracles for the faster routines that replace them.
+oracles for the faster routines that replace them.  The `_by_collector`
+versions evaluate maps on exponent tuples with the recursive collector,
+independently of the index tables the library uses.
 """
 
 from __future__ import annotations
 
 import itertools
 from itertools import combinations, product
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from noninner.cocycles import CosetTable, Derivation, verify_cocycle
+from noninner import fp
+from noninner.cocycles import CosetTable, Derivation, coset_exponents, verify_cocycle
 from noninner.errors import OrderBoundError
-from noninner.maps import GroupMap, verify_automorphism
+from noninner.maps import GroupMap, _frattini_coords
 from noninner.pcgroup import Element, PcGroup
 from noninner.structure import Subgroup, center, center_of, closure
 
@@ -219,17 +222,88 @@ def table_group_from_pcgroup(group) -> TableGroup:
 
 
 def identity_map(group: PcGroup) -> GroupMap:
-    return GroupMap(group, group.gens)
+    return GroupMap(group, group.gen_indices)
 
 
 def inner_map(group: PcGroup, g: Element) -> GroupMap:
     """Conjugation x -> g^-1 x g as a GroupMap."""
-    return GroupMap(group, [group.conj(gen, g) for gen in group.gens])
+    return GroupMap(group, [group.idx(group.conj(gen, g)) for gen in group.gens])
+
+
+def image_tuples(f: GroupMap) -> list[Element]:
+    """The generator images of f as exponent tuples."""
+    return [f.group.vec(int(i)) for i in f.image_indices]
+
+
+def apply_by_collector(f: GroupMap, x: Element) -> Element:
+    """f(x) as the product images[1]**e_1 * ... * images[m]**e_m, by the
+    tuple collector."""
+    G = f.group
+    images = image_tuples(f)
+    out = G.identity
+    for k in range(G.ngens):
+        e = x[k]
+        if e:
+            out = G.mul(out, G.pow(images[k], e))
+    return out
+
+
+def verify_automorphism_by_collector(f: GroupMap) -> Optional[str]:
+    """`verify_automorphism` relation by relation on exponent tuples: the
+    left-hand sides by the collector's `pow` and `comm`, the right-hand
+    sides by `apply_by_collector`; same check order and reasons."""
+    G = f.group
+    p = G.p
+    images = image_tuples(f)
+    for k in range(1, G.ngens + 1):
+        lhs = G.pow(images[k - 1], p)
+        rhs = apply_by_collector(f, G._power_value(k))
+        if lhs != rhs:
+            return f"power relation for g{k} is not preserved"
+    for j in range(2, G.ngens + 1):
+        for i in range(1, j):
+            lhs = G.comm(images[j - 1], images[i - 1])
+            rhs = apply_by_collector(f, G.collect(G.pres.commutator(j, i)))
+            if lhs != rhs:
+                return f"commutator relation [g{j}, g{i}] is not preserved"
+    qc = _frattini_coords(G)
+    if fp.rank(qc.coords([G.idx(im) for im in images]), p) != qc.dim:
+        return "images do not generate the group"
+    return None
 
 
 def canonical_rep(group: PcGroup, sub: Subgroup, x: Element) -> Element:
-    """Index-least element of the coset (sub)*x."""
-    return CosetTable(group, sub).rep(x)
+    """Index-least element of the coset (sub)*x, by scanning the coset."""
+    return min(
+        (group.mul(group.vec(int(z)), x) for z in sub.indices), key=group.idx
+    )
+
+
+def value_at(d: Derivation, x: Element) -> Element:
+    """The value of d at the coset of x."""
+    ct = d.coset_table
+    return d.group.vec(int(d.values[ct.rep_pos[ct.min_table[d.group.idx(x)]]]))
+
+
+def derivation_key(d: Derivation) -> tuple:
+    """The values of d as a hashable key; two derivations on the same
+    coset table are equal exactly when their keys are."""
+    return tuple(d.values.tolist())
+
+
+def b_exponent_value(ctx, g: Element) -> Element:
+    """w^i * [w,b]^(i(i-1)/2) where i is the b-exponent of g, by the
+    tuple collector with exact integer exponents."""
+    i, j, t = coset_exponents(ctx, g)
+    G = ctx.group
+    return G.mul(G.pow(ctx.w, i), G.pow(ctx.comm_w_b, (i * (i - 1)) // 2))
+
+
+def a_exponent_value(ctx, g: Element) -> Element:
+    """w^j * [w,b]^(ij + t) where i, j, t are the exponents of g."""
+    i, j, t = coset_exponents(ctx, g)
+    G = ctx.group
+    return G.mul(G.pow(ctx.w, j), G.pow(ctx.comm_w_b, i * j + t))
 
 
 def combine(d1: Derivation, d2: Derivation) -> Derivation:
@@ -237,9 +311,8 @@ def combine(d1: Derivation, d2: Derivation) -> Derivation:
     group operation of the derivation group, since values commute)."""
     if d1.group is not d2.group or d1.n_sub != d2.n_sub:
         raise ValueError("derivations live on different coset spaces")
-    G = d1.group
-    values = {r: G.mul(v, d2.values[r]) for r, v in d1.values.items()}
-    return Derivation(G, d1.n_sub, d1.coset_table, values, d1.zn)
+    values = d1.group.mul_indices(d1.values, d2.values)
+    return Derivation(d1.group, d1.n_sub, d1.coset_table, values, d1.zn)
 
 
 def all_derivations(
@@ -292,25 +365,25 @@ def all_derivations(
         if key in seen:
             continue
         seen.add(key)
-        d = Derivation(G, n_sub, ct, values, zn)
+        d = Derivation(G, n_sub, ct, [G.idx(values[r]) for r in ct.rep_indices.tolist()], zn)
         if verify_cocycle(d) is None:
             results.append(d)
     return results
 
 
-def central_automorphisms_by_enumeration(group: PcGroup) -> list[GroupMap]:
+def central_automorphisms_by_enumeration(group: PcGroup) -> np.ndarray:
     """All automorphisms sending each generator g to g*z with z central,
-    found by honest enumeration of |Z|^m candidate maps."""
+    as rows of image indices, found by honest enumeration of |Z|^m
+    candidate maps with the collector's relation check."""
     G = group
     z = center(G)
     z_elems = [G.vec(int(i)) for i in z.indices]
-    out: list[GroupMap] = []
+    rows = []
     for combo in itertools.product(z_elems, repeat=G.ngens):
-        images = [G.mul(gen, combo[k]) for k, gen in enumerate(G.gens)]
-        f = GroupMap(G, images)
-        if verify_automorphism(f) is None:
-            out.append(f)
-    return out
+        images = [G.idx(G.mul(gen, combo[k])) for k, gen in enumerate(G.gens)]
+        if verify_automorphism_by_collector(GroupMap(G, images)) is None:
+            rows.append(images)
+    return np.array(rows, dtype=np.int64).reshape(-1, G.ngens)
 
 
 # ---------------------------------------------------------------------------
