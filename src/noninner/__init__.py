@@ -13,6 +13,7 @@ from .errors import (
     PcpSyntaxError,
     PresentationError,
     SelectionError,
+    StructureError,
     TheoremViolationError,
 )
 from .certify import CertReport, certify_group
@@ -44,6 +45,7 @@ __all__ = [
     "OrderBoundError",
     "PcpSyntaxError",
     "SelectionError",
+    "StructureError",
     "TheoremViolationError",
 ]
 

@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success; 1 usage, I/O, manifest mismatch, a malformed
 manifest or manifest entry, a group above the element bound (or, for
 `conditions`, a central-automorphism solve that would hold more tail
-tuples than that bound), a failed selection step (`selection failed:`)
+tuples than that bound), a central series that stalls (`error:`, a
+broken invariant), a failed selection step (`selection failed:`)
 or a failed certification check (`certification failed:`); 2 parse
 error or inconsistent presentation; 3 certified theorem violation.
 When several failures occur the highest-priority code wins (3 over 2
@@ -35,6 +36,7 @@ from .errors import (
     OrderBoundError,
     PcpSyntaxError,
     SelectionError,
+    StructureError,
     TheoremViolationError,
 )
 from .pcpfile import parse_pcp_file
@@ -258,7 +260,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OrderBoundError as exc:
+    except (OrderBoundError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -27,7 +27,13 @@ from .eligibility import SelectionContext
 from .errors import CertificationError
 from .maps import GroupMap
 from .pcgroup import Element, PcGroup
-from .structure import Subgroup, coset_min_table, intersection, is_normal
+from .structure import (
+    Subgroup,
+    _conj_gen_perms,
+    coset_min_table,
+    intersection,
+    is_normal,
+)
 
 
 class CosetTable:
@@ -35,7 +41,7 @@ class CosetTable:
     each element maps to the index-least member of its coset, and
     `rep_pos` gives each representative's position in `rep_indices`."""
 
-    __slots__ = ("min_table", "rep_indices", "rep_pos")
+    __slots__ = ("min_table", "rep_indices", "rep_pos", "_frame")
 
     def __init__(self, group: PcGroup, sub: Subgroup):
         if not is_normal(group, sub):
@@ -46,6 +52,7 @@ class CosetTable:
         pos = np.full(group.element_count, -1, dtype=np.int64)
         pos[self.rep_indices] = np.arange(len(self.rep_indices))
         self.rep_pos = pos
+        self._frame: Optional[_CocycleFrame] = None
 
     @property
     def count(self) -> int:
@@ -137,6 +144,16 @@ def coset_exponents(ctx: SelectionContext, g: Element) -> Tuple[int, int, int]:
     return int(i[0]), int(j[0]), int(t[0])
 
 
+def _cosets(ctx: SelectionContext) -> Tuple[CosetTable, Subgroup]:
+    """N's coset table and Z(N) = C_G(N) meet N, built once per context
+    so that both derivations (and their cocycle checks) share them."""
+    cosets = getattr(ctx, "_cosets", None)
+    if cosets is None:
+        cosets = (CosetTable(ctx.group, ctx.n_sub), intersection(ctx.centralizer_n, ctx.n_sub))
+        ctx._cosets = cosets
+    return cosets
+
+
 def _powers(group: PcGroup, x: int) -> np.ndarray:
     """Indices of x^0, ..., x^(p-1)."""
     out = [0]
@@ -151,8 +168,7 @@ def _build(ctx: SelectionContext, exponents) -> Derivation:
     the representatives' exponents.  w and [w,b] have order p (checked
     by select_generators), so e and f are read modulo p."""
     G = ctx.group
-    ct = CosetTable(G, ctx.n_sub)
-    zn = intersection(ctx.centralizer_n, ctx.n_sub)
+    ct, zn = _cosets(ctx)
     e, f = exponents(*_decomposer(ctx).exponents(ct.rep_indices))
     w_pow = _powers(G, G.idx(ctx.w))
     c_pow = _powers(G, G.idx(ctx.comm_w_b))
@@ -171,44 +187,116 @@ def derivation_from_a_exponent(ctx: SelectionContext) -> Derivation:
     return _build(ctx, lambda i, j, t: (j, i * j + t))
 
 
+class _CocycleFrame:
+    """The part of the cocycle check that does not depend on the values,
+    built once per coset table and Z(N).
+
+    The representatives are exactly the elements whose digits at N's
+    pivots vanish (the least element of a coset clears each pivot digit
+    in turn), so a representative r whose last nonzero digit is at k is
+    parent * g_k with parent = r - stride_k a representative too.  The
+    representatives thus fall into the levels of `GroupMap.apply_table`:
+    `levels` holds, per level, the coset product by g_k as a permutation
+    of representative positions and the positions of the level's rows
+    and of their parents.  `conj_code[t, c]` is the position in Z(N) of
+    reps[t]^-1 * z_c * reps[t], built by the same levels through the
+    conjugation permutations of the generators.
+    """
+
+    __slots__ = ("zn", "levels", "conj_code")
+
+    def __init__(self, group: PcGroup, n_sub: Subgroup, ct: CosetTable, zn: Subgroup):
+        G = group
+        p = G.p
+        reps = ct.rep_indices
+        if ct.count != p ** (G.ngens - n_sub.log_order) or any(
+            (reps // G._stride(k) % p).any() for k in n_sub.pivots
+        ):
+            raise CertificationError(
+                "coset representatives are not the elements with zero digits at N's pivots"
+            )
+        cperms = _conj_gen_perms(G)
+        zn_idx = zn.indices
+        conj = np.empty((len(zn_idx), ct.count), dtype=np.int64)
+        conj[:, 0] = zn_idx  # reps[0] is the identity
+        self.levels = []
+        for k in range(1, G.ngens + 1):
+            s = G._stride(k)
+            last = reps % s == 0  # no nonzero digit beyond k
+            digit = reps // s % p
+            quot = ct.rep_pos[ct.min_table[G._rtable(k)[reps]]]
+            for e in range(1, p):
+                rows = np.nonzero(last & (digit == e))[0]
+                if rows.size:
+                    parents = ct.rep_pos[reps[rows] - s]
+                    conj[:, rows] = cperms[k - 1][conj[:, parents]]
+                    self.levels.append((quot, rows, parents))
+        if not zn.mask[conj].all():
+            raise ValueError("Z(N) is not normal: a conjugate leaves it")
+        self.zn = zn
+        self.conj_code = np.searchsorted(zn_idx, conj.T)
+
+
 def verify_cocycle(d: Derivation):
     """None if the cocycle identity holds for every pair of cosets, else
-    a counterexample (g1, g2, lhs, rhs).
+    a counterexample (g1, g2, lhs, rhs) with the least g2 and, for it,
+    the least g1 (both coset representatives).
 
-    Values are coded by their position in Z(N); the products in Z(N) and
-    the conjugates of Z(N) by every representative are tabulated once,
-    and each representative g2 then checks all g1 with one array product.
+    Values are coded by their position in Z(N).  The coset of g1 * g2
+    is built for all g1 of a block by the representatives' levels in g2:
+    at g2 = parent * g_k it is the coset of g1 * parent times g_k, one
+    gather through an R-sized permutation, R = |G/N|.  A block holds
+    |G| // R values of g1, so no array is longer than |G|, and every one
+    of the R^2 pairs is checked.
     """
     G = d.group
     ct = d.coset_table
-    reps = ct.rep_indices
+    frame = ct._frame
+    if frame is None or frame.zn != d.zn:
+        frame = ct._frame = _CocycleFrame(G, d.n_sub, ct, d.zn)
     zn_idx = d.zn.indices
     nz = len(zn_idx)
-    code = np.full(G.element_count, -1, dtype=np.int64)
-    code[zn_idx] = np.arange(nz)
-    mul_code = code[G.mul_indices(np.repeat(zn_idx, nz), np.tile(zn_idx, nz))].reshape(nz, nz)
-    val_code = code[d.values]
-    inv_reps = G.inv_table()[reps]
-    # conj_code[c, t] codes reps[t]^-1 * z_c * reps[t]
-    conj_code = np.array(
-        [code[G.mul_indices(G.mul_indices(inv_reps, z), reps)] for z in zn_idx.tolist()]
+    val_code = np.searchsorted(zn_idx, d.values)
+    # prod_code[c, u] codes z_c * vals[u]; taking only the distinct values
+    # keeps it at most |Z(N)| * R <= |G| entries long
+    taken = np.zeros(nz, dtype=bool)
+    taken[val_code] = True
+    vals = np.flatnonzero(taken)
+    prod_code = np.searchsorted(
+        zn_idx, G.mul_indices(np.repeat(zn_idx, len(vals)), np.tile(zn_idx[vals], nz))
+    ).reshape(nz, len(vals))
+    # rhs_by_code[t2, c] codes z_c^g2 * d(g2) for g2 = reps[t2]
+    rhs_by_code = prod_code[frame.conj_code, np.searchsorted(vals, val_code).reshape(-1, 1)]
+    R = ct.count
+    width = max(1, G.element_count // R)
+    first = None
+    for c0 in range(0, R, width):
+        cols = np.arange(c0, min(c0 + width, R))
+        # pos[t2, c] is the coset position of reps[cols[c]] * reps[t2]
+        pos = np.empty((R, len(cols)), dtype=np.int64)
+        pos[0] = cols
+        for quot, rows, parents in frame.levels:
+            pos[rows] = quot.take(pos.take(parents, axis=0))
+        lhs = val_code.take(pos)
+        rhs = rhs_by_code.take(val_code[cols], axis=1)
+        bad = lhs != rhs
+        if bad.any():
+            # row-major: least g2, then least g1
+            r, c = divmod(int(np.flatnonzero(bad)[0]), len(cols))
+            found = (r, int(cols[c]), int(lhs[r, c]), int(rhs[r, c]))
+            if first is None or found[:2] < first[:2]:
+                first = found
+    d._verified = first is None
+    if first is None:
+        return None
+    i2, i1, lhs_c, rhs_c = first
+    reps = ct.rep_indices
+    return (
+        G.vec(int(reps[i1])),
+        G.vec(int(reps[i2])),
+        G.vec(int(zn_idx[lhs_c])),
+        G.vec(int(zn_idx[rhs_c])),
     )
-    for t2, r2 in enumerate(reps.tolist()):
-        prods = ct.min_table[G.mul_indices(reps, r2)]
-        lhs = val_code[ct.rep_pos[prods]]
-        rhs = mul_code[conj_code[val_code, t2], val_code[t2]]
-        bad = np.nonzero(lhs != rhs)[0]
-        if bad.size:
-            t1 = int(bad[0])
-            d._verified = False
-            return (
-                G.vec(int(reps[t1])),
-                G.vec(r2),
-                G.vec(int(zn_idx[lhs[t1]])),
-                G.vec(int(zn_idx[rhs[t1]])),
-            )
-    d._verified = True
-    return None
 
 
 def lift_to_automorphism(d: Derivation) -> GroupMap:

@@ -186,13 +186,26 @@ def select_n(group: PcGroup) -> Subgroup:
         raise SelectionError("selected subgroup does not sit strictly between Z and Z_2")
     if not is_normal(group, n_sub):
         raise SelectionError("selected subgroup is not normal")
-    cent = centralizer(group, n_sub.basis)
+    cent = _centralizer_n(group, n_sub)
     if cent.order * p != group.element_count:
         raise SelectionError(
             "centralizer of the selected subgroup is not maximal "
             f"(index {group.element_count // cent.order})"
         )
     return n_sub
+
+
+def _centralizer_n(group: PcGroup, n_sub: Subgroup) -> Subgroup:
+    """C_G(N), computed once per group and N: select_n checks its index
+    and select_generators builds the frame on it.  The cache keeps N's
+    indices and the centralizer's state, neither of which refers back to
+    the group."""
+    cached = group._cache.get("centralizer_n")
+    if cached is not None and np.array_equal(cached[0], n_sub.indices):
+        return Subgroup._view(group, cached[1])
+    cent = centralizer(group, n_sub.basis)
+    group._cache["centralizer_n"] = (n_sub.indices, cent._state)
+    return cent
 
 
 @dataclass
@@ -243,7 +256,7 @@ def select_generators(group: PcGroup, n_sub: Subgroup) -> SelectionContext:
     series = upper_central_series(group)
     z1 = series[1]
     phi = frattini(group)
-    cent = centralizer(group, n_sub.basis)
+    cent = _centralizer_n(group, n_sub)
 
     # Structural layout around the frame (checked, not assumed):
     # series steps |Z_i| = p^(i+1) for 2 <= i <= m-3, Z_{m-3} = Phi,

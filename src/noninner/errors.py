@@ -32,6 +32,13 @@ class PcpSyntaxError(ValueError):
         self.reason = reason
 
 
+class StructureError(RuntimeError):
+    """A structural computation broke its own invariant: an upper or
+    lower central series stopped short of its end.  The group of a
+    consistent presentation is a p-group, hence nilpotent, so this
+    indicates a bug rather than a property of the input."""
+
+
 class SelectionError(RuntimeError):
     """An eligible group failed one of the guaranteed selection steps
     (no valid witness subgroup, no generator pair, ...).  Seeing this

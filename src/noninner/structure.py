@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .errors import StructureError
 from .pcgroup import Element, PcGroup
 
 
@@ -264,14 +265,27 @@ def coset_min_table(group: PcGroup, sub: Subgroup) -> np.ndarray:
     """Array M with M[i] = smallest index in the right coset vec(i)*S.
 
     Two indices share a value exactly when they lie in the same right
-    coset; for normal S these are the cosets of G/S.  A running minimum
-    over the elements of S keeps the memory at O(|G|).
+    coset; for normal S these are the cosets of G/S.  The tails
+    T_j = <b_j, ..., b_r> of the canonical basis are subgroups (an
+    induced pc sequence), and T_j is the union of the b_j^e * T_(j+1)
+    over e in [0, p), so
+
+        min(x * T_j) = min over e of min(x * b_j^e * T_(j+1)).
+
+    The basis is folded in deepest pivot first, starting from the
+    identity table of T_(r+1) = 1.  Each basis element costs one
+    right-multiplication permutation and p - 1 gathers into a running
+    minimum: O(|G| * p * log_p |S|) time and O(|G|) memory.
     """
-    idx = np.arange(group.element_count, dtype=np.int64)
-    out = idx.copy()
-    # indices[0] is the identity, whose coset step leaves `out` as it is
-    for s in sub.indices[1:].tolist():
-        np.minimum(out, group.mul_indices(idx, s), out=out)
+    out = np.arange(group.element_count, dtype=np.int64)
+    for b in reversed(sub.basis):
+        perm = group.right_mult_perm(b)
+        # shifted[x] = out[x * b^e] after the e-th step
+        shifted, folded = out, out.copy()
+        for _ in range(group.p - 1):
+            shifted = shifted[perm]
+            np.minimum(folded, shifted, out=folded)
+        out = folded
     return out
 
 
@@ -299,7 +313,7 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
             mask &= m_table[perm] == m_table
         nxt = Subgroup(group, np.nonzero(mask)[0])
         if nxt.order <= series[-1].order:
-            raise RuntimeError("upper central series stalled; group not nilpotent")
+            raise StructureError("upper central series stalled; group not nilpotent")
         series.append(nxt)
     return _store(group, "ucs", series)
 
@@ -326,7 +340,7 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
         comms[0] = False
         nxt = normal_closure(group, np.nonzero(comms)[0])
         if not nxt < cur:
-            raise RuntimeError("lower central series stalled; group not nilpotent")
+            raise StructureError("lower central series stalled; group not nilpotent")
         series.append(nxt)
     return _store(group, "lcs", series)
 

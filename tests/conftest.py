@@ -62,6 +62,19 @@ def corpus_heis_x_c3(corpus_dir) -> PcGroup:
 
 
 @pytest.fixture(scope="session")
+def probe_5_7_path() -> Path:
+    """A coclass-2 group of order 5^7 (78 125 elements), kept out of the
+    corpus: the maximal-class chain [g_k, g_1] = g_(k+1) (k = 2..5)
+    times a cyclic factor of order 5."""
+    return Path(__file__).resolve().parent / "data" / "probe_5_7.pcp"
+
+
+@pytest.fixture(scope="session")
+def probe_5_7(probe_5_7_path) -> PcGroup:
+    return PcGroup(parse_pcp_file(probe_5_7_path).presentation)
+
+
+@pytest.fixture(scope="session")
 def eligible_ids(manifest) -> list[str]:
     ids = sorted(
         gid

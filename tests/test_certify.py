@@ -141,18 +141,20 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
     """Certification works on index tables, maps included; the tuple
     collector serves only single elements, so its call count stays small
     and exact.  Subgroups and maps are index arrays, so few indices
-    become tuples (`vec`).  Three centralizers are computed: C_G(Z(Phi))
-    for the route, and C_G(N) in select_n and in select_generators; the
-    derivation builds take Z(N) as C_G(N) meet N."""
+    become tuples (`vec`).  Two centralizers are computed: C_G(Z(Phi))
+    for the route, and C_G(N) once for select_n and select_generators;
+    the derivation builds take Z(N) as C_G(N) meet N.  Six coset tables
+    are built: one per proper term of the upper central series (five at
+    class 5) and N's, which both derivations share."""
     import sys
 
     import noninner.structure as structure
     from noninner.pcgroup import PcGroup
     from noninner.pcpfile import parse_pcp_file
 
-    calls = {"mul": 0, "vec": 0, "centralizer": 0}
+    calls = {"mul": 0, "vec": 0, "centralizer": 0, "coset_min_table": 0}
     original_mul, original_vec = PcGroup.mul, PcGroup.vec
-    original_centralizer = structure.centralizer
+    originals = {name: getattr(structure, name) for name in ("centralizer", "coset_min_table")}
 
     def counted_mul(self, x, y):
         calls["mul"] += 1
@@ -162,23 +164,29 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
         calls["vec"] += 1
         return original_vec(self, n)
 
-    def counted_centralizer(*args, **kwargs):
-        calls["centralizer"] += 1
-        return original_centralizer(*args, **kwargs)
+    def counting(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return counted
 
     monkeypatch.setattr(PcGroup, "mul", counted_mul)
     monkeypatch.setattr(PcGroup, "vec", counted_vec)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("noninner") and getattr(module, "centralizer", None) is original_centralizer:
-            monkeypatch.setattr(module, "centralizer", counted_centralizer)
+    for attr, original in originals.items():
+        counted = counting(attr)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("noninner") and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
     for gid in ("g2187_a", "g2187_b", "g2187_c", "g2187_d"):
         doc = parse_pcp_file(corpus_dir / f"{gid}.pcp")
-        calls.update(mul=0, vec=0, centralizer=0)
+        calls.update(mul=0, vec=0, centralizer=0, coset_min_table=0)
         report = certify_group(doc.presentation, group_id=gid)
         assert report.certificates is not None, gid
         assert calls["mul"] <= 3_000, (gid, calls)
         assert calls["vec"] <= 1_500, (gid, calls)
-        assert calls["centralizer"] <= 3, (gid, calls)
+        assert calls["centralizer"] <= 2, (gid, calls)
+        assert calls["coset_min_table"] <= 6, (gid, calls)
 
 
 def test_group_is_freed_without_a_garbage_collection(corpus_dir):

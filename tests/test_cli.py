@@ -6,7 +6,12 @@ import shutil
 import pytest
 
 from noninner.cli import main
-from noninner.errors import CertificationError, OrderBoundError, SelectionError
+from noninner.errors import (
+    CertificationError,
+    OrderBoundError,
+    SelectionError,
+    StructureError,
+)
 
 INCONSISTENT = (
     "pcp 1\nprime 3\nngens 3\npow 1 = 2^1\npow 2 = 3^1\ncomm 2 1 = 3^1\n"
@@ -133,6 +138,22 @@ def test_certify_failed_check_is_a_typed_error(corpus_dir, eligible_ids, capsys,
     )
 
 
+def test_stalled_series_is_a_typed_error(corpus_dir, capsys, monkeypatch):
+    import numpy as np
+
+    import noninner.structure as structure
+
+    # coset tables of the trivial subgroup everywhere: the upper central
+    # series finds Z again after Z and stalls
+    monkeypatch.setattr(
+        structure, "coset_min_table", lambda group, sub: np.arange(group.element_count)
+    )
+    assert main(["series", corpus_path(corpus_dir, "wreath_81")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: upper central series stalled; group not nilpotent\n"
+
+
 @pytest.mark.parametrize("ngens", [4, 5])
 def test_conditions_central_automorphisms_past_the_element_bound(tmp_path, capsys, ngens):
     # elementary abelian 3^4 and 3^5: 81^4 and 243^5 central tail tuples
@@ -225,7 +246,7 @@ def test_audit_manifest_entry_without_file(small_corpus, capsys):
 
 
 @pytest.mark.parametrize(
-    "error", [OrderBoundError, SelectionError, RuntimeError, CertificationError]
+    "error", [OrderBoundError, SelectionError, RuntimeError, CertificationError, StructureError]
 )
 def test_audit_certify_error_is_a_group_status(small_corpus, capsys, monkeypatch, error):
     import noninner.cli as cli

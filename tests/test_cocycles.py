@@ -1,10 +1,12 @@
 """Derivations on coset spaces, their verification, and lifts."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from noninner.cocycles import (
     CosetTable,
+    Derivation,
     coset_exponents,
     derivation_from_a_exponent,
     derivation_from_b_exponent,
@@ -24,6 +26,7 @@ from util_oracles import (
     combine,
     derivation_key,
     value_at,
+    verify_cocycle_by_rows,
 )
 
 
@@ -191,8 +194,6 @@ def test_combine_rejects_mismatched_spaces(heis3, heis_derivations, ctx):
 
 
 def test_unverified_failing_derivation_refuses_to_lift(heis3, heis_derivations):
-    from noninner.cocycles import Derivation
-
     d = heis_derivations[0]
     # corrupt one value; unless the derivation was the zero map this
     # breaks the cocycle identity somewhere
@@ -206,3 +207,50 @@ def test_unverified_failing_derivation_refuses_to_lift(heis3, heis_derivations):
     assert verify_cocycle(broken) is not None
     with pytest.raises(ValueError, match="failed cocycle verification"):
         lift_to_automorphism(broken)
+
+
+# ---------------------------------------------------------------------------
+# the level-built cocycle check against the check by rows
+
+
+def test_verify_cocycle_matches_row_oracle_on_mutations(eligible_groups):
+    """200 seeded mutations of the two derivations of each eligible
+    group, each with 1 to 5 values replaced by random elements of Z(N):
+    the level-built check returns exactly the oracle's verdict and
+    counterexample (least g2, then least g1)."""
+    rng = np.random.default_rng(7)
+    checked = failed = 0
+    for gid in sorted(eligible_groups):
+        G = eligible_groups[gid]
+        ctx = select_generators(G, select_n(G))
+        for d in (derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)):
+            assert verify_cocycle(d) is None and verify_cocycle_by_rows(d) is None
+            for _ in range(25):
+                values = d.values.copy()
+                k = int(rng.integers(1, 6))
+                values[rng.choice(len(values), k, replace=False)] = rng.choice(d.zn.indices, k)
+                mutated = Derivation(G, d.n_sub, d.coset_table, values, d.zn)
+                expected = verify_cocycle_by_rows(mutated)
+                assert verify_cocycle(mutated) == expected, (gid, values.tolist())
+                checked += 1
+                failed += expected is not None
+    assert checked == 200
+    assert failed >= 150, failed  # most mutations break the identity
+
+
+def test_verify_cocycle_memory_is_bounded(eligible_groups):
+    """Column blocks keep every array of the check at most |G| long: one
+    check on a 3^7 group, its set-up included, stays far below the
+    R x R = 243^2 table of coset products."""
+    import tracemalloc
+
+    G = eligible_groups["g2187_a"]
+    d = derivation_from_b_exponent(select_generators(G, select_n(G)))
+    tracemalloc.start()
+    try:
+        result = verify_cocycle(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is None
+    assert peak < 1_000_000, peak

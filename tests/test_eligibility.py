@@ -72,6 +72,10 @@ def test_route_decision_per_corpus_group(gid, corpus_dir):
         assert CITATION_FRAGMENTS[decision.route] in " ".join(decision.citations)
 
 
+def test_5_7_probe_routes_z2_over_z_cyclic(probe_5_7):
+    assert decide_route(probe_5_7).route == Route.Z2_OVER_Z_CYCLIC
+
+
 def test_route_enum_values_are_stable():
     assert [r.value for r in Route] == [
         "NOT_ODD_P",

@@ -34,6 +34,7 @@ from noninner.structure import (
 
 from util_oracles import (
     canonical_basis_by_scan,
+    coset_min_table_by_elements,
     is_elementary_abelian_by_pairs,
     omega1_by_pow,
     quotient_is_cyclic_by_scan,
@@ -251,13 +252,20 @@ def test_quotient_exponent_matches_tuple_power_scan(corpus_groups):
             assert quotient_exponent_is_p(G, sub) == scan, (gid, sub)
 
 
-def test_coset_min_table_matches_stacked_minimum(corpus_groups):
-    for gid, G in corpus_groups.items():
-        subs = upper_central_series(G)[:-1] + [frattini(G)]
+def test_coset_min_table_matches_stacked_minimum(corpus_groups, probe_5_7):
+    cases = [
+        (gid, G, upper_central_series(G)[:-1] + [frattini(G)])
+        for gid, G in corpus_groups.items()
+    ]
+    # the oracle makes one whole-group product per element, so on the
+    # 5^7 probe it takes only Z and Z_2
+    z1, z2 = upper_central_series(probe_5_7)[1:3]
+    assert (z1.order, z2.order) == (25, 125)
+    cases.append(("probe_5_7", probe_5_7, [z1, z2]))
+    for gid, G, subs in cases:
         for sub in subs:
-            perms = [G.right_mult_perm(s) for s in subgroup_tuples(G, sub)]
-            stacked = np.minimum.reduce(perms)
-            assert np.array_equal(coset_min_table(G, sub), stacked), (gid, sub)
+            expected = coset_min_table_by_elements(G, sub)
+            assert np.array_equal(coset_min_table(G, sub), expected), (gid, sub)
 
 
 def test_coset_min_table_memory_is_linear(corpus_groups):
@@ -274,6 +282,31 @@ def test_coset_min_table_memory_is_linear(corpus_groups):
         tracemalloc.stop()
     assert np.array_equal(table, expected)
     assert peak < 1_000_000, peak
+
+
+def test_upper_central_series_mul_indices_budget(
+    corpus_dir, manifest, probe_5_7_path, monkeypatch
+):
+    """The coset tables of the series fold the canonical basis, one
+    permutation per basis element, so the array products per series
+    grow with m, not with the order of its terms (3 917 on the probe
+    and 371 on g2187_a with one product per element)."""
+    from noninner.pcpfile import parse_pcp_file
+
+    calls = {"mul_indices": 0}
+    original = PcGroup.mul_indices
+
+    def counted(self, a, b):
+        calls["mul_indices"] += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(PcGroup, "mul_indices", counted)
+    paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
+    for path in sorted(paths) + [probe_5_7_path]:
+        G = PcGroup(parse_pcp_file(path).presentation, validate=False)
+        calls["mul_indices"] = 0
+        upper_central_series(G)
+        assert calls["mul_indices"] <= 10 * G.ngens, (path.name, calls)
 
 
 def test_frattini_coords_are_a_homomorphism_with_kernel_phi(corpus_groups):

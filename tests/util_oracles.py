@@ -14,6 +14,7 @@ independently of the index tables the library uses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from itertools import combinations, product
 from typing import Dict, List, Optional
@@ -285,6 +286,41 @@ def value_at(d: Derivation, x: Element) -> Element:
     return d.group.vec(int(d.values[ct.rep_pos[ct.min_table[d.group.idx(x)]]]))
 
 
+def verify_cocycle_by_rows(d: Derivation):
+    """`verify_cocycle` one representative g2 at a time: the products in
+    Z(N) and the conjugates of Z(N) by every representative come from
+    whole-array products, and each g2 checks all g1 with one array
+    product; same counterexample (least g2, then least g1)."""
+    G = d.group
+    ct = d.coset_table
+    reps = ct.rep_indices
+    zn_idx = d.zn.indices
+    nz = len(zn_idx)
+    code = np.full(G.element_count, -1, dtype=np.int64)
+    code[zn_idx] = np.arange(nz)
+    mul_code = code[G.mul_indices(np.repeat(zn_idx, nz), np.tile(zn_idx, nz))].reshape(nz, nz)
+    val_code = code[d.values]
+    inv_reps = G.inv_table()[reps]
+    # conj_code[c, t] codes reps[t]^-1 * z_c * reps[t]
+    conj_code = np.array(
+        [code[G.mul_indices(G.mul_indices(inv_reps, z), reps)] for z in zn_idx.tolist()]
+    )
+    for t2, r2 in enumerate(reps.tolist()):
+        prods = ct.min_table[G.mul_indices(reps, r2)]
+        lhs = val_code[ct.rep_pos[prods]]
+        rhs = mul_code[conj_code[val_code, t2], val_code[t2]]
+        bad = np.nonzero(lhs != rhs)[0]
+        if bad.size:
+            t1 = int(bad[0])
+            return (
+                G.vec(int(reps[t1])),
+                G.vec(r2),
+                G.vec(int(zn_idx[lhs[t1]])),
+                G.vec(int(zn_idx[rhs[t1]])),
+            )
+    return None
+
+
 def derivation_key(d: Derivation) -> tuple:
     """The values of d as a hashable key; two derivations on the same
     coset table are equal exactly when their keys are."""
@@ -394,6 +430,15 @@ def central_automorphisms_by_enumeration(group: PcGroup) -> np.ndarray:
 def subgroup_tuples(group: PcGroup, sub: Subgroup) -> list[Element]:
     """The elements of `sub` as exponent tuples, in index order."""
     return [group.vec(i) for i in sub.indices.tolist()]
+
+
+def coset_min_table_by_elements(group: PcGroup, sub: Subgroup) -> np.ndarray:
+    """`coset_min_table` as a running minimum of the right-multiplication
+    permutations of every element of `sub`: one whole-group product per
+    element, O(|G|) memory."""
+    return functools.reduce(
+        np.minimum, (group.right_mult_perm(s) for s in subgroup_tuples(group, sub))
+    )
 
 
 def canonical_basis_by_scan(group: PcGroup, sub: Subgroup) -> tuple[Element, ...]:
