@@ -385,14 +385,18 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
     rows = rows[np.lexsort(rows.T[::-1])]
 
     qc = _frattini_coords(G)
-    mats = (qc.coords(G.gen_indices) + qc.coords(z_idx)[np.searchsorted(z_idx, rows)]) % p
-    distinct, which = np.unique(
-        mats.reshape(len(rows), -1), axis=0, return_inverse=True
-    )
+    # row k of a tuple's coordinate matrix is coords(g_k) + coords(z_k), so
+    # the codes of the z_k (coordinate rows read base p) fix the matrix;
+    # the all-identity tuple always solves, so there is a first code row
+    gen_coords, z_coords = qc.coords(G.gen_indices), qc.coords(z_idx)
+    pos = np.searchsorted(z_idx, rows)
+    codes = (z_coords @ p ** np.arange(qc.dim, dtype=np.int64))[pos]
+    order = np.lexsort(codes.T[::-1])
+    first = np.r_[True, (codes[order[1:]] != codes[order[:-1]]).any(axis=1)]
     full = np.array(
-        [fp.rank(mat.reshape(m, -1), p) == qc.dim for mat in distinct], dtype=bool
+        [fp.rank((gen_coords + z_coords[pos[r]]) % p, p) == qc.dim for r in order[first]]
     )
-    rows = rows[full[which.reshape(-1)]]
+    rows = rows[np.sort(order[full[np.cumsum(first) - 1]])]
     # z_k is central, so z_k g_k is the image g_k z_k
     return G.mul_indices(rows, np.broadcast_to(G.gen_indices, rows.shape))
 

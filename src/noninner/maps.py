@@ -16,7 +16,21 @@ import numpy as np
 from . import fp
 from .errors import CertificationError
 from .pcgroup import Element, PcGroup
-from .structure import QuotientCoords, Subgroup, center, frattini, power_table
+from .structure import QuotientCoords, Subgroup, _conj_gen_perms, center, frattini, power_table
+
+
+def _last_letter_levels(group: PcGroup):
+    """Yield (k, ys, parents), one level per last nonzero coordinate k of
+    y and its value: parents = ys - stride_k peel the letter g_k off, and
+    each lies in an earlier level or is the identity."""
+    group._check_bound()
+    p = group.p
+    for k in range(1, group.ngens + 1):
+        s = group._stride(k)
+        heads = np.arange(p ** (k - 1), dtype=np.int64) * p * s
+        for e in range(1, p):
+            ys = heads + e * s
+            yield k, ys, ys - s
 
 
 class GroupMap:
@@ -46,15 +60,9 @@ class GroupMap:
         """
         if self._table is None:
             G = self.group
-            G._check_bound()
-            p = G.p
             table = np.zeros(G.element_count, dtype=np.int64)
-            for k in range(1, G.ngens + 1):
-                s = G._stride(k)
-                heads = np.arange(p ** (k - 1), dtype=np.int64) * p * s
-                for e in range(1, p):
-                    ys = heads + e * s
-                    table[ys] = G.mul_indices(table[ys - s], self.image_indices[k - 1])
+            for k, ys, parents in _last_letter_levels(G):
+                table[ys] = G.mul_indices(table[parents], self.image_indices[k - 1])
             self._table = table
         return self._table
 
@@ -128,12 +136,18 @@ def map_order(f: GroupMap, bound: int = 10_000) -> int:
     return k
 
 
-def _conj_columns(group: PcGroup) -> list[np.ndarray]:
-    """For each generator g_k an array D with D[i] = idx(vec(i)^-1 g_k vec(i))."""
+def _conj_columns(group: PcGroup) -> np.ndarray:
+    """Array D with D[k - 1, i] = idx(vec(i)^-1 g_k vec(i)), built by the
+    levels of `apply_table`: for y = parent * g_j, y^-1 g_k y is
+    (parent^-1 g_k parent)^(g_j), a gather of the parents' columns
+    through the conjugation permutation of g_j."""
     cols = group._cache.get("conj_columns")
     if cols is None:
-        inv_t = group.inv_table()
-        cols = [group.mul_indices(inv_t, group.left_mult_perm(g)) for g in group.gens]
+        perms = _conj_gen_perms(group)
+        cols = np.empty((group.ngens, group.element_count), dtype=np.int64)
+        cols[:, 0] = group.gen_indices
+        for j, ys, parents in _last_letter_levels(group):
+            cols[:, ys] = perms[j - 1][cols[:, parents]]
         group._cache["conj_columns"] = cols
     return cols
 

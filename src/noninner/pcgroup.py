@@ -251,10 +251,14 @@ class PcGroup:
         return out
 
     def _conj_genpow(self, j: int, g: int, e: int) -> Element:
-        """Normal form of g_j conjugated by g_g**e, for j > g, 0 <= e < p."""
-        z = self.generator(j)
-        for _ in range(e):
-            z = self._conj_elem_by_gen(z, g)
+        """Normal form of g_j conjugated by g_g**e, for j > g, 0 <= e < p;
+        memoised, as the consistency check asks for each about ten times."""
+        z = self._conj_cache.get((j, g, e))
+        if z is None:
+            z = self.generator(j)
+            for _ in range(e):
+                z = self._conj_elem_by_gen(z, g)
+            self._conj_cache[(j, g, e)] = z
         return z
 
     def _mul_gen(self, x: Element, g: int, e: int) -> Element:
@@ -559,15 +563,9 @@ class PcGroup:
             self._inv_table = out
         return self._inv_table
 
-    def left_mult_perm(self, y: Element) -> np.ndarray:
-        """Permutation array P with P[i] = idx(y * vec(i)).
-
-        Uses (y x)**-1 = x**-1 y**-1 to express left multiplication
-        through the right-multiplication tables.
-        """
-        it = self.inv_table()
-        return it[self.right_mult_perm(self.inv(y))[it]]
-
     def conj_perm(self, y: Element) -> np.ndarray:
-        """Permutation array P with P[i] = idx(y**-1 vec(i) y)."""
-        return self.right_mult_perm(y)[self.left_mult_perm(self.inv(y))]
+        """Permutation array P with P[i] = idx(y**-1 vec(i) y): from x
+        through x**-1 y and its inverse y**-1 x, by the right
+        multiplication by y and the inverse table, twice each."""
+        it, right = self.inv_table(), self.right_mult_perm(y)
+        return right[it[right[it]]]

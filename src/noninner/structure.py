@@ -99,15 +99,8 @@ class Subgroup:
     def _canonical_basis(self) -> tuple[Element, ...]:
         G = self.group
         p = G.p
-        idx = self.indices
-        chosen: dict[int, Element] = {}
-        for k in range(1, G.ngens + 1):
-            # the indices in [s, 2s) are the elements with leading
-            # coordinate 1 at k; the first of them is the least
-            s = G._stride(k)
-            pos = int(np.searchsorted(idx, s))
-            if pos < len(idx) and idx[pos] < 2 * s:
-                chosen[k] = G.vec(int(idx[pos]))
+        depths, elements = _pivot_elements(G, self.indices)
+        chosen = {k: G.vec(x) for k, x in zip(depths.tolist(), elements.tolist())}
         pivots = sorted(chosen)
         # deepest first, so reducers are already in final form
         for k in reversed(pivots):
@@ -145,6 +138,15 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, pivots={self.pivots})"
+
+
+def _pivot_elements(group: PcGroup, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depths k and indices of the pivot elements of the sorted array
+    `idx`: per k, its least index with leading coordinate 1 at k."""
+    strides = group.gen_indices
+    pos = np.minimum(np.searchsorted(idx, strides), len(idx) - 1)
+    found = (idx[pos] >= strides) & (idx[pos] < 2 * strides)
+    return np.nonzero(found)[0] + 1, idx[pos[found]]
 
 
 class _SubgroupState:
@@ -289,13 +291,27 @@ def coset_min_table(group: PcGroup, sub: Subgroup) -> np.ndarray:
     return out
 
 
+def _fixed_by_conjugation(group: PcGroup, targets: Iterable[Element]) -> np.ndarray:
+    """Sorted indices of the x with x^t = x for every target t, where
+    x^t for t = g_1^e_1 ... g_m^e_m is x conjugated by g_1 e_1 times,
+    then by g_2 e_2 times, ...: gathers through `_conj_gen_perms`."""
+    perms = _conj_gen_perms(group)
+    idx = np.arange(group.element_count, dtype=np.int64)
+    mask = np.ones(group.element_count, dtype=bool)
+    for t in targets:
+        conj = idx
+        for perm, e in zip(perms, t):
+            for _ in range(e):
+                conj = perm[conj]
+        mask &= conj == idx
+    return np.nonzero(mask)[0]
+
+
 def center(group: PcGroup) -> Subgroup:
+    """Elements fixed by conjugation with every defining generator."""
     sub = _cached(group, "center")
     if sub is None:
-        mask = np.ones(group.element_count, dtype=bool)
-        for g in group.gens:
-            mask &= group.right_mult_perm(g) == group.left_mult_perm(g)
-        sub = _store(group, "center", Subgroup(group, np.nonzero(mask)[0]))
+        sub = _store(group, "center", Subgroup(group, _fixed_by_conjugation(group, group.gens)))
     return sub
 
 
@@ -321,10 +337,13 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
 def lower_central_series(group: PcGroup) -> list[Subgroup]:
     """[G = term_1, term_2, ..., 1], strictly descending.
 
-    Each step takes the normal closure of all commutators of the
-    current term's elements with the defining generators; modulo that
-    closure the current term is central, so the closure is the full
-    commutator subgroup of the term with the group.
+    For H = <X>, [H, G] is the normal closure of the [x, g_k] over x in
+    X and the defining generators g_k: modulo it every x commutes with
+    every g_k, so H is central.  The r pivot elements of a term (see
+    `_pivot_elements`) have distinct leading depths, with coordinate 1
+    there, so their p^r normal-form products are distinct: they generate
+    the term, and each step takes the normal closure of m * r
+    commutators [x, g_k] = x^-1 x^(g_k).
     """
     series = _cached(group, "lcs")
     if series is not None:
@@ -334,11 +353,9 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
     series = [whole_group(group)]
     while series[-1].order > 1:
         cur = series[-1]
-        comms = np.zeros(group.element_count, dtype=bool)
-        for perm in perms:
-            comms[group.mul_indices(inv_t[cur.indices], perm[cur.indices])] = True
-        comms[0] = False
-        nxt = normal_closure(group, np.nonzero(comms)[0])
+        x = _pivot_elements(group, cur.indices)[1]
+        comms = group.mul_indices(inv_t[x], np.array([perm[x] for perm in perms]))
+        nxt = normal_closure(group, comms.ravel())
         if not nxt < cur:
             raise StructureError("lower central series stalled; group not nilpotent")
         series.append(nxt)
@@ -373,11 +390,8 @@ def minimal_generator_count(group: PcGroup) -> int:
 
 def centralizer(group: PcGroup, targets: Iterable[Element]) -> Subgroup:
     """Elements commuting with every target (pass a subgroup's basis to
-    centralize the subgroup)."""
-    mask = np.ones(group.element_count, dtype=bool)
-    for t in targets:
-        mask &= group.right_mult_perm(t) == group.left_mult_perm(t)
-    return Subgroup(group, np.nonzero(mask)[0])
+    centralize the subgroup), by `_fixed_by_conjugation`."""
+    return Subgroup(group, _fixed_by_conjugation(group, targets))
 
 
 def omega1(group: PcGroup, sub: Subgroup) -> Subgroup:

@@ -27,7 +27,7 @@ from noninner.structure import (
     upper_central_series,
     whole_group,
 )
-from util_oracles import central_automorphisms_by_enumeration
+from util_oracles import central_automorphisms_by_enumeration, central_automorphisms_by_unique
 
 # Frozen expected route per corpus group.  dihedral_8 also has coclass 1,
 # so it doubles as a precedence check: the parity gate must fire first.
@@ -296,3 +296,12 @@ def test_central_automorphisms_collector_call_budget(corpus_dir, monkeypatch):
     assert diagnostics(fresh)["central_aut_count"] == 486
     assert calls["mul"] <= 100, calls
     assert calls["vec"] <= 100, calls
+
+
+def test_central_automorphisms_match_unique_dedup(corpus_groups, probe_5_7):
+    """The rank test once per distinct code row keeps exactly the rows
+    the `np.unique` deduplication of the coordinate matrices kept."""
+    cases = dict(corpus_groups, probe_5_7=probe_5_7)
+    for gid, G in cases.items():
+        expected = central_automorphisms_by_unique(G)
+        assert np.array_equal(central_automorphisms(G), expected), gid

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from noninner.maps import (
     GroupMap,
+    _conj_columns,
     compose,
     find_conjugating_element,
     fixes_elementwise,
@@ -14,9 +15,11 @@ from noninner.maps import (
     map_order,
     verify_automorphism,
 )
-from noninner.structure import center, closure, trivial_subgroup, whole_group
+from noninner.pcgroup import PcGroup
+from noninner.structure import _conj_gen_perms, center, closure, trivial_subgroup, whole_group
 from util_oracles import (
     apply_by_collector,
+    conj_columns_by_products,
     identity_map,
     image_tuples,
     inner_map,
@@ -206,3 +209,29 @@ def test_verify_automorphism_matches_collector_on_lifts_and_mutations(eligible_g
     # a single changed exponent never leaves the relations intact while
     # losing generation, so the rank reason is tested separately above
     assert kinds == {None, "power", "commutator"}, kinds
+
+
+def test_conj_columns_match_product_oracle(corpus_groups, probe_5_7):
+    cases = dict(corpus_groups, probe_5_7=probe_5_7)
+    for gid, G in cases.items():
+        assert np.array_equal(_conj_columns(G), conj_columns_by_products(G)), gid
+
+
+def test_conj_columns_make_no_array_products(corpus_groups, monkeypatch):
+    """The columns are gathers through the conjugation permutations, so
+    once those are cached no `mul_indices` call is left (14 on a 3^7
+    group when each column was one whole-group product)."""
+    calls = {"mul_indices": 0}
+    original = PcGroup.mul_indices
+
+    def counted(self, a, b):
+        calls["mul_indices"] += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(PcGroup, "mul_indices", counted)
+    for gid, G in corpus_groups.items():
+        G = PcGroup(G.pres, validate=False)
+        _conj_gen_perms(G)
+        calls["mul_indices"] = 0
+        _conj_columns(G)
+        assert calls["mul_indices"] == 0, (gid, calls)

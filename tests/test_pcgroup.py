@@ -233,9 +233,9 @@ def test_right_mult_perm_matches_mul(heis):
         assert sorted(perm.tolist()) == list(range(27))
         for i in (0, 1, 5, 13, 26):
             assert int(perm[i]) == heis.idx(heis.mul(heis.vec(i), y))
-        left = heis.left_mult_perm(y)
+        conj = heis.conj_perm(y)
         for i in (0, 2, 7, 25):
-            assert int(left[i]) == heis.idx(heis.mul(y, heis.vec(i)))
+            assert int(conj[i]) == heis.idx(heis.conj(heis.vec(i), y))
     inv_t = heis.inv_table()
     assert all(
         heis.mul_idx(i, int(inv_t[i])) == 0 for i in range(heis.element_count)
@@ -295,3 +295,22 @@ def test_array_product_matches_mul(corpus_groups, gid, pairs):
         G.idx(G.mul(G.vec(int(i)), G.vec(int(b[0])))) for i in a
     ]
     assert G.mul_idx(int(a[0]), int(b[0])) == expected[0]
+
+
+def test_consistency_check_collector_budget(corpus_groups, monkeypatch):
+    """Every overlap test still runs, but conjugates of generators by
+    generator powers are collected once per (j, g, e): at most 1 100
+    `mul` calls per corpus presentation (1 612 on g2187_zcyc without
+    the memo)."""
+    calls = {"mul": 0}
+    original = PcGroup.mul
+
+    def counted(self, x, y):
+        calls["mul"] += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(PcGroup, "mul", counted)
+    for gid, G in corpus_groups.items():
+        calls["mul"] = 0
+        PcGroup(G.pres)
+        assert calls["mul"] <= 1100, (gid, calls)

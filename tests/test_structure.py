@@ -10,6 +10,7 @@ from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.structure import (
     QuotientCoords,
     Subgroup,
+    _conj_gen_perms,
     center,
     center_of,
     centralizer,
@@ -34,8 +35,10 @@ from noninner.structure import (
 
 from util_oracles import (
     canonical_basis_by_scan,
+    centralizer_by_mult_perms,
     coset_min_table_by_elements,
     is_elementary_abelian_by_pairs,
+    lower_central_series_by_elements,
     omega1_by_pow,
     quotient_is_cyclic_by_scan,
     subgroup_tuples,
@@ -324,3 +327,55 @@ def test_frattini_coords_are_a_homomorphism_with_kernel_phi(corpus_groups):
             for y in els[:: max(1, len(els) // 20)]:
                 expected = (coords[i] + coords[G.idx(y)]) % G.p
                 assert np.array_equal(coords[G.idx(G.mul(x, y))], expected), (gid, x, y)
+
+
+def test_lower_central_series_matches_element_oracle(corpus_groups, probe_5_7):
+    """The series from pivot commutators equals the one from the
+    commutators of every element of each term with every generator."""
+    cases = dict(corpus_groups, probe_5_7=probe_5_7)
+    for gid, G in cases.items():
+        assert lower_central_series(G) == lower_central_series_by_elements(G), gid
+
+
+def test_center_and_centralizers_match_mult_perm_oracle(corpus_groups, probe_5_7):
+    """Conjugation by the letters of each target against right == left
+    multiplication, on the basis of every term of both series, of Phi
+    and of Z(Phi)."""
+    cases = dict(corpus_groups, probe_5_7=probe_5_7)
+    for gid, G in cases.items():
+        assert center(G) == centralizer_by_mult_perms(G, G.gens), gid
+        phi = frattini(G)
+        subs = upper_central_series(G) + lower_central_series(G) + [phi, center_of(G, phi)]
+        for sub in subs:
+            expected = centralizer_by_mult_perms(G, sub.basis)
+            assert centralizer(G, sub.basis) == expected, (gid, sub)
+
+
+def test_lower_central_series_mul_indices_budget(
+    corpus_dir, manifest, probe_5_7_path, monkeypatch
+):
+    """With the tables built, each step multiplies only the m * r pivot
+    commutators and the closure permutations, so the series passes at
+    most 2 * m * |G| elements through `mul_indices` (about 17 * |G| on
+    g2187_a and on the probe with every element of each term
+    commutated)."""
+    from noninner.pcpfile import parse_pcp_file
+
+    passed = {"elements": 0}
+    original = PcGroup.mul_indices
+
+    def counted(self, a, b):
+        out = original(self, a, b)
+        passed["elements"] += out.size
+        return out
+
+    monkeypatch.setattr(PcGroup, "mul_indices", counted)
+    paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
+    for path in sorted(paths) + [probe_5_7_path]:
+        G = PcGroup(parse_pcp_file(path).presentation, validate=False)
+        G.inv_table()
+        _conj_gen_perms(G)
+        passed["elements"] = 0
+        lower_central_series(G)
+        budget = 2 * G.ngens * G.element_count
+        assert passed["elements"] <= budget, (path.name, passed, budget)

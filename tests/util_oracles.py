@@ -26,7 +26,14 @@ from noninner.cocycles import CosetTable, Derivation, coset_exponents, verify_co
 from noninner.errors import OrderBoundError
 from noninner.maps import GroupMap, _frattini_coords
 from noninner.pcgroup import Element, PcGroup
-from noninner.structure import Subgroup, center, center_of, closure
+from noninner.structure import (
+    Subgroup,
+    center,
+    center_of,
+    closure,
+    normal_closure,
+    whole_group,
+)
 
 
 class TableGroup:
@@ -422,6 +429,82 @@ def central_automorphisms_by_enumeration(group: PcGroup) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, G.ngens)
 
 
+def central_automorphisms_by_unique(group: PcGroup) -> np.ndarray:
+    """`central_automorphisms` as it deduplicated the coordinate
+    matrices before the rank test: by `np.unique(..., axis=0)` over the
+    flattened matrices, a sort of the whole (n, m * dim) array.
+
+    All automorphisms sending each generator g_k to g_k z_k with z_k
+    central, as an (n, m) array whose rows are the indices of the m
+    generator images, in the order of itertools.product over Z in index
+    order.
+
+    As the tails are central, the images satisfy the power relation
+    g_k^p = w_k exactly when z_k^p = prod_l z_l^e_l(w_k), and the
+    commutator relation [g_j, g_i] = w_ji exactly when
+    prod_l z_l^e_l(w_ji) = 1, where e_l(w) is the exponent of g_l in the
+    normal word w.  The tail tuples are solved deepest generator first
+    (k = m, ..., 1): step k adds every choice of z_k to the tuples
+    (z_(k+1), ..., z_m) kept so far, then keeps those that satisfy the
+    power relation of g_k and each commutator relation whose word starts
+    at g_k.  A solution is an automorphism when its images have full rank
+    modulo the Frattini subgroup; the rank is taken once per distinct
+    coordinate matrix.
+
+    Raises OrderBoundError when a step would hold more tuples than the
+    group's element bound.
+    """
+    G = group
+    p, m = G.p, G.ngens
+    z_idx = center(G).indices
+    nz = len(z_idx)
+    # powers[e][c] is the index of z^e for the c-th element z of Z
+    powers = [np.zeros(nz, dtype=np.int64)]
+    for _ in range(p):
+        powers.append(G.mul_indices(powers[-1], z_idx))
+    starting: dict[int, list] = {}
+    for word in G.pres.commutators.values():
+        starting.setdefault(word[0][0], []).append(word)
+
+    def value(word, pos: np.ndarray, k: int) -> np.ndarray:
+        """prod_l z_l^e_l(word) for every tuple, where pos[:, l - k] is
+        the position of z_l in Z."""
+        out = np.zeros(len(pos), dtype=np.int64)
+        for l, e in word:
+            out = G.mul_indices(out, powers[e][pos[:, l - k]])
+        return out
+
+    # rows[r, t] is the index of z_(k+t) in the r-th tuple kept after step k
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k in range(m, 0, -1):
+        if len(rows) * nz > G.element_bound:
+            raise OrderBoundError(
+                f"central automorphisms: {len(rows)} tail tuples times |Z| = {nz} "
+                f"exceed the element bound {G.element_bound}"
+            )
+        rows = np.column_stack(
+            [np.repeat(z_idx, len(rows)), np.tile(rows, (nz, 1))]
+        )
+        pos = np.searchsorted(z_idx, rows)
+        keep = powers[p][pos[:, 0]] == value(G.pres.power(k), pos, k)
+        for word in starting.get(k, ()):
+            keep &= value(word, pos, k) == 0
+        rows = rows[keep]
+    rows = rows[np.lexsort(rows.T[::-1])]
+
+    qc = _frattini_coords(G)
+    mats = (qc.coords(G.gen_indices) + qc.coords(z_idx)[np.searchsorted(z_idx, rows)]) % p
+    distinct, which = np.unique(
+        mats.reshape(len(rows), -1), axis=0, return_inverse=True
+    )
+    full = np.array(
+        [fp.rank(mat.reshape(m, -1), p) == qc.dim for mat in distinct], dtype=bool
+    )
+    rows = rows[full[which.reshape(-1)]]
+    # z_k is central, so z_k g_k is the image g_k z_k
+    return G.mul_indices(rows, np.broadcast_to(G.gen_indices, rows.shape))
+
+
 # ---------------------------------------------------------------------------
 # subgroup scans over exponent tuples, which the index arrays and the
 # table of p-th powers replaced
@@ -504,3 +587,49 @@ def quotient_is_cyclic_by_scan(
         if k == quotient_order:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# whole-group conjugation by element products, which gathers through the
+# generator conjugation permutations replaced
+
+
+def left_mult_perm(group: PcGroup, y: Element) -> np.ndarray:
+    """Permutation array P with P[i] = idx(y * vec(i)), through the
+    right-multiplication tables by (y x)**-1 = x**-1 y**-1."""
+    it = group.inv_table()
+    return it[group.right_mult_perm(group.inv(y))[it]]
+
+
+def lower_central_series_by_elements(group: PcGroup) -> list[Subgroup]:
+    """The lower central series with each step the normal closure of the
+    commutators [x, g_k] of every element x of the term with every
+    defining generator: one product per element and generator."""
+    G = group
+    inv_t = G.inv_table()
+    perms = [G.conj_perm(g) for g in G.gens]
+    series = [whole_group(G)]
+    while series[-1].order > 1:
+        x = series[-1].indices
+        comms = np.zeros(G.element_count, dtype=bool)
+        for perm in perms:
+            comms[G.mul_indices(inv_t[x], perm[x])] = True
+        comms[0] = False
+        series.append(normal_closure(G, np.nonzero(comms)[0]))
+    return series
+
+
+def conj_columns_by_products(group: PcGroup) -> np.ndarray:
+    """Rows D[k - 1, i] = idx(vec(i)^-1 g_k vec(i)), each one whole-group
+    product of the inverse table with a left-multiplication permutation."""
+    inv_t = group.inv_table()
+    return np.array([group.mul_indices(inv_t, left_mult_perm(group, g)) for g in group.gens])
+
+
+def centralizer_by_mult_perms(group: PcGroup, targets) -> Subgroup:
+    """Elements x with x t = t x for every target t, by comparing the
+    right- and left-multiplication permutations of t."""
+    mask = np.ones(group.element_count, dtype=bool)
+    for t in targets:
+        mask &= group.right_mult_perm(t) == left_mult_perm(group, t)
+    return Subgroup(group, np.nonzero(mask)[0])
