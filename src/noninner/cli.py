@@ -39,6 +39,7 @@ from .errors import (
     StructureError,
     TheoremViolationError,
 )
+from .pcgroup import PcGroup
 from .pcpfile import parse_pcp_file
 from .report import report_to_dict, report_to_json, report_to_text
 from .structure import (
@@ -107,8 +108,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_series(args) -> int:
     doc = _load(args.file)
-    from .pcgroup import PcGroup
-
     group = PcGroup(doc.presentation, validate=False)
     ucs = upper_central_series(group)
     lcs = lower_central_series(group)
@@ -124,8 +123,6 @@ def _cmd_series(args) -> int:
 
 def _cmd_conditions(args) -> int:
     doc = _load(args.file)
-    from .pcgroup import PcGroup
-
     group = PcGroup(doc.presentation, validate=False)
     decision = decide_route(group)
     print(f"group   {doc.group_id}")
@@ -145,7 +142,7 @@ def _cmd_conditions(args) -> int:
 
 def _cmd_certify(args) -> int:
     doc = _load(args.file)
-    report = certify_group(doc.presentation, group_id=doc.group_id)
+    report = certify_group(PcGroup(doc.presentation, validate=False), group_id=doc.group_id)
     text = report_to_json(report) if args.as_json else report_to_text(report)
     if args.out:
         Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
@@ -185,7 +182,7 @@ def _cmd_audit(args) -> int:
             continue
         try:
             doc = parse_pcp_file(root / entry["file"])
-            report = certify_group(doc.presentation, group_id=group_id)
+            report = certify_group(PcGroup(doc.presentation, validate=False), group_id=group_id)
         except TheoremViolationError as exc:
             row["status"] = "THEOREM_VIOLATION"
             row["detail"] = str(exc)

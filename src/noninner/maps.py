@@ -19,20 +19,6 @@ from .pcgroup import Element, PcGroup
 from .structure import QuotientCoords, Subgroup, _conj_gen_perms, center, frattini, power_table
 
 
-def _last_letter_levels(group: PcGroup):
-    """Yield (k, ys, parents), one level per last nonzero coordinate k of
-    y and its value: parents = ys - stride_k peel the letter g_k off, and
-    each lies in an earlier level or is the identity."""
-    group._check_bound()
-    p = group.p
-    for k in range(1, group.ngens + 1):
-        s = group._stride(k)
-        heads = np.arange(p ** (k - 1), dtype=np.int64) * p * s
-        for e in range(1, p):
-            ys = heads + e * s
-            yield k, ys, ys - s
-
-
 class GroupMap:
     """Map determined by the indices of the generator images, applied in
     normal-form order: (e_1, ..., e_m) goes to
@@ -61,7 +47,7 @@ class GroupMap:
         if self._table is None:
             G = self.group
             table = np.zeros(G.element_count, dtype=np.int64)
-            for k, ys, parents in _last_letter_levels(G):
+            for k, ys, parents in G._last_letter_levels():
                 table[ys] = G.mul_indices(table[parents], self.image_indices[k - 1])
             self._table = table
         return self._table
@@ -146,7 +132,7 @@ def _conj_columns(group: PcGroup) -> np.ndarray:
         perms = _conj_gen_perms(group)
         cols = np.empty((group.ngens, group.element_count), dtype=np.int64)
         cols[:, 0] = group.gen_indices
-        for j, ys, parents in _last_letter_levels(group):
+        for j, ys, parents in group._last_letter_levels():
             cols[:, ys] = perms[j - 1][cols[:, parents]]
         group._cache["conj_columns"] = cols
     return cols

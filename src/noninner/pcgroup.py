@@ -54,6 +54,15 @@ def _normalize_word(word: Iterable[Sequence[int]]) -> Word:
     return tuple(out)
 
 
+def _push(tables: list, idx: np.ndarray, word: Iterable[tuple[int, int]]) -> np.ndarray:
+    """idx right-multiplied entrywise by a normal word of (k, e)
+    letters, one gather through T_k per unit of e."""
+    for k, e in word:
+        for _ in range(e):
+            idx = tables[k][idx]
+    return idx
+
+
 class PcPresentation:
     """Validated power-commutator data for a finite p-group.
 
@@ -473,44 +482,47 @@ class PcGroup:
         """Indices of g_1, ..., g_m."""
         return self.p ** np.arange(self.ngens - 1, -1, -1, dtype=np.int64)
 
-    def _rtable(self, g: int) -> np.ndarray:
-        """Index table for right multiplication by g_g.
+    def _last_letter_levels(self):
+        """Yield (k, ys, parents), one level per last nonzero coordinate k
+        of y and its value: parents = ys - stride_k peel the letter g_k
+        off, and each lies in an earlier level or is the identity."""
+        self._check_bound()
+        for k in range(1, self.ngens + 1):
+            s = self._stride(k)
+            heads = np.arange(self.p ** (k - 1), dtype=np.int64) * self.p * s
+            for e in range(1, self.p):
+                ys = heads + e * s
+                yield k, ys, ys - s
 
-        All m tables are built together by collection from the left,
-        deepest generator first.  Split x = u t into its prefix u
-        (coordinates up to g) and its tail t (coordinates beyond g); then
-        x g_g = (u g_g) t^(g_g).  u g_g is u with coordinate g raised by
-        one or, where that would reach p, u with coordinate g cleared and
-        the power relation word of g_g appended.  t^(g_g) is the product
-        of the conjugates g_j^(g_g) = g_j [g_j, g_g] over the letters g_j
-        of t, so it is a run of gathers through the tables of deeper
-        generators.
+    def _tables(self) -> list:
+        """The generator tables, T_k at position k, built by last-letter
+        levels, deepest generator first.  Where x has no letter beyond
+        g_k, x g_k raises coordinate k of x or, where that would reach p,
+        clears it and appends the power word of g_k.  Otherwise x = x' g_l
+        with last letter l > k, and x g_k = (x' g_k) g_l^(g_k), where
+        g_l^(g_k) = g_l [g_l, g_k] is a normal word beyond k: the entry of
+        the parent x', an earlier level, pushed through its letters' tables.
         """
         if not self._rtables:
-            self._check_bound()
             p, m = self.p, self.ngens
-            idx = np.arange(self.element_count, dtype=np.int64)
+            levels = list(self._last_letter_levels())
             tables: list = [None] * (m + 1)
             for k in range(m, 0, -1):
                 s = self._stride(k)
-                prefix = idx - idx % s
-                cur = prefix + s
-                top = (idx // s) % p == p - 1
-                power = self._word_index(self.pres.power(k))
-                cur[top] = prefix[top] - (p - 1) * s + power
-                for j in range(k + 1, m + 1):
-                    conj_word = ((j, 1),) + self.pres.commutator(j, k)
-                    digit = (idx // self._stride(j)) % p
-                    for r in range(1, p):
-                        sel = digit >= r
-                        part = cur[sel]
-                        for letter, e in conj_word:
-                            for _ in range(e):
-                                part = tables[letter][part]
-                        cur[sel] = part
+                cur = np.empty(self.element_count, dtype=np.int64)
+                cur[::s] = np.arange(s, self.element_count + s, s)
+                cur[(p - 1) * s :: p * s] += self._word_index(self.pres.power(k)) - p * s
+                for last, ys, parents in levels:
+                    if last > k:
+                        conj_word = ((last, 1),) + self.pres.commutator(last, k)
+                        cur[ys] = _push(tables, cur[parents], conj_word)
                 tables[k] = cur
             self._rtables = tables
-        return self._rtables[g]
+        return self._rtables
+
+    def _rtable(self, g: int) -> np.ndarray:
+        """Index table for right multiplication by g_g."""
+        return self._tables()[g]
 
     def mul_indices(self, a, b) -> np.ndarray:
         """Elementwise product of index arrays, idx(vec(a[i]) * vec(b[i])).
@@ -522,11 +534,8 @@ class PcGroup:
         """
         b = np.asarray(b, dtype=np.int64)
         if b.ndim == 0:
-            out = np.array(a, dtype=np.int64)
-            for k, e in enumerate(self.vec(int(b)), start=1):
-                for _ in range(e):
-                    out = self._rtable(k)[out]
-            return out
+            word = enumerate(self.vec(int(b)), start=1)
+            return _push(self._tables(), np.array(a, dtype=np.int64), word)
         out = np.array(np.broadcast_to(a, b.shape), dtype=np.int64)
         for k in range(1, self.ngens + 1):
             digit = (b // self._stride(k)) % self.p
@@ -546,20 +555,24 @@ class PcGroup:
         return int(self.mul_indices(i, j))
 
     def inv_table(self) -> np.ndarray:
-        """Array T with T[i] = idx(vec(i)**-1).
-
-        Cancels coordinates left to right over all elements at once, as
-        `inv` does for one element.
+        """Array T with T[i] = idx(vec(i)**-1), built by first-letter
+        levels, deepest first.  The elements whose first nonzero
+        coordinate is k, with value e, are the block [e s_k, (e + 1) s_k)
+        of x = g_k^e v, v = x - e s_k (s_k the stride of g_k), and
+        x^-1 = v^-1 g_k^(p - e) (g_k^p)^-1: v and the power word g_k^p are
+        deeper, so their inverses are already in the table.
         """
         if self._inv_table is None:
-            self._check_bound()
-            cur = np.arange(self.element_count, dtype=np.int64)
-            out = np.zeros_like(cur)
-            for k in range(1, self.ngens + 1):
+            tables = self._tables()
+            out = np.zeros(self.element_count, dtype=np.int64)
+            for k in range(self.ngens, 0, -1):
                 s = self._stride(k)
-                step = (-(cur // s) % self.p) * s
-                out += step
-                cur = self.mul_indices(cur, step)
+                power_inv = out[self._word_index(self.pres.power(k))]
+                word = list(enumerate(self.vec(int(power_inv)), start=1))
+                cur = out[:s]
+                for e in range(self.p - 1, 0, -1):
+                    cur = tables[k][cur]
+                    out[e * s : (e + 1) * s] = _push(tables, cur, word)
             self._inv_table = out
         return self._inv_table
 

@@ -126,6 +126,29 @@ def test_certify_above_element_bound(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_certify_and_audit_check_consistency_once_per_file(
+    corpus_dir, manifest, capsys, monkeypatch
+):
+    """Parsing validates the presentation, so the group certified from it
+    is built without a second consistency check."""
+    from noninner.pcgroup import PcGroup
+
+    calls = {"consistency_witness": 0}
+    original = PcGroup.consistency_witness
+
+    def counted(self):
+        calls["consistency_witness"] += 1
+        return original(self)
+
+    monkeypatch.setattr(PcGroup, "consistency_witness", counted)
+    assert main(["certify", corpus_path(corpus_dir, "heisenberg_5")]) == 0
+    assert calls["consistency_witness"] == 1
+    calls["consistency_witness"] = 0
+    assert main(["audit", str(corpus_dir)]) == 0
+    assert calls["consistency_witness"] == len(manifest["groups"])
+    capsys.readouterr()
+
+
 def test_certify_failed_check_is_a_typed_error(corpus_dir, eligible_ids, capsys, monkeypatch):
     import noninner.certify as certify
 

@@ -27,7 +27,12 @@ from noninner.structure import (
     upper_central_series,
     whole_group,
 )
-from util_oracles import central_automorphisms_by_enumeration, central_automorphisms_by_unique
+from util_oracles import (
+    central_automorphisms_by_enumeration,
+    central_automorphisms_by_unique,
+    inv_table_by_products,
+    rtables_by_masked_passes,
+)
 
 # Frozen expected route per corpus group.  dihedral_8 also has coclass 1,
 # so it doubles as a precedence check: the parity gate must fire first.
@@ -264,6 +269,16 @@ def small_direct_products(draw) -> PcPresentation:
 def test_central_automorphisms_match_enumeration_on_products(pres):
     G = PcGroup(pres)
     assert np.array_equal(central_automorphisms(G), central_automorphisms_by_enumeration(G))
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_direct_products())
+def test_tables_match_whole_group_pass_builds_on_products(pres):
+    G = PcGroup(pres)
+    expected = rtables_by_masked_passes(G)
+    for k in range(1, G.ngens + 1):
+        assert np.array_equal(G._rtable(k), expected[k]), k
+    assert np.array_equal(G.inv_table(), inv_table_by_products(G))
 
 
 def test_central_automorphisms_collector_call_budget(corpus_dir, monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from noninner.errors import InconsistentPresentationError, PresentationError
 from noninner.pcgroup import PcGroup, PcPresentation
+from util_oracles import inv_table_by_products, rtables_by_masked_passes
 
 HEIS = PcPresentation(3, 3, commutators={(2, 1): [(3, 1)]})
 
@@ -275,6 +276,44 @@ def test_generator_and_inverse_tables_match_collector(corpus_groups):
             for k, g in enumerate(gens, start=1):
                 assert int(G._rtable(k)[i]) == G.idx(G.mul(x, g)), (gid, x, k)
             assert int(inv_t[i]) == G.idx(G.inv(x)), (gid, x)
+
+
+def test_tables_match_whole_group_pass_builds(corpus_groups, probe_5_7):
+    """The level builds equal the masked-pass generator tables and the
+    product-built inverse table they replaced, entry for entry."""
+    import numpy as np
+
+    cases = dict(corpus_groups, probe_5_7=probe_5_7)
+    for gid, G in cases.items():
+        expected = rtables_by_masked_passes(G)
+        for k in range(1, G.ngens + 1):
+            assert np.array_equal(G._rtable(k), expected[k]), (gid, k)
+        assert np.array_equal(G.inv_table(), inv_table_by_products(G)), gid
+
+
+def test_table_builds_make_no_array_products(corpus_dir, manifest, probe_5_7_path, monkeypatch):
+    """On a fresh group the m generator tables and the inverse table are
+    gathers through earlier entries: no `mul_indices` call with an array
+    right factor (the inverse table by cancellation made m)."""
+    import numpy as np
+
+    from noninner.pcpfile import parse_pcp_file
+
+    calls = {"array": 0}
+    original = PcGroup.mul_indices
+
+    def counted(self, a, b):
+        calls["array"] += np.ndim(b) > 0
+        return original(self, a, b)
+
+    monkeypatch.setattr(PcGroup, "mul_indices", counted)
+    paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
+    for path in sorted(paths) + [probe_5_7_path]:
+        G = PcGroup(parse_pcp_file(path).presentation, validate=False)
+        for k in range(1, G.ngens + 1):
+            G._rtable(k)
+        G.inv_table()
+        assert calls["array"] == 0, (path.name, calls)
 
 
 @settings(max_examples=40, deadline=None)

@@ -633,3 +633,50 @@ def centralizer_by_mult_perms(group: PcGroup, targets) -> Subgroup:
     for t in targets:
         mask &= group.right_mult_perm(t) == left_mult_perm(group, t)
     return Subgroup(group, np.nonzero(mask)[0])
+
+
+# ---------------------------------------------------------------------------
+# the generator and inverse tables by whole-group passes, which the
+# level builds replaced
+
+
+def rtables_by_masked_passes(group: PcGroup) -> list:
+    """The generator tables, T_k at position k, by collection from the
+    left over all elements at once: split x = u t into its prefix u
+    (coordinates up to k) and its tail t; then x g_k = (u g_k) t^(g_k),
+    with t^(g_k) applied as p - 1 masked passes per letter of t."""
+    p, m = group.p, group.ngens
+    idx = np.arange(group.element_count, dtype=np.int64)
+    tables: list = [None] * (m + 1)
+    for k in range(m, 0, -1):
+        s = group._stride(k)
+        prefix = idx - idx % s
+        cur = prefix + s
+        top = (idx // s) % p == p - 1
+        power = group._word_index(group.pres.power(k))
+        cur[top] = prefix[top] - (p - 1) * s + power
+        for j in range(k + 1, m + 1):
+            conj_word = ((j, 1),) + group.pres.commutator(j, k)
+            digit = (idx // group._stride(j)) % p
+            for r in range(1, p):
+                sel = digit >= r
+                part = cur[sel]
+                for letter, e in conj_word:
+                    for _ in range(e):
+                        part = tables[letter][part]
+                cur[sel] = part
+        tables[k] = cur
+    return tables
+
+
+def inv_table_by_products(group: PcGroup) -> np.ndarray:
+    """Inverses by cancelling coordinates left to right over all
+    elements at once, one whole-group array product per generator."""
+    cur = np.arange(group.element_count, dtype=np.int64)
+    out = np.zeros_like(cur)
+    for k in range(1, group.ngens + 1):
+        s = group._stride(k)
+        step = (-(cur // s) % group.p) * s
+        out += step
+        cur = group.mul_indices(cur, step)
+    return out
