@@ -21,7 +21,7 @@ from .cocycles import (
     derivation_from_a_exponent,
     derivation_from_b_exponent,
     lift_to_automorphism,
-    verify_cocycle,
+    verify_cocycles,
 )
 from .eligibility import Route, decide_route, select_generators, select_n
 from .errors import CertificationError, TheoremViolationError
@@ -94,8 +94,8 @@ def certify_group(
     t0 = time.perf_counter()
     deriv_b = derivation_from_b_exponent(ctx)
     deriv_a = derivation_from_a_exponent(ctx)
-    for name, deriv in (("b_shift", deriv_b), ("a_shift", deriv_a)):
-        counterexample = verify_cocycle(deriv)
+    counterexamples = verify_cocycles([deriv_b, deriv_a])
+    for name, counterexample in zip(("b_shift", "a_shift"), counterexamples):
         if counterexample is not None:
             raise CertificationError(
                 f"{name} derivation failed cocycle verification at "

@@ -19,7 +19,7 @@ the exponents.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,16 +144,6 @@ def coset_exponents(ctx: SelectionContext, g: Element) -> Tuple[int, int, int]:
     return int(i[0]), int(j[0]), int(t[0])
 
 
-def _cosets(ctx: SelectionContext) -> Tuple[CosetTable, Subgroup]:
-    """N's coset table and Z(N) = C_G(N) meet N, built once per context
-    so that both derivations (and their cocycle checks) share them."""
-    cosets = getattr(ctx, "_cosets", None)
-    if cosets is None:
-        cosets = (CosetTable(ctx.group, ctx.n_sub), intersection(ctx.centralizer_n, ctx.n_sub))
-        ctx._cosets = cosets
-    return cosets
-
-
 def _powers(group: PcGroup, x: int) -> np.ndarray:
     """Indices of x^0, ..., x^(p-1)."""
     out = [0]
@@ -162,18 +152,44 @@ def _powers(group: PcGroup, x: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+class _Setup(NamedTuple):
+    """What both derivations of one selection share: N's coset table,
+    Z(N) = C_G(N) meet N, the exponents (i, j, t) of the coset
+    representatives, and the indices of the powers of w and [w,b]."""
+
+    coset_table: CosetTable
+    zn: Subgroup
+    exponents: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    w_pow: np.ndarray
+    c_pow: np.ndarray
+
+
+def _setup(ctx: SelectionContext) -> _Setup:
+    """The shared set-up of `ctx`, built on first use."""
+    setup = getattr(ctx, "_setup", None)
+    if setup is None:
+        G = ctx.group
+        ct = CosetTable(G, ctx.n_sub)
+        setup = ctx._setup = _Setup(
+            ct,
+            intersection(ctx.centralizer_n, ctx.n_sub),
+            tuple(_decomposer(ctx).exponents(ct.rep_indices)),
+            _powers(G, G.idx(ctx.w)),
+            _powers(G, G.idx(ctx.comm_w_b)),
+        )
+    return setup
+
+
 def _build(ctx: SelectionContext, exponents) -> Derivation:
     """The derivation with value w^e * [w,b]^f at each coset
     representative, where (e, f) = exponents(i, j, t) on the arrays of
     the representatives' exponents.  w and [w,b] have order p (checked
     by select_generators), so e and f are read modulo p."""
     G = ctx.group
-    ct, zn = _cosets(ctx)
-    e, f = exponents(*_decomposer(ctx).exponents(ct.rep_indices))
-    w_pow = _powers(G, G.idx(ctx.w))
-    c_pow = _powers(G, G.idx(ctx.comm_w_b))
-    values = G.mul_indices(w_pow[e % G.p], c_pow[f % G.p])
-    return Derivation(G, ctx.n_sub, ct, values, zn)
+    s = _setup(ctx)
+    e, f = exponents(*s.exponents)
+    values = G.mul_indices(s.w_pow[e % G.p], s.c_pow[f % G.p])
+    return Derivation(G, ctx.n_sub, s.coset_table, values, s.zn)
 
 
 def derivation_from_b_exponent(ctx: SelectionContext) -> Derivation:
@@ -240,36 +256,50 @@ class _CocycleFrame:
 def verify_cocycle(d: Derivation):
     """None if the cocycle identity holds for every pair of cosets, else
     a counterexample (g1, g2, lhs, rhs) with the least g2 and, for it,
-    the least g1 (both coset representatives).
+    the least g1 (both coset representatives)."""
+    return verify_cocycles([d])[0]
+
+
+def verify_cocycles(derivations: Sequence[Derivation]) -> List[Optional[tuple]]:
+    """`verify_cocycle` of each derivation, in one sweep over the pairs
+    of cosets; all of them must share one coset table and one Z(N).
 
     Values are coded by their position in Z(N).  The coset of g1 * g2
     is built for all g1 of a block by the representatives' levels in g2:
     at g2 = parent * g_k it is the coset of g1 * parent times g_k, one
-    gather through an R-sized permutation, R = |G/N|.  A block holds
-    |G| // R values of g1, so no array is longer than |G|, and every one
-    of the R^2 pairs is checked.
+    gather through an R-sized permutation, R = |G/N|.  These positions
+    do not depend on the values, so each block is built once and every
+    derivation is checked against it.  A block holds 4 * |G| // R values
+    of g1, so no array is longer than 4 * |G|, and every one of the R^2
+    pairs is checked.
     """
-    G = d.group
-    ct = d.coset_table
+    d0 = derivations[0]
+    G, ct, zn = d0.group, d0.coset_table, d0.zn
+    if any(d.coset_table is not ct or d.zn != zn for d in derivations):
+        raise ValueError("derivations checked together must share one coset table and Z(N)")
     frame = ct._frame
-    if frame is None or frame.zn != d.zn:
-        frame = ct._frame = _CocycleFrame(G, d.n_sub, ct, d.zn)
-    zn_idx = d.zn.indices
+    if frame is None or frame.zn != zn:
+        frame = ct._frame = _CocycleFrame(G, d0.n_sub, ct, zn)
+    zn_idx = zn.indices
     nz = len(zn_idx)
-    val_code = np.searchsorted(zn_idx, d.values)
-    # prod_code[c, u] codes z_c * vals[u]; taking only the distinct values
-    # keeps it at most |Z(N)| * R <= |G| entries long
-    taken = np.zeros(nz, dtype=bool)
-    taken[val_code] = True
-    vals = np.flatnonzero(taken)
-    prod_code = np.searchsorted(
-        zn_idx, G.mul_indices(np.repeat(zn_idx, len(vals)), np.tile(zn_idx[vals], nz))
-    ).reshape(nz, len(vals))
-    # rhs_by_code[t2, c] codes z_c^g2 * d(g2) for g2 = reps[t2]
-    rhs_by_code = prod_code[frame.conj_code, np.searchsorted(vals, val_code).reshape(-1, 1)]
+    checks = []
+    for d in derivations:
+        val_code = np.searchsorted(zn_idx, d.values)
+        # prod_code[c, u] codes z_c * vals[u]; taking only the distinct
+        # values keeps it at most |Z(N)| * R <= |G| entries long
+        taken = np.zeros(nz, dtype=bool)
+        taken[val_code] = True
+        vals = np.flatnonzero(taken)
+        prod_code = np.searchsorted(
+            zn_idx, G.mul_indices(np.repeat(zn_idx, len(vals)), np.tile(zn_idx[vals], nz))
+        ).reshape(nz, len(vals))
+        # rhs_by_code[t2, c] codes z_c^g2 * d(g2) for g2 = reps[t2]
+        rhs_by_code = prod_code[frame.conj_code, np.searchsorted(vals, val_code).reshape(-1, 1)]
+        checks.append((val_code, rhs_by_code))
+    reps = ct.rep_indices
     R = ct.count
-    width = max(1, G.element_count // R)
-    first = None
+    width = 4 * G.element_count // R  # at least 4, as R <= |G|
+    firsts = [None] * len(derivations)
     for c0 in range(0, R, width):
         cols = np.arange(c0, min(c0 + width, R))
         # pos[t2, c] is the coset position of reps[cols[c]] * reps[t2]
@@ -277,26 +307,23 @@ def verify_cocycle(d: Derivation):
         pos[0] = cols
         for quot, rows, parents in frame.levels:
             pos[rows] = quot.take(pos.take(parents, axis=0))
-        lhs = val_code.take(pos)
-        rhs = rhs_by_code.take(val_code[cols], axis=1)
-        bad = lhs != rhs
-        if bad.any():
-            # row-major: least g2, then least g1
-            r, c = divmod(int(np.flatnonzero(bad)[0]), len(cols))
-            found = (r, int(cols[c]), int(lhs[r, c]), int(rhs[r, c]))
-            if first is None or found[:2] < first[:2]:
-                first = found
-    d._verified = first is None
-    if first is None:
-        return None
-    i2, i1, lhs_c, rhs_c = first
-    reps = ct.rep_indices
-    return (
-        G.vec(int(reps[i1])),
-        G.vec(int(reps[i2])),
-        G.vec(int(zn_idx[lhs_c])),
-        G.vec(int(zn_idx[rhs_c])),
-    )
+        for k, (val_code, rhs_by_code) in enumerate(checks):
+            lhs = val_code.take(pos)
+            rhs = rhs_by_code.take(val_code[cols], axis=1)
+            bad = lhs != rhs
+            if bad.any():
+                # row-major: least g2, then least g1; the representatives
+                # are sorted, so (g2, g1) compare as their positions do
+                r, c = divmod(int(np.flatnonzero(bad)[0]), len(cols))
+                found = (reps[r], reps[cols[c]], zn_idx[lhs[r, c]], zn_idx[rhs[r, c]])
+                if firsts[k] is None or found[:2] < firsts[k][:2]:
+                    firsts[k] = found
+    for d, first in zip(derivations, firsts):
+        d._verified = first is None
+    return [
+        None if first is None else tuple(G.vec(int(x)) for x in (first[1], first[0]) + first[2:])
+        for first in firsts
+    ]
 
 
 def lift_to_automorphism(d: Derivation) -> GroupMap:

@@ -145,15 +145,20 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
     for the route, and C_G(N) once for select_n and select_generators;
     the derivation builds take Z(N) as C_G(N) meet N.  Six coset tables
     are built: one per proper term of the upper central series (five at
-    class 5) and N's, which both derivations share."""
+    class 5) and N's, which both derivations share, as they share the
+    representatives' exponents (one decomposition) and the powers of w
+    and [w,b] (two power lists)."""
     import sys
 
+    import noninner.cocycles as cocycles
     import noninner.structure as structure
     from noninner.pcgroup import PcGroup
     from noninner.pcpfile import parse_pcp_file
 
-    calls = {"mul": 0, "vec": 0, "centralizer": 0, "coset_min_table": 0}
+    names = ("mul", "vec", "centralizer", "coset_min_table", "exponents", "_powers")
+    calls = dict.fromkeys(names, 0)
     original_mul, original_vec = PcGroup.mul, PcGroup.vec
+    original_exponents, original_powers = cocycles._Decomposer.exponents, cocycles._powers
     originals = {name: getattr(structure, name) for name in ("centralizer", "coset_min_table")}
 
     def counted_mul(self, x, y):
@@ -164,6 +169,14 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
         calls["vec"] += 1
         return original_vec(self, n)
 
+    def counted_exponents(self, idxs):
+        calls["exponents"] += 1
+        return original_exponents(self, idxs)
+
+    def counted_powers(group, x):
+        calls["_powers"] += 1
+        return original_powers(group, x)
+
     def counting(name):
         def counted(*args, **kwargs):
             calls[name] += 1
@@ -173,6 +186,8 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
 
     monkeypatch.setattr(PcGroup, "mul", counted_mul)
     monkeypatch.setattr(PcGroup, "vec", counted_vec)
+    monkeypatch.setattr(cocycles._Decomposer, "exponents", counted_exponents)
+    monkeypatch.setattr(cocycles, "_powers", counted_powers)
     for attr, original in originals.items():
         counted = counting(attr)
         for name, module in list(sys.modules.items()):
@@ -180,13 +195,15 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
                 monkeypatch.setattr(module, attr, counted)
     for gid in ("g2187_a", "g2187_b", "g2187_c", "g2187_d"):
         doc = parse_pcp_file(corpus_dir / f"{gid}.pcp")
-        calls.update(mul=0, vec=0, centralizer=0, coset_min_table=0)
+        calls.update(dict.fromkeys(names, 0))
         report = certify_group(doc.presentation, group_id=gid)
         assert report.certificates is not None, gid
         assert calls["mul"] <= 3_000, (gid, calls)
         assert calls["vec"] <= 1_500, (gid, calls)
         assert calls["centralizer"] <= 2, (gid, calls)
         assert calls["coset_min_table"] <= 6, (gid, calls)
+        assert calls["exponents"] <= 1, (gid, calls)
+        assert calls["_powers"] <= 2, (gid, calls)
 
 
 def test_group_is_freed_without_a_garbage_collection(corpus_dir):

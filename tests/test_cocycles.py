@@ -12,6 +12,7 @@ from noninner.cocycles import (
     derivation_from_b_exponent,
     lift_to_automorphism,
     verify_cocycle,
+    verify_cocycles,
 )
 from noninner.eligibility import select_generators, select_n
 from noninner.errors import OrderBoundError
@@ -213,44 +214,120 @@ def test_unverified_failing_derivation_refuses_to_lift(heis3, heis_derivations):
 # the level-built cocycle check against the check by rows
 
 
-def test_verify_cocycle_matches_row_oracle_on_mutations(eligible_groups):
-    """200 seeded mutations of the two derivations of each eligible
-    group, each with 1 to 5 values replaced by random elements of Z(N):
-    the level-built check returns exactly the oracle's verdict and
-    counterexample (least g2, then least g1)."""
+@pytest.fixture(scope="module")
+def mutations(eligible_groups):
+    """Per eligible group: its two derivations, and for each of them 25
+    seeded mutations, each with 1 to 5 values replaced by random
+    elements of Z(N), paired with the row oracle's verdict."""
     rng = np.random.default_rng(7)
-    checked = failed = 0
+    out = {}
     for gid in sorted(eligible_groups):
         G = eligible_groups[gid]
         ctx = select_generators(G, select_n(G))
-        for d in (derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)):
+        clean = (derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx))
+        mutated = []
+        for d in clean:
             assert verify_cocycle(d) is None and verify_cocycle_by_rows(d) is None
+            cases = []
             for _ in range(25):
                 values = d.values.copy()
                 k = int(rng.integers(1, 6))
                 values[rng.choice(len(values), k, replace=False)] = rng.choice(d.zn.indices, k)
-                mutated = Derivation(G, d.n_sub, d.coset_table, values, d.zn)
-                expected = verify_cocycle_by_rows(mutated)
-                assert verify_cocycle(mutated) == expected, (gid, values.tolist())
+                m = Derivation(G, d.n_sub, d.coset_table, values, d.zn)
+                cases.append((m, verify_cocycle_by_rows(m)))
+            mutated.append(cases)
+        out[gid] = (clean, mutated)
+    return out
+
+
+def test_verify_cocycle_matches_row_oracle_on_mutations(mutations):
+    """200 seeded mutations of the two derivations of each eligible
+    group: the level-built check returns exactly the oracle's verdict
+    and counterexample (least g2, then least g1)."""
+    checked = failed = 0
+    for gid, (_, mutated) in mutations.items():
+        for cases in mutated:
+            for m, expected in cases:
+                assert verify_cocycle(m) == expected, (gid, m.values.tolist())
                 checked += 1
                 failed += expected is not None
     assert checked == 200
     assert failed >= 150, failed  # most mutations break the identity
 
 
+def _check_jointly(ds, expected):
+    for d in ds:
+        d._verified = None
+    assert verify_cocycles(ds) == expected
+    assert [d._verified for d in ds] == [e is None for e in expected]
+
+
+def test_verify_cocycles_matches_row_oracle_jointly(mutations):
+    """The joint sweep gives each derivation the row oracle's verdict and
+    counterexample: every mutation beside the clean other derivation,
+    and beside a mutation of the other derivation."""
+    for gid, ((d_b, d_a), (muts_b, muts_a)) in mutations.items():
+        for (m_b, e_b), (m_a, e_a) in zip(muts_b, muts_a):
+            _check_jointly([m_b, d_a], [e_b, None])
+            _check_jointly([d_b, m_a], [None, e_a])
+            _check_jointly([m_b, m_a], [e_b, e_a])
+
+
+def test_verify_cocycles_takes_least_g2_across_blocks(eligible_groups):
+    """Changing the value at the last representative breaks the identity
+    at g2 = reps[1] only for first factors g1 beyond the first column
+    block, and in the first block at the larger g2 = reps[R - 1]; the
+    sweep must still report the least g2."""
+    G = eligible_groups["g2187_a"]
+    ctx = select_generators(G, select_n(G))
+    d_b, d_a = derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)
+    ct = d_b.coset_table
+    R = ct.count
+    values = d_b.values.copy()
+    values[R - 1] = G.mul_indices(values[R - 1], int(d_b.zn.indices[1]))
+    late = Derivation(G, d_b.n_sub, ct, values, d_b.zn)
+    expected = verify_cocycle_by_rows(late)
+
+    def pos(x):
+        return int(ct.rep_pos[G.idx(x)])
+
+    g1, g2 = expected[:2]
+    assert pos(g2) == 1 and pos(g1) >= 4 * G.element_count // R
+    h1, h2 = (G.vec(int(ct.rep_indices[t])) for t in (1, R - 1))
+    assert value_at(late, G.mul(h1, h2)) != G.mul(
+        G.conj(value_at(late, h1), h2), value_at(late, h2)
+    )
+    _check_jointly([late, d_a], [expected, None])
+    _check_jointly([d_a, late], [None, expected])
+
+
+def test_verify_cocycles_refuses_mixed_inputs(heis3, heis_derivations, ctx):
+    d_b = derivation_from_b_exponent(ctx)
+    with pytest.raises(ValueError, match="one coset table"):
+        verify_cocycles([d_b, heis_derivations[0]])
+    # the same coset table with another Z(N)
+    G = ctx.group
+    other = Derivation(G, d_b.n_sub, d_b.coset_table, np.zeros_like(d_b.values), whole_group(G))
+    with pytest.raises(ValueError, match="one coset table"):
+        verify_cocycles([d_b, other])
+    assert d_b._verified is None and other._verified is None
+
+
 def test_verify_cocycle_memory_is_bounded(eligible_groups):
-    """Column blocks keep every array of the check at most |G| long: one
-    check on a 3^7 group, its set-up included, stays far below the
-    R x R = 243^2 table of coset products."""
+    """Column blocks keep every array of the check at most 4 * |G| long:
+    one joint check of both derivations on a 3^7 group, its set-up
+    included, stays below the R x R = 243^2 table of coset products."""
     import tracemalloc
 
     G = eligible_groups["g2187_a"]
-    d = derivation_from_b_exponent(select_generators(G, select_n(G)))
+    ctx = select_generators(G, select_n(G))
+    ds = [derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)]
+    R = ds[0].coset_table.count
     tracemalloc.start()
     try:
-        result = verify_cocycle(d)
+        result = verify_cocycles(ds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result is None
-    assert peak < 1_000_000, peak
+    assert result == [None, None]
+    assert peak < R * R * 8, peak
