@@ -98,8 +98,8 @@ def certify_group(
     for name, counterexample in zip(("b_shift", "a_shift"), counterexamples):
         if counterexample is not None:
             raise CertificationError(
-                f"{name} derivation failed cocycle verification at "
-                f"cosets of {counterexample[0]} and {counterexample[1]}"
+                f"{name} derivation failed cocycle verification at cosets of "
+                f"{group.vec(counterexample[0])} and {group.vec(counterexample[1])}"
             )
     timings["derivations"] = time.perf_counter() - t0
 
@@ -130,7 +130,7 @@ def certify_group(
         if witness_a is not None:
             raise TheoremViolationError(
                 "both lifted automorphisms are inner (witnesses "
-                f"{witness_b} and {witness_a}); the construction "
+                f"{group.vec(witness_b)} and {group.vec(witness_a)}); the construction "
                 "guarantees this cannot happen"
             )
         a_inner = False

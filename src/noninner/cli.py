@@ -172,11 +172,17 @@ def _cmd_audit(args) -> int:
         entry = groups[group_id]
         valid = isinstance(entry, dict)
         row = {"group_id": group_id, "expected_route": entry.get("route") if valid else None}
-        if not valid or "file" not in entry:
+        if not valid:
+            problem = "manifest entry is not an object"
+        elif "file" not in entry:
+            problem = 'manifest entry has no "file"'
+        elif not isinstance(entry["file"], str):
+            problem = 'manifest entry "file" is not a string'
+        else:
+            problem = None
+        if problem is not None:
             row["status"] = "MANIFEST_ERROR"
-            row["detail"] = (
-                'manifest entry has no "file"' if valid else "manifest entry is not an object"
-            )
+            row["detail"] = problem
             worst = max(worst, EXIT_USAGE)
             results.append(row)
             continue

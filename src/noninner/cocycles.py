@@ -26,7 +26,7 @@ import numpy as np
 from .eligibility import SelectionContext
 from .errors import CertificationError
 from .maps import GroupMap
-from .pcgroup import Element, PcGroup
+from .pcgroup import PcGroup
 from .structure import (
     Subgroup,
     _conj_gen_perms,
@@ -100,12 +100,12 @@ class _Decomposer:
     __slots__ = ("group", "stages")
 
     def __init__(self, ctx: SelectionContext):
-        G = ctx.group
-        self.group = G
+        self.group = ctx.group
+        inv = ctx.group.inv_table()
         self.stages = (
-            (G.idx(G.inv(ctx.b)), ctx.centralizer_n.mask, "b"),
-            (G.idx(G.inv(ctx.a)), ctx.phi.mask, "a"),
-            (G.idx(G.inv(ctx.comm_a_b)), ctx.z_deep.mask, "[a, b]"),
+            (int(inv[ctx.b]), ctx.centralizer_n.mask, "b"),
+            (int(inv[ctx.a]), ctx.phi.mask, "a"),
+            (int(inv[ctx.comm_a_b]), ctx.z_deep.mask, "[a, b]"),
         )
 
     def exponents(self, idxs) -> List[np.ndarray]:
@@ -137,10 +137,10 @@ def _decomposer(ctx: SelectionContext) -> _Decomposer:
     return d
 
 
-def coset_exponents(ctx: SelectionContext, g: Element) -> Tuple[int, int, int]:
+def coset_exponents(ctx: SelectionContext, g: int) -> Tuple[int, int, int]:
     """(i, j, t) with g = x * [a,b]^t * a^j * b^i, x in Z_{m-4},
-    exponents in [0, p)."""
-    i, j, t = _decomposer(ctx).exponents([ctx.group.idx(g)])
+    exponents in [0, p), for the element with index g."""
+    i, j, t = _decomposer(ctx).exponents([g])
     return int(i[0]), int(j[0]), int(t[0])
 
 
@@ -174,8 +174,8 @@ def _setup(ctx: SelectionContext) -> _Setup:
             ct,
             intersection(ctx.centralizer_n, ctx.n_sub),
             tuple(_decomposer(ctx).exponents(ct.rep_indices)),
-            _powers(G, G.idx(ctx.w)),
-            _powers(G, G.idx(ctx.comm_w_b)),
+            _powers(G, ctx.w),
+            _powers(G, ctx.comm_w_b),
         )
     return setup
 
@@ -255,8 +255,8 @@ class _CocycleFrame:
 
 def verify_cocycle(d: Derivation):
     """None if the cocycle identity holds for every pair of cosets, else
-    a counterexample (g1, g2, lhs, rhs) with the least g2 and, for it,
-    the least g1 (both coset representatives)."""
+    a counterexample (g1, g2, lhs, rhs) of element indices, with the
+    least g2 and, for it, the least g1 (both coset representatives)."""
     return verify_cocycles([d])[0]
 
 
@@ -321,7 +321,7 @@ def verify_cocycles(derivations: Sequence[Derivation]) -> List[Optional[tuple]]:
     for d, first in zip(derivations, firsts):
         d._verified = first is None
     return [
-        None if first is None else tuple(G.vec(int(x)) for x in (first[1], first[0]) + first[2:])
+        None if first is None else tuple(int(x) for x in (first[1], first[0]) + first[2:])
         for first in firsts
     ]
 

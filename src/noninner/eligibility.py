@@ -20,7 +20,7 @@ import numpy as np
 from . import fp
 from .errors import OrderBoundError, SelectionError
 from .maps import _frattini_coords
-from .pcgroup import Element, PcGroup
+from .pcgroup import PcGroup
 from .structure import (
     Subgroup,
     center,
@@ -136,12 +136,9 @@ def _is_elementary_abelian(group: PcGroup, sub: Subgroup) -> bool:
     elements, which generate `sub`."""
     if power_table(group)[sub.indices].any():
         return False
-    basis = sub.basis
-    return all(
-        group.mul(x, y) == group.mul(y, x)
-        for i, x in enumerate(basis)
-        for y in basis[i + 1 :]
-    )
+    basis = np.array(sub.basis, dtype=np.int64)
+    x, y = (basis[i] for i in np.triu_indices(len(basis), 1))
+    return bool((group.mul_indices(x, y) == group.mul_indices(y, x)).all())
 
 
 def select_n(group: PcGroup) -> Subgroup:
@@ -210,16 +207,17 @@ def _centralizer_n(group: PcGroup, n_sub: Subgroup) -> Subgroup:
 
 @dataclass
 class SelectionContext:
-    """Everything the derivation builders need, with invariants verified."""
+    """Everything the derivation builders need, with invariants verified.
+    The frame elements are element indices."""
 
     group: PcGroup
     n_sub: Subgroup
     centralizer_n: Subgroup
-    a: Element
-    b: Element
-    w: Element
-    comm_a_b: Element
-    comm_w_b: Element
+    a: int
+    b: int
+    w: int
+    comm_a_b: int
+    comm_w_b: int
     phi: Subgroup
     series: list[Subgroup] = field(repr=False)
 
@@ -233,13 +231,15 @@ class SelectionContext:
         return self.series[self.group.ngens - 4]
 
     def summary(self) -> dict:
+        """The frame as exponent lists."""
+        vec = self.group.vec
         return {
-            "N_basis": [list(x) for x in self.n_sub.basis],
-            "a": list(self.a),
-            "b": list(self.b),
-            "w": list(self.w),
-            "comm_a_b": list(self.comm_a_b),
-            "comm_w_b": list(self.comm_w_b),
+            "N_basis": [list(vec(x)) for x in self.n_sub.basis],
+            "a": list(vec(self.a)),
+            "b": list(vec(self.b)),
+            "w": list(vec(self.w)),
+            "comm_a_b": list(vec(self.comm_a_b)),
+            "comm_w_b": list(vec(self.comm_w_b)),
         }
 
 
@@ -280,31 +280,30 @@ def select_generators(group: PcGroup, n_sub: Subgroup) -> SelectionContext:
     outside = np.nonzero(~cent.mask)[0]
     if not outside.size:
         raise SelectionError("no element outside C_G(N); N is central")
-    b = group.vec(int(outside[0]))
+    b = int(outside[0])
     outside = cent.indices[~phi.mask[cent.indices]]
     if not outside.size:
         raise SelectionError("C_G(N) has no element outside Phi")
-    a = group.vec(int(outside[0]))
-    w = None
-    for i in n_sub.indices[~z1.mask[n_sub.indices]].tolist():
-        x = group.vec(i)
-        if group.comm(x, b) != group.identity:
-            w = x
-            break
-    if w is None:
+    a = int(outside[0])
+    cands = n_sub.indices[~z1.mask[n_sub.indices]]
+    moved = np.nonzero(group.comm_indices(cands, b))[0]
+    if not moved.size:
         raise SelectionError("no element of N outside Z moved by b")
+    w = int(cands[moved[0]])
 
-    comm_a_b = group.comm(a, b)
-    comm_w_b = group.comm(w, b)
+    comm_a_b = int(group.comm_indices(a, b))
+    comm_w_b = int(group.comm_indices(w, b))
 
-    if closure(group, [group.idx(a), group.idx(b)]).order != group.element_count:
+    if closure(group, [a, b]).order != group.element_count:
         raise SelectionError("a and b do not generate the group")
     z_deep = series[m - 4]
-    if comm_a_b not in phi or comm_a_b in z_deep:
+    if not phi.mask[comm_a_b] or z_deep.mask[comm_a_b]:
         raise SelectionError("[a, b] does not lie in Phi minus Z_{m-4}")
-    if comm_w_b == group.identity or comm_w_b not in z1:
+    if comm_w_b == 0 or not z1.mask[comm_w_b]:
         raise SelectionError("[w, b] does not lie in Z minus 1")
-    if group.order_of(w) != p or group.order_of(comm_w_b) != p:
+    # order p: not the identity, with p-th power the identity
+    powers = power_table(group)
+    if w == 0 or powers[w] or powers[comm_w_b]:
         raise SelectionError("w or [w, b] does not have order p")
     if not n_sub <= series[m - 4]:
         raise SelectionError("N is not contained in Z_{m-4}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fp
 from .errors import CertificationError
-from .pcgroup import Element, PcGroup
+from .pcgroup import PcGroup
 from .structure import QuotientCoords, Subgroup, _conj_gen_perms, center, frattini, power_table
 
 
@@ -95,10 +95,7 @@ def verify_automorphism(f: GroupMap) -> Optional[str]:
     if bad.size:
         return f"power relation for g{bad[0] + 1} is not preserved"
     pairs = [(j, i) for j in range(2, m + 1) for i in range(1, j)]
-    x = images[[j - 1 for j, _ in pairs]]
-    y = images[[i - 1 for _, i in pairs]]
-    # [x, y] = (y x)^-1 (x y)
-    lhs = G.mul_indices(G.inv_table()[G.mul_indices(y, x)], G.mul_indices(x, y))
+    lhs = G.comm_indices(images[[j - 1 for j, _ in pairs]], images[[i - 1 for _, i in pairs]])
     rhs = table[[G._word_index(G.pres.commutator(j, i)) for j, i in pairs]]
     bad = np.nonzero(lhs != rhs)[0]
     if bad.size:
@@ -138,8 +135,8 @@ def _conj_columns(group: PcGroup) -> np.ndarray:
     return cols
 
 
-def find_conjugating_element(f: GroupMap) -> Optional[Element]:
-    """The index-least g with conjugation by g equal to f, or None.
+def find_conjugating_element(f: GroupMap) -> Optional[int]:
+    """The least index g with conjugation by g equal to f, or None.
 
     Witnesses come in whole center-cosets, so scanning every element is
     the same search as one representative per Z(G)-coset.
@@ -150,9 +147,7 @@ def find_conjugating_element(f: GroupMap) -> Optional[Element]:
     for k in range(G.ngens):
         mask &= cols[k] == f.image_indices[k]
     hits = np.nonzero(mask)[0]
-    if hits.size:
-        return G.vec(int(hits[0]))
-    return None
+    return int(hits[0]) if hits.size else None
 
 
 def inner_search_size(group: PcGroup) -> int:

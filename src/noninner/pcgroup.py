@@ -21,9 +21,8 @@ four families of overlap tests pass (`consistency_witness` returns None).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -227,10 +226,6 @@ class PcGroup:
             raise ValueError(f"generator index {i} out of range")
         return tuple(1 if k == i else 0 for k in range(1, self.ngens + 1))
 
-    @property
-    def gens(self) -> list[Element]:
-        return [self.generator(i) for i in range(1, self.ngens + 1)]
-
     def _power_value(self, g: int) -> Element:
         """Normal form of g_g**p, collected from its relation word."""
         val = self._power_values.get(g)
@@ -305,31 +300,15 @@ class PcGroup:
             y = self.mul(y, z)
         return y
 
-    def _mul_gen_any(self, x: Element, g: int, e: int) -> Element:
-        """Normal form of x * g_g**e for any integer e."""
-        q, r = divmod(e, self.p)
-        y = self._mul_gen(x, g, r)
-        if q:
-            y = self.mul(y, self.pow(self._power_value(g), q))
-        return y
-
     def _mul_word(self, x: Element, word: Word) -> Element:
+        """x times a relation word, whose exponents lie in [1, p)."""
         for k, e in word:
-            x = self._mul_gen_any(x, k, e)
+            x = self._mul_gen(x, k, e)
         return x
 
     # ------------------------------------------------------------------
-    # public arithmetic
-
-    def collect(self, word: Iterable[Sequence[int]]) -> Element:
-        """Normal form of a word given as (index, exponent) letters."""
-        x = self.identity
-        for k, e in word:
-            k = int(k)
-            if not 1 <= k <= self.ngens:
-                raise ValueError(f"generator index {k} out of range")
-            x = self._mul_gen_any(x, k, int(e))
-        return x
+    # tuple arithmetic: `mul` serves the consistency check; the pipeline
+    # calls none of these, and perfbench/tracer.py counts them by name
 
     def mul(self, x: Element, y: Element) -> Element:
         for k in range(1, self.ngens + 1):
@@ -376,13 +355,6 @@ class PcGroup:
     def comm(self, x: Element, y: Element) -> Element:
         """Commutator x^-1 y^-1 x y."""
         return self.mul(self.inv(self.mul(y, x)), self.mul(x, y))
-
-    def order_of(self, x: Element) -> int:
-        n = 1
-        while x != self.identity:
-            x = self.pow(x, self.p)
-            n *= self.p
-        return n
 
     # ------------------------------------------------------------------
     # consistency
@@ -443,11 +415,6 @@ class PcGroup:
                 f"{self.element_bound}"
             )
 
-    def elements(self) -> Iterator[Element]:
-        """All elements in index order."""
-        self._check_bound()
-        return (tuple(v) for v in itertools.product(range(self.p), repeat=self.ngens))
-
     def idx(self, x: Element) -> int:
         n = 0
         for e in x:
@@ -464,9 +431,9 @@ class PcGroup:
     # index-table arithmetic
     #
     # Arithmetic over many elements at once works on index arrays through
-    # the m generator tables T_k[i] = idx(vec(i) * g_k).  The tables are
-    # built from the relations alone, so the collector above is needed
-    # only for the consistency check and for single tuple elements.
+    # the m generator tables T_k[i] = idx(vec(i) * g_k), and single
+    # elements are indices too.  The tables are built from the relations
+    # alone, so the collector above runs only in the consistency check.
 
     def _stride(self, k: int) -> int:
         """Index of g_k, the place value of coordinate k."""
@@ -546,10 +513,15 @@ class PcGroup:
                 out[sel] = self._rtable(k)[out[sel]]
         return out
 
-    def right_mult_perm(self, y: Element) -> np.ndarray:
-        """Permutation array P with P[i] = idx(vec(i) * y)."""
+    def comm_indices(self, x, y) -> np.ndarray:
+        """Elementwise commutator [x, y] = (y x)^-1 (x y) of index arrays
+        or single indices."""
+        return self.mul_indices(self.inv_table()[self.mul_indices(y, x)], self.mul_indices(x, y))
+
+    def right_mult_perm(self, y: int) -> np.ndarray:
+        """Permutation array P with P[i] = idx(vec(i) * vec(y))."""
         self._check_bound()
-        return self.mul_indices(np.arange(self.element_count, dtype=np.int64), self.idx(y))
+        return self.mul_indices(np.arange(self.element_count, dtype=np.int64), y)
 
     def mul_idx(self, i: int, j: int) -> int:
         return int(self.mul_indices(i, j))
@@ -576,9 +548,9 @@ class PcGroup:
             self._inv_table = out
         return self._inv_table
 
-    def conj_perm(self, y: Element) -> np.ndarray:
-        """Permutation array P with P[i] = idx(y**-1 vec(i) y): from x
-        through x**-1 y and its inverse y**-1 x, by the right
+    def conj_perm(self, y: int) -> np.ndarray:
+        """Permutation array P with P[i] = idx(vec(y)**-1 vec(i) vec(y)):
+        from x through x**-1 y and its inverse y**-1 x, by the right
         multiplication by y and the inverse table, twice each."""
         it, right = self.inv_table(), self.right_mult_perm(y)
         return right[it[right[it]]]

@@ -6,7 +6,7 @@ its membership mask and a canonical induced generating sequence are
 derived from that array on demand, so equal subgroups always present
 identical bases.  Closures, series and quotient predicates work on
 index arrays through the group's generator tables and the cached table
-of p-th powers; only basis elements are exponent tuples.
+of p-th powers, and basis elements are element indices too.
 """
 
 from __future__ import annotations
@@ -16,26 +16,22 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import StructureError
-from .pcgroup import Element, PcGroup
-
-
-def leading_index(x: Element) -> Optional[int]:
-    """1-based index of the first nonzero coordinate, None for identity."""
-    for k, e in enumerate(x, start=1):
-        if e:
-            return k
-    return None
+from .pcgroup import PcGroup
 
 
 class Subgroup:
     """A subgroup given by the sorted index array of its elements (the
     identity, index 0, first).
 
-    The canonical basis has one element per pivot depth: for each depth
-    k carrying part of the subgroup, the index-smallest element with
-    leading coordinate 1 at k, reduced so that deeper pivot coordinates
-    vanish.  The basis depends only on the element set, so it is stable
-    across different ways of constructing the same subgroup.
+    The canonical basis has one element index per pivot depth: for each
+    depth k carrying part of the subgroup, the index-smallest element
+    with leading coordinate 1 at k.  Its digits at the deeper pivots
+    vanish: right-multiplying by an element of the normal subgroup
+    G_j = <g_j, ..., g_m> keeps the digits before j and adds its digit j
+    to digit j, so a nonzero digit at a deeper pivot j would be cleared
+    by a power of j's basis element, giving a smaller member.  The basis
+    depends only on the element set, so it is stable across different
+    ways of constructing the same subgroup.
     """
 
     __slots__ = ("group", "_state")
@@ -86,41 +82,26 @@ class Subgroup:
         return state.mask
 
     @property
-    def basis(self) -> tuple[Element, ...]:
-        state = self._state
-        if state.basis is None:
-            state.basis = self._canonical_basis()
-        return state.basis
+    def basis(self) -> tuple[int, ...]:
+        """Indices of the canonical basis elements, shallowest pivot first."""
+        return self._pivot_state()[1]
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(leading_index(b) for b in self.basis)  # type: ignore[misc]
+        """Depths of the basis elements' leading coordinates."""
+        return self._pivot_state()[0]
 
-    def _canonical_basis(self) -> tuple[Element, ...]:
-        G = self.group
-        p = G.p
-        depths, elements = _pivot_elements(G, self.indices)
-        chosen = {k: G.vec(x) for k, x in zip(depths.tolist(), elements.tolist())}
-        pivots = sorted(chosen)
-        # deepest first, so reducers are already in final form
-        for k in reversed(pivots):
-            b = chosen[k]
-            for k2 in pivots:
-                if k2 > k:
-                    e = b[k2 - 1]
-                    if e:
-                        b = G.mul(b, G.pow(chosen[k2], p - e))
-            chosen[k] = b
-        basis = tuple(chosen[k] for k in pivots)
-        if self.order != p ** len(basis):
-            raise ValueError(
-                f"element set of size {self.order} is not a subgroup "
-                f"(basis spans p**{len(basis)})"
-            )
-        return basis
-
-    def __contains__(self, x: Element) -> bool:
-        return bool(self.mask[self.group.idx(x)])
+    def _pivot_state(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        state = self._state
+        if state.pivots is None:
+            depths, elements = _pivot_elements(self.group, self.indices)
+            if self.order != self.group.p ** len(depths):
+                raise ValueError(
+                    f"element set of size {self.order} is not a subgroup "
+                    f"(basis spans p**{len(depths)})"
+                )
+            state.pivots = (tuple(depths.tolist()), tuple(elements.tolist()))
+        return state.pivots
 
     def __le__(self, other: "Subgroup") -> bool:
         return bool(other.mask[self.indices].all())
@@ -156,12 +137,13 @@ class _SubgroupState:
     cycle would keep the group and all its tables alive until the next
     full garbage collection."""
 
-    __slots__ = ("indices", "mask", "basis")
+    __slots__ = ("indices", "mask", "pivots")
 
     def __init__(self, indices: np.ndarray):
         self.indices = indices
         self.mask: Optional[np.ndarray] = None
-        self.basis: Optional[tuple[Element, ...]] = None
+        # (pivot depths, basis element indices)
+        self.pivots: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
 
 def _cached(group: PcGroup, key: str):
@@ -238,7 +220,7 @@ def closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
 def _conj_gen_perms(group: PcGroup) -> list[np.ndarray]:
     perms = group._cache.get("conj_gen_perms")
     if perms is None:
-        perms = [group.conj_perm(g) for g in group.gens]
+        perms = [group.conj_perm(g) for g in group.gen_indices.tolist()]
         group._cache["conj_gen_perms"] = perms
     return perms
 
@@ -291,16 +273,16 @@ def coset_min_table(group: PcGroup, sub: Subgroup) -> np.ndarray:
     return out
 
 
-def _fixed_by_conjugation(group: PcGroup, targets: Iterable[Element]) -> np.ndarray:
-    """Sorted indices of the x with x^t = x for every target t, where
-    x^t for t = g_1^e_1 ... g_m^e_m is x conjugated by g_1 e_1 times,
-    then by g_2 e_2 times, ...: gathers through `_conj_gen_perms`."""
+def _fixed_by_conjugation(group: PcGroup, targets: Iterable[int]) -> np.ndarray:
+    """Sorted indices of the x with x^t = x for every target index t,
+    where x^t for t = g_1^e_1 ... g_m^e_m is x conjugated by g_1 e_1
+    times, then by g_2 e_2 times, ...: gathers through `_conj_gen_perms`."""
     perms = _conj_gen_perms(group)
     idx = np.arange(group.element_count, dtype=np.int64)
     mask = np.ones(group.element_count, dtype=bool)
     for t in targets:
         conj = idx
-        for perm, e in zip(perms, t):
+        for perm, e in zip(perms, group.vec(int(t))):
             for _ in range(e):
                 conj = perm[conj]
         mask &= conj == idx
@@ -311,7 +293,9 @@ def center(group: PcGroup) -> Subgroup:
     """Elements fixed by conjugation with every defining generator."""
     sub = _cached(group, "center")
     if sub is None:
-        sub = _store(group, "center", Subgroup(group, _fixed_by_conjugation(group, group.gens)))
+        sub = _store(
+            group, "center", Subgroup(group, _fixed_by_conjugation(group, group.gen_indices))
+        )
     return sub
 
 
@@ -379,7 +363,7 @@ def frattini(group: PcGroup) -> Subgroup:
     sub = _cached(group, "frattini")
     if sub is None:
         derived = lower_central_series(group)[1] if group.element_count > 1 else trivial_subgroup(group)
-        powers = [group.idx(group._power_value(k)) for k in range(1, group.ngens + 1)]
+        powers = [group._word_index(group.pres.power(k)) for k in range(1, group.ngens + 1)]
         sub = _store(group, "frattini", closure(group, np.concatenate([derived.indices, powers])))
     return sub
 
@@ -388,9 +372,9 @@ def minimal_generator_count(group: PcGroup) -> int:
     return group.ngens - frattini(group).log_order
 
 
-def centralizer(group: PcGroup, targets: Iterable[Element]) -> Subgroup:
-    """Elements commuting with every target (pass a subgroup's basis to
-    centralize the subgroup), by `_fixed_by_conjugation`."""
+def centralizer(group: PcGroup, targets: Iterable[int]) -> Subgroup:
+    """Elements commuting with every target index (pass a subgroup's
+    basis to centralize the subgroup), by `_fixed_by_conjugation`."""
     return Subgroup(group, _fixed_by_conjugation(group, targets))
 
 
@@ -437,57 +421,40 @@ def quotient_is_cyclic(group: PcGroup, upper: Subgroup, lower: Subgroup) -> bool
 class QuotientCoords:
     """Coordinates on an elementary abelian quotient G/S.
 
-    The basis of S is extended to an induced generating sequence of the
-    whole group by sifting the defining generators; the exponents that
-    land on the added pivots give a homomorphism onto F_p^dim with
-    kernel S (the quotient being abelian makes the interleaved S-factors
-    drop out regardless of position).  Only the images of the defining
-    generators are kept, and they refer to no group.
+    Right-multiplying by powers of S's basis elements, pivot by pivot in
+    ascending order, clears the digits at S's pivots (see `Subgroup`)
+    and leaves the earlier digits alone, so each coset of S holds
+    exactly one element whose pivot digits vanish, and the images of the
+    other generators (the added pivots) form a basis of G/S.  The
+    coordinates of an element are the digits of its coset's
+    representative at the added pivots: a homomorphism onto F_p^dim
+    with kernel S.  Only the images of the defining generators are
+    kept, and they refer to no group.
     """
 
     def __init__(self, group: PcGroup, sub: Subgroup):
-        p = group.p
-        for j in range(2, group.ngens + 1):
-            for i in range(1, j):
-                if group.collect(group.pres.commutator(j, i)) not in sub:
-                    raise ValueError("quotient is not abelian")
-        for k in range(1, group.ngens + 1):
-            if group._power_value(k) not in sub:
-                raise ValueError("quotient does not have exponent p")
-        ext: dict[int, Element] = {}
-        for b in sub.basis:
-            ext[leading_index(b)] = b  # type: ignore[index]
-        added: list[int] = []
-        for g in group.gens:
-            x = g
-            while x != group.identity:
-                k = leading_index(x)
-                a = x[k - 1]  # type: ignore[index]
-                if k in ext:
-                    x = group.mul(x, group.pow(ext[k], p - a))
-                else:
-                    ext[k] = group.pow(x, pow(a, -1, p))
-                    added.append(k)
+        p, m = group.p, group.ngens
+        pres = group.pres
+        # relation words are normal forms, so their indices are their values
+        if not all(sub.mask[group._word_index(w)] for w in pres.commutators.values()):
+            raise ValueError("quotient is not abelian")
+        if not all(sub.mask[group._word_index(w)] for w in pres.powers.values()):
+            raise ValueError("quotient does not have exponent p")
+        places = group.gen_indices
+        reps = places.copy()
+        for k, b in zip(sub.pivots, sub.basis):
+            steps = -(reps // places[k - 1]) % p
+            for r in range(1, p):
+                sel = steps >= r
+                if not sel.any():
                     break
+                reps[sel] = group.mul_indices(reps[sel], b)
         self.p = p
-        self._places = group.gen_indices
-        self.added_pivots = tuple(sorted(added))
+        self._places = places
+        self.added_pivots = tuple(k for k in range(1, m + 1) if k not in sub.pivots)
         self.dim = len(self.added_pivots)
-        self._gen_coords = np.array(
-            [self._sift(group, ext, g) for g in group.gens], dtype=np.int64
-        ).reshape(group.ngens, self.dim)
-
-    def _sift(self, group: PcGroup, ext: dict, y: Element) -> tuple[int, ...]:
-        p = group.p
-        out = {k: 0 for k in self.added_pivots}
-        x = y
-        while x != group.identity:
-            k = leading_index(x)
-            a = x[k - 1]  # type: ignore[index]
-            if k in out:
-                out[k] = a
-            x = group.mul(group.pow(ext[k], p - a), x)
-        return tuple(out[k] for k in self.added_pivots)
+        added_places = places[[k - 1 for k in self.added_pivots]]
+        self._gen_coords = (reps.reshape(-1, 1) // added_places % p).reshape(m, self.dim)
 
     def coords(self, indices) -> np.ndarray:
         """Images in F_p^dim of the elements with the given indices, one

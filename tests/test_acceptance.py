@@ -55,6 +55,7 @@ from util_oracles import (
     b_exponent_value,
     combine,
     derivation_key,
+    elements,
     heisenberg_matrices,
     table_group_from_pcgroup,
     value_at,
@@ -78,7 +79,7 @@ def full_multiplication_table(group: PcGroup) -> np.ndarray:
     n = group.element_count
     table = np.empty((n, n), dtype=np.int64)
     for j in range(n):
-        table[:, j] = group.right_mult_perm(group.vec(j))
+        table[:, j] = group.right_mult_perm(j)
     return table
 
 
@@ -164,7 +165,7 @@ def test_derivation_group_on_heisenberg_center(heis3):
     for f in lifts:
         assert verify_automorphism(f) is None
         assert fixes_elementwise(f, z)
-        for x in G.elements():
+        for x in elements(G):
             # trivial action on G/N: x^-1 f(x) lands in N
             assert G.idx(G.mul(G.inv(x), apply_by_collector(f, x))) in z.indices
     assert time.monotonic() - start < 5.0
@@ -218,10 +219,11 @@ def test_commutator_power_congruence(eligible_ctxs):
         G = ctx.group
         p = G.p
         deep = ctx.z_deep.indices
+        a, b, c = G.vec(ctx.a), G.vec(ctx.b), G.vec(ctx.comm_a_b)
         for r in range(p):
             for s in range(p):
-                lhs = G.comm(G.pow(ctx.a, r), G.pow(ctx.b, s))
-                rhs = G.pow(ctx.comm_a_b, r * s)
+                lhs = G.comm(G.pow(a, r), G.pow(b, s))
+                rhs = G.pow(c, r * s)
                 assert G.idx(G.mul(lhs, G.inv(rhs))) in deep, (gid, r, s)
 
 
@@ -241,7 +243,7 @@ def test_cocycle_certificates_exhaustive(eligible_ctxs):
         d_a = derivation_from_a_exponent(ctx)
         assert verify_cocycle(d_b) is None, gid
         assert verify_cocycle(d_a) is None, gid
-        for x in G.elements():
+        for x in elements(G):
             assert b_exponent_value(ctx, x) == value_at(d_b, x), (gid, x)
             assert a_exponent_value(ctx, x) == value_at(d_a, x), (gid, x)
         assert time.monotonic() - start < 60.0, gid

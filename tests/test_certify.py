@@ -138,16 +138,17 @@ def test_certify_is_deterministic(eligible_groups, eligible_reports):
 
 
 def test_certify_collector_call_budget(corpus_dir, monkeypatch):
-    """Certification works on index tables, maps included; the tuple
-    collector serves only single elements, so its call count stays small
-    and exact.  Subgroups and maps are index arrays, so few indices
-    become tuples (`vec`).  Two centralizers are computed: C_G(Z(Phi))
-    for the route, and C_G(N) once for select_n and select_generators;
-    the derivation builds take Z(N) as C_G(N) meet N.  Six coset tables
-    are built: one per proper term of the upper central series (five at
-    class 5) and N's, which both derivations share, as they share the
-    representatives' exponents (one decomposition) and the powers of w
-    and [w,b] (two power lists)."""
+    """Certification works on index tables, maps and single elements
+    included: once `PcGroup(pres)` has checked the presentation, the
+    tuple collector is never called.  Subgroups, maps and the frame are
+    indices, so few of them become tuples (`vec`).  Two centralizers are
+    computed: C_G(Z(Phi)) for the route, and C_G(N) once for select_n
+    and select_generators; the derivation builds take Z(N) as C_G(N)
+    meet N.  Six coset tables are built: one per proper term of the
+    upper central series (five at class 5) and N's, which both
+    derivations share, as they share the representatives' exponents
+    (one decomposition) and the powers of w and [w,b] (two power
+    lists)."""
     import sys
 
     import noninner.cocycles as cocycles
@@ -155,15 +156,21 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
     from noninner.pcgroup import PcGroup
     from noninner.pcpfile import parse_pcp_file
 
-    names = ("mul", "vec", "centralizer", "coset_min_table", "exponents", "_powers")
+    collector = ("_mul_gen", "mul", "inv", "pow", "conj", "comm")
+    names = collector + ("vec", "centralizer", "coset_min_table", "exponents", "_powers")
     calls = dict.fromkeys(names, 0)
-    original_mul, original_vec = PcGroup.mul, PcGroup.vec
+    original_vec = PcGroup.vec
     original_exponents, original_powers = cocycles._Decomposer.exponents, cocycles._powers
     originals = {name: getattr(structure, name) for name in ("centralizer", "coset_min_table")}
 
-    def counted_mul(self, x, y):
-        calls["mul"] += 1
-        return original_mul(self, x, y)
+    def counted_collector(name):
+        original = getattr(PcGroup, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        return counted
 
     def counted_vec(self, n):
         calls["vec"] += 1
@@ -184,7 +191,8 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(PcGroup, "mul", counted_mul)
+    for name in collector:
+        monkeypatch.setattr(PcGroup, name, counted_collector(name))
     monkeypatch.setattr(PcGroup, "vec", counted_vec)
     monkeypatch.setattr(cocycles._Decomposer, "exponents", counted_exponents)
     monkeypatch.setattr(cocycles, "_powers", counted_powers)
@@ -194,12 +202,12 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
             if name.startswith("noninner") and getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, counted)
     for gid in ("g2187_a", "g2187_b", "g2187_c", "g2187_d"):
-        doc = parse_pcp_file(corpus_dir / f"{gid}.pcp")
+        group = PcGroup(parse_pcp_file(corpus_dir / f"{gid}.pcp").presentation)
         calls.update(dict.fromkeys(names, 0))
-        report = certify_group(doc.presentation, group_id=gid)
+        report = certify_group(group, group_id=gid)
         assert report.certificates is not None, gid
-        assert calls["mul"] <= 3_000, (gid, calls)
-        assert calls["vec"] <= 1_500, (gid, calls)
+        assert not any(calls[name] for name in collector), (gid, calls)
+        assert calls["vec"] <= 200, (gid, calls)
         assert calls["centralizer"] <= 2, (gid, calls)
         assert calls["coset_min_table"] <= 6, (gid, calls)
         assert calls["exponents"] <= 1, (gid, calls)

@@ -268,6 +268,20 @@ def test_audit_manifest_entry_without_file(small_corpus, capsys):
     assert by_id["wreath_81"]["status"] == "OK"
 
 
+@pytest.mark.parametrize("value", [3, None, True, ["heisenberg_3.pcp"], {"name": "x"}])
+def test_audit_manifest_file_not_a_string(small_corpus, capsys, value):
+    manifest = json.loads((small_corpus / "manifest.json").read_text())
+    manifest["groups"]["heisenberg_3"]["file"] = value
+    (small_corpus / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["audit", str(small_corpus), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    by_id = {row["group_id"]: row for row in data["results"]}
+    assert by_id["heisenberg_3"]["status"] == "MANIFEST_ERROR"
+    assert by_id["heisenberg_3"]["detail"] == 'manifest entry "file" is not a string'
+    assert by_id["dihedral_8"]["status"] == "OK"
+    assert by_id["wreath_81"]["status"] == "OK"
+
+
 @pytest.mark.parametrize(
     "error", [OrderBoundError, SelectionError, RuntimeError, CertificationError, StructureError]
 )

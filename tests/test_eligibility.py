@@ -31,6 +31,7 @@ from util_oracles import (
     central_automorphisms_by_enumeration,
     central_automorphisms_by_unique,
     inv_table_by_products,
+    order_of,
     rtables_by_masked_passes,
 )
 
@@ -134,21 +135,23 @@ def test_select_generators_frame(eligible_groups):
     for gid, G in eligible_groups.items():
         ctx = select_generators(G, select_n(G))
         p, m = G.p, G.ngens
-        assert closure(G, [G.idx(ctx.a), G.idx(ctx.b)]).order == G.element_count
-        assert ctx.a in ctx.centralizer_n
-        assert ctx.b not in ctx.centralizer_n
-        assert ctx.a not in ctx.phi
-        assert ctx.w in ctx.n_sub and ctx.w not in ctx.z1
-        assert ctx.comm_w_b == G.comm(ctx.w, ctx.b) != G.identity
-        assert ctx.comm_w_b in ctx.z1
-        assert G.order_of(ctx.w) == p
-        assert ctx.comm_a_b == G.comm(ctx.a, ctx.b)
-        assert ctx.comm_a_b in ctx.phi
-        assert ctx.comm_a_b not in ctx.z_deep
+        a, b, w = G.vec(ctx.a), G.vec(ctx.b), G.vec(ctx.w)
+        assert closure(G, [ctx.a, ctx.b]).order == G.element_count
+        assert ctx.centralizer_n.mask[ctx.a]
+        assert not ctx.centralizer_n.mask[ctx.b]
+        assert not ctx.phi.mask[ctx.a]
+        assert ctx.n_sub.mask[ctx.w] and not ctx.z1.mask[ctx.w]
+        assert G.vec(ctx.comm_w_b) == G.comm(w, b) != G.identity
+        assert ctx.z1.mask[ctx.comm_w_b]
+        assert order_of(G, w) == order_of(G, G.vec(ctx.comm_w_b)) == p
+        assert G.vec(ctx.comm_a_b) == G.comm(a, b)
+        assert ctx.phi.mask[ctx.comm_a_b]
+        assert not ctx.z_deep.mask[ctx.comm_a_b]
         assert ctx.z_deep == upper_central_series(G)[m - 4]
         summary = ctx.summary()
         assert set(summary) == {"N_basis", "a", "b", "w", "comm_a_b", "comm_w_b"}
-        assert summary["a"] == list(ctx.a)
+        assert summary["a"] == list(a)
+        assert summary["N_basis"] == [list(G.vec(x)) for x in ctx.n_sub.basis]
 
 
 def test_select_generators_rejects_wrong_shape(heis3):
@@ -282,10 +285,11 @@ def test_tables_match_whole_group_pass_builds_on_products(pres):
 
 
 def test_central_automorphisms_collector_call_budget(corpus_dir, monkeypatch):
-    """The tails are solved on index arrays: past the route decision the
-    tuple collector serves only the Frattini coordinates.  The solutions
-    are index rows, which diagnostics only counts, so hardly any index
-    becomes a tuple (`vec`)."""
+    """The tails are solved on index arrays and the Frattini coordinates
+    come from index products, so past the route decision the tuple
+    collector is never called.  The solutions are index rows, which
+    diagnostics only counts, so hardly any index becomes a tuple
+    (`vec`)."""
     from noninner.pcpfile import parse_pcp_file
 
     pres = parse_pcp_file(corpus_dir / "heis_x_c3.pcp").presentation
@@ -306,11 +310,39 @@ def test_central_automorphisms_collector_call_budget(corpus_dir, monkeypatch):
     monkeypatch.setattr(PcGroup, "mul", counted_mul)
     monkeypatch.setattr(PcGroup, "vec", counted_vec)
     assert len(central_automorphisms(G)) == 486
-    assert calls["mul"] <= 1_000, calls
+    assert calls["mul"] == 0, calls
     calls.update(mul=0, vec=0)
     assert diagnostics(fresh)["central_aut_count"] == 486
-    assert calls["mul"] <= 100, calls
+    assert calls["mul"] == 0, calls
     assert calls["vec"] <= 100, calls
+
+
+COLLECTOR = ("_mul_gen", "mul", "inv", "pow", "conj", "comm")
+
+
+def test_route_and_diagnostics_make_no_collector_calls(
+    corpus_dir, manifest, probe_5_7_path, monkeypatch
+):
+    """Routing and diagnostics work on index tables alone: once the
+    presentation is checked, no tuple collector function runs."""
+    from noninner.pcpfile import parse_pcp_file
+
+    paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
+    groups = {path.name: PcGroup(parse_pcp_file(path).presentation) for path in sorted(paths)}
+    groups["probe_5_7"] = PcGroup(parse_pcp_file(probe_5_7_path).presentation)
+    calls = dict.fromkeys(COLLECTOR, 0)
+    for name in COLLECTOR:
+        original = getattr(PcGroup, name)
+
+        def counted(self, *args, name=name, original=original):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(PcGroup, name, counted)
+    for gid, G in groups.items():
+        decide_route(G)
+        diagnostics(G)
+        assert not any(calls.values()), (gid, calls)
 
 
 def test_central_automorphisms_match_unique_dedup(corpus_groups, probe_5_7):

@@ -37,9 +37,11 @@ from util_oracles import (
     canonical_basis_by_scan,
     centralizer_by_mult_perms,
     coset_min_table_by_elements,
+    elements,
     is_elementary_abelian_by_pairs,
     lower_central_series_by_elements,
     omega1_by_pow,
+    order_of,
     quotient_is_cyclic_by_scan,
     subgroup_tuples,
     table_group_from_pcgroup,
@@ -97,7 +99,7 @@ def test_series_against_oracle_and_frozen_profile(profiled):
 def test_element_orders_against_oracle(heis5):
     oracle = table_group_from_pcgroup(heis5)
     for i in range(heis5.element_count):
-        assert heis5.order_of(heis5.vec(i)) == int(oracle.element_orders[i])
+        assert order_of(heis5, heis5.vec(i)) == int(oracle.element_orders[i])
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +117,10 @@ def test_closure_and_normality_in_dihedral(corpus_dihedral):
     big = normal_closure(G, [G.idx(g1)])
     assert big.order == 4
     assert is_normal(G, big)
-    assert g1 in big
+    assert big.mask[G.idx(g1)]
     assert tiny < big and tiny <= big and not big <= tiny
 
-    cent = centralizer(G, [g1])
+    cent = centralizer(G, [G.idx(g1)])
     oracle_cent = frozenset(
         x for x in range(oracle.n) if oracle.conj(G.idx(g1), x) == G.idx(g1)
     )
@@ -128,7 +130,7 @@ def test_closure_and_normality_in_dihedral(corpus_dihedral):
 
 def test_centralizer_of_everything_is_center(corpus_wreath):
     G = corpus_wreath
-    assert centralizer(G, G.gens) == center(G)
+    assert centralizer(G, G.gen_indices) == center(G)
     assert centralizer(G, []) == whole_group(G)
 
 
@@ -154,14 +156,14 @@ def test_subgroup_basics(corpus_groups):
         assert center_of(G, whole) == z, gid
         assert center_of(G, z) == z, gid  # abelian subgroup is its own centre
         # basis regenerates the subgroup
-        assert closure(G, [G.idx(b) for b in z.basis]) == z, gid
+        assert closure(G, z.basis) == z, gid
         assert len(whole.basis) == whole.log_order == G.ngens, gid
         # the relations agree with those of plain sets of indices
         subs = _named_subgroups(G)
         sets = [as_set(s) for s in subs]
         for a, sa in zip(subs, sets):
             assert len(sa) == a.order, gid
-            assert [G.vec(i) in a for i in range(G.element_count)] == [
+            assert [bool(a.mask[i]) for i in range(G.element_count)] == [
                 i in sa for i in range(G.element_count)
             ], gid
             for b, sb in zip(subs, sets):
@@ -177,7 +179,8 @@ def test_subgroup_scans_match_tuple_oracles(corpus_groups):
     for gid, G in corpus_groups.items():
         power = functools.cache(lambda x, G=G: G.pow(x, G.p))
         for sub in _named_subgroups(G):
-            assert sub.basis == canonical_basis_by_scan(G, sub), (gid, sub)
+            basis = tuple(G.vec(b) for b in sub.basis)
+            assert basis == canonical_basis_by_scan(G, sub), (gid, sub)
             assert omega1(G, sub) == omega1_by_pow(G, sub, power), (gid, sub)
             assert _is_elementary_abelian(G, sub) == is_elementary_abelian_by_pairs(
                 G, sub, power
@@ -187,6 +190,18 @@ def test_subgroup_scans_match_tuple_oracles(corpus_groups):
                 assert quotient_is_cyclic(G, upper, lower) == quotient_is_cyclic_by_scan(
                     G, upper, lower, power
                 ), (gid, upper, lower)
+
+
+def test_basis_vanishes_at_the_other_pivots(corpus_groups, probe_5_7):
+    """Each basis element has leading digit 1 at its own pivot and digit
+    0 at every other pivot, on every series term."""
+    for gid, G in dict(corpus_groups, probe_5_7=probe_5_7).items():
+        for sub in upper_central_series(G) + lower_central_series(G):
+            assert len(sub.pivots) == len(sub.basis) == sub.log_order, (gid, sub)
+            for k, b in zip(sub.pivots, sub.basis):
+                x = G.vec(b)
+                assert x[:k] == (0,) * (k - 1) + (1,), (gid, sub, x)
+                assert all(x[j - 1] == 0 for j in sub.pivots if j != k), (gid, sub, x)
 
 
 def test_coset_min_table_properties(heis3):
@@ -224,7 +239,7 @@ def test_heisenberg_quotients(heis3):
 def test_normal_closure_matches_closure_for_normal_seed(corpus_wreath):
     G = corpus_wreath
     derived = lower_central_series(G)[1]
-    assert normal_closure(G, [G.idx(b) for b in derived.basis]) == derived
+    assert normal_closure(G, derived.basis) == derived
     assert is_normal(G, derived)
 
 
@@ -246,7 +261,7 @@ SMALL_IDS = ["dihedral_8", "heisenberg_3", "heisenberg_5", "wreath_81", "heis_x_
 def test_quotient_exponent_matches_tuple_power_scan(corpus_groups):
     for gid in SMALL_IDS:
         G = corpus_groups[gid]
-        powers = [G.idx(G.pow(x, G.p)) for x in G.elements()]
+        powers = [G.idx(G.pow(x, G.p)) for x in elements(G)]
         assert power_table(G).tolist() == powers, gid
         subs = upper_central_series(G) + lower_central_series(G) + [frattini(G)]
         for sub in subs:
@@ -312,21 +327,30 @@ def test_upper_central_series_mul_indices_budget(
         assert calls["mul_indices"] <= 10 * G.ngens, (path.name, calls)
 
 
-def test_frattini_coords_are_a_homomorphism_with_kernel_phi(corpus_groups):
-    for gid in SMALL_IDS:
-        G = corpus_groups[gid]
+def test_frattini_coords_are_a_homomorphism_with_kernel_phi(corpus_groups, probe_5_7):
+    """Every x of a small group against every 20th y; on the larger
+    groups 300 seeded pairs.  Products come from the tuple collector."""
+    rng = np.random.default_rng(7)
+    for gid, G in dict(corpus_groups, probe_5_7=probe_5_7).items():
         phi = frattini(G)
         qc = QuotientCoords(G, phi)
         assert G.p**qc.dim * phi.order == G.element_count, gid
-        els = list(G.elements())
-        coords = qc.coords(np.arange(G.element_count))
-        assert coords.shape == (G.element_count, qc.dim), gid
-        for i, x in enumerate(els):
-            assert np.array_equal(qc.coords(i), coords[i : i + 1]), (gid, x)
-            assert (not coords[i].any()) == (x in phi), (gid, x)
-            for y in els[:: max(1, len(els) // 20)]:
-                expected = (coords[i] + coords[G.idx(y)]) % G.p
-                assert np.array_equal(coords[G.idx(G.mul(x, y))], expected), (gid, x, y)
+        assert qc.added_pivots == tuple(
+            k for k in range(1, G.ngens + 1) if k not in phi.pivots
+        ), gid
+        n = G.element_count
+        coords = qc.coords(np.arange(n))
+        assert coords.shape == (n, qc.dim), gid
+        assert np.array_equal(~coords.any(axis=1), phi.mask), gid
+        if gid in SMALL_IDS:
+            pairs = [(i, j) for i in range(n) for j in range(0, n, max(1, n // 20))]
+        else:
+            pairs = rng.integers(0, n, size=(300, 2)).tolist()
+        for i, j in pairs:
+            assert np.array_equal(qc.coords(i), coords[i : i + 1]), (gid, i)
+            expected = (coords[i] + coords[j]) % G.p
+            product = G.idx(G.mul(G.vec(i), G.vec(j)))
+            assert np.array_equal(coords[product], expected), (gid, i, j)
 
 
 def test_lower_central_series_matches_element_oracle(corpus_groups, probe_5_7):
@@ -343,7 +367,7 @@ def test_center_and_centralizers_match_mult_perm_oracle(corpus_groups, probe_5_7
     and of Z(Phi)."""
     cases = dict(corpus_groups, probe_5_7=probe_5_7)
     for gid, G in cases.items():
-        assert center(G) == centralizer_by_mult_perms(G, G.gens), gid
+        assert center(G) == centralizer_by_mult_perms(G, G.gen_indices), gid
         phi = frattini(G)
         subs = upper_central_series(G) + lower_central_series(G) + [phi, center_of(G, phi)]
         for sub in subs:

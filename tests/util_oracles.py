@@ -9,7 +9,9 @@ library's own types (maps, derivations, coset tables) that the program
 itself does not need: the tests use them as reference values and as
 oracles for the faster routines that replace them.  The `_by_collector`
 versions evaluate maps on exponent tuples with the recursive collector,
-independently of the index tables the library uses.
+independently of the index tables the library uses, with the tuple
+helpers `elements`, `gens`, `collect` and `order_of` that the library
+does not need.
 """
 
 from __future__ import annotations
@@ -34,6 +36,34 @@ from noninner.structure import (
     normal_closure,
     whole_group,
 )
+
+
+def elements(group: PcGroup) -> list[Element]:
+    """All elements as exponent tuples, in index order."""
+    return [tuple(v) for v in product(range(group.p), repeat=group.ngens)]
+
+
+def gens(group: PcGroup) -> list[Element]:
+    """The defining generators as exponent tuples."""
+    return [group.generator(i) for i in range(1, group.ngens + 1)]
+
+
+def collect(group: PcGroup, word) -> Element:
+    """Normal form of a word of (index, exponent) letters, any integer
+    exponents, by the tuple collector."""
+    x = group.identity
+    for k, e in word:
+        x = group.mul(x, group.pow(group.generator(int(k)), int(e)))
+    return x
+
+
+def order_of(group: PcGroup, x: Element) -> int:
+    """Order of x, by repeated p-th powers with the tuple collector."""
+    n = 1
+    while x != group.identity:
+        x = group.pow(x, group.p)
+        n *= group.p
+    return n
 
 
 class TableGroup:
@@ -221,8 +251,7 @@ def table_group_from_pcgroup(group) -> TableGroup:
     TableGroup then serves as an oracle for the library's structural
     functions.
     """
-    elements = list(group.elements())
-    return TableGroup(elements, group.mul)
+    return TableGroup(elements(group), group.mul)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +264,7 @@ def identity_map(group: PcGroup) -> GroupMap:
 
 def inner_map(group: PcGroup, g: Element) -> GroupMap:
     """Conjugation x -> g^-1 x g as a GroupMap."""
-    return GroupMap(group, [group.idx(group.conj(gen, g)) for gen in group.gens])
+    return GroupMap(group, [group.idx(group.conj(gen, g)) for gen in gens(group)])
 
 
 def image_tuples(f: GroupMap) -> list[Element]:
@@ -271,7 +300,7 @@ def verify_automorphism_by_collector(f: GroupMap) -> Optional[str]:
     for j in range(2, G.ngens + 1):
         for i in range(1, j):
             lhs = G.comm(images[j - 1], images[i - 1])
-            rhs = apply_by_collector(f, G.collect(G.pres.commutator(j, i)))
+            rhs = apply_by_collector(f, collect(G, G.pres.commutator(j, i)))
             if lhs != rhs:
                 return f"commutator relation [g{j}, g{i}] is not preserved"
     qc = _frattini_coords(G)
@@ -297,7 +326,8 @@ def verify_cocycle_by_rows(d: Derivation):
     """`verify_cocycle` one representative g2 at a time: the products in
     Z(N) and the conjugates of Z(N) by every representative come from
     whole-array products, and each g2 checks all g1 with one array
-    product; same counterexample (least g2, then least g1)."""
+    product; same counterexample of element indices (least g2, then
+    least g1)."""
     G = d.group
     ct = d.coset_table
     reps = ct.rep_indices
@@ -319,12 +349,7 @@ def verify_cocycle_by_rows(d: Derivation):
         bad = np.nonzero(lhs != rhs)[0]
         if bad.size:
             t1 = int(bad[0])
-            return (
-                G.vec(int(reps[t1])),
-                G.vec(r2),
-                G.vec(int(zn_idx[lhs[t1]])),
-                G.vec(int(zn_idx[rhs[t1]])),
-            )
+            return (int(reps[t1]), r2, int(zn_idx[lhs[t1]]), int(zn_idx[rhs[t1]]))
     return None
 
 
@@ -337,16 +362,16 @@ def derivation_key(d: Derivation) -> tuple:
 def b_exponent_value(ctx, g: Element) -> Element:
     """w^i * [w,b]^(i(i-1)/2) where i is the b-exponent of g, by the
     tuple collector with exact integer exponents."""
-    i, j, t = coset_exponents(ctx, g)
     G = ctx.group
-    return G.mul(G.pow(ctx.w, i), G.pow(ctx.comm_w_b, (i * (i - 1)) // 2))
+    i, j, t = coset_exponents(ctx, G.idx(g))
+    return G.mul(G.pow(G.vec(ctx.w), i), G.pow(G.vec(ctx.comm_w_b), (i * (i - 1)) // 2))
 
 
 def a_exponent_value(ctx, g: Element) -> Element:
     """w^j * [w,b]^(ij + t) where i, j, t are the exponents of g."""
-    i, j, t = coset_exponents(ctx, g)
     G = ctx.group
-    return G.mul(G.pow(ctx.w, j), G.pow(ctx.comm_w_b, i * j + t))
+    i, j, t = coset_exponents(ctx, G.idx(g))
+    return G.mul(G.pow(G.vec(ctx.w), j), G.pow(G.vec(ctx.comm_w_b), i * j + t))
 
 
 def combine(d1: Derivation, d2: Derivation) -> Derivation:
@@ -381,7 +406,7 @@ def all_derivations(
             f"{zn.order}^{G.ngens} candidate assignments exceed bound {bound}"
         )
     zn_elems = [G.vec(int(i)) for i in zn.indices]
-    gen_perms = [G.right_mult_perm(g) for g in G.gens]
+    gen_perms = [G.right_mult_perm(g) for g in G.gen_indices.tolist()]
     identity_rep = int(ct.min_table[0])
     results: List[Derivation] = []
     seen: set = set()
@@ -394,7 +419,7 @@ def all_derivations(
             gr = values[r]
             for k in range(G.ngens):
                 r2 = int(ct.min_table[gen_perms[k][r]])
-                val = G.mul(G.conj(gr, G.gens[k]), combo[k])
+                val = G.mul(G.conj(gr, G.generator(k + 1)), combo[k])
                 known = values.get(r2)
                 if known is None:
                     values[r2] = val
@@ -423,7 +448,7 @@ def central_automorphisms_by_enumeration(group: PcGroup) -> np.ndarray:
     z_elems = [G.vec(int(i)) for i in z.indices]
     rows = []
     for combo in itertools.product(z_elems, repeat=G.ngens):
-        images = [G.idx(G.mul(gen, combo[k])) for k, gen in enumerate(G.gens)]
+        images = [G.idx(G.mul(gen, combo[k])) for k, gen in enumerate(gens(G))]
         if verify_automorphism_by_collector(GroupMap(G, images)) is None:
             rows.append(images)
     return np.array(rows, dtype=np.int64).reshape(-1, G.ngens)
@@ -519,9 +544,7 @@ def coset_min_table_by_elements(group: PcGroup, sub: Subgroup) -> np.ndarray:
     """`coset_min_table` as a running minimum of the right-multiplication
     permutations of every element of `sub`: one whole-group product per
     element, O(|G|) memory."""
-    return functools.reduce(
-        np.minimum, (group.right_mult_perm(s) for s in subgroup_tuples(group, sub))
-    )
+    return functools.reduce(np.minimum, (group.right_mult_perm(s) for s in sub.indices.tolist()))
 
 
 def canonical_basis_by_scan(group: PcGroup, sub: Subgroup) -> tuple[Element, ...]:
@@ -594,11 +617,11 @@ def quotient_is_cyclic_by_scan(
 # generator conjugation permutations replaced
 
 
-def left_mult_perm(group: PcGroup, y: Element) -> np.ndarray:
-    """Permutation array P with P[i] = idx(y * vec(i)), through the
+def left_mult_perm(group: PcGroup, y: int) -> np.ndarray:
+    """Permutation array P with P[i] = idx(vec(y) * vec(i)), through the
     right-multiplication tables by (y x)**-1 = x**-1 y**-1."""
     it = group.inv_table()
-    return it[group.right_mult_perm(group.inv(y))[it]]
+    return it[group.right_mult_perm(int(it[y]))[it]]
 
 
 def lower_central_series_by_elements(group: PcGroup) -> list[Subgroup]:
@@ -607,7 +630,7 @@ def lower_central_series_by_elements(group: PcGroup) -> list[Subgroup]:
     defining generator: one product per element and generator."""
     G = group
     inv_t = G.inv_table()
-    perms = [G.conj_perm(g) for g in G.gens]
+    perms = [G.conj_perm(g) for g in G.gen_indices.tolist()]
     series = [whole_group(G)]
     while series[-1].order > 1:
         x = series[-1].indices
@@ -623,12 +646,12 @@ def conj_columns_by_products(group: PcGroup) -> np.ndarray:
     """Rows D[k - 1, i] = idx(vec(i)^-1 g_k vec(i)), each one whole-group
     product of the inverse table with a left-multiplication permutation."""
     inv_t = group.inv_table()
-    return np.array([group.mul_indices(inv_t, left_mult_perm(group, g)) for g in group.gens])
+    return np.array([group.mul_indices(inv_t, left_mult_perm(group, g)) for g in group.gen_indices])
 
 
 def centralizer_by_mult_perms(group: PcGroup, targets) -> Subgroup:
-    """Elements x with x t = t x for every target t, by comparing the
-    right- and left-multiplication permutations of t."""
+    """Elements x with x t = t x for every target index t, by comparing
+    the right- and left-multiplication permutations of t."""
     mask = np.ones(group.element_count, dtype=bool)
     for t in targets:
         mask &= group.right_mult_perm(t) == left_mult_perm(group, t)

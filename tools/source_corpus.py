@@ -48,6 +48,7 @@ from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.pcpfile import parse_pcp, serialize_pcp
 from noninner.structure import (
     lower_central_series,
+    power_table,
     upper_central_series,
 )
 
@@ -329,8 +330,7 @@ def convert_and_check(cg: ConcreteGroup, p: int) -> PcGroup:
     group = PcGroup(pres, validate=True)
     if group.element_count != cg.order:
         raise RuntimeError("order mismatch after conversion")
-    pc_hist = Counter(group.order_of(x) for x in group.elements())
-    if pc_hist != cg.order_histogram():
+    if order_histogram(group) != cg.order_histogram():
         raise RuntimeError("element-order histogram mismatch after conversion")
     return group
 
@@ -339,13 +339,24 @@ def convert_and_check(cg: ConcreteGroup, p: int) -> PcGroup:
 # fingerprints (isomorphism separation for the kept groups)
 
 
+def order_histogram(group: PcGroup) -> Counter:
+    """Element orders, by repeated p-th powers through the power table."""
+    powers = power_table(group)
+    orders = np.ones(group.element_count, dtype=np.int64)
+    y = np.arange(group.element_count, dtype=np.int64)
+    while y.any():
+        orders[y != 0] *= group.p
+        y = powers[y]
+    return Counter(orders.tolist())
+
+
 def fingerprint(group: PcGroup) -> dict:
-    hist = Counter(group.order_of(x) for x in group.elements())
+    hist = order_histogram(group)
     ucs = [s.order for s in upper_central_series(group)]
     lcs = [s.order for s in lower_central_series(group)]
     # conjugacy class count: orbits under conjugation by generators
     n = group.element_count
-    perms = [group.conj_perm(g) for g in group.gens]
+    perms = [group.conj_perm(g) for g in group.gen_indices.tolist()]
     seen = np.zeros(n, dtype=bool)
     classes = 0
     for i in range(n):
