@@ -17,6 +17,12 @@ indices.
 A presentation with these shape constraints always yields a terminating
 collection procedure; it defines a group of order p**m exactly when the
 four families of overlap tests pass (`consistency_witness` returns None).
+
+The program computes on indices only: the overlap tests by memoised
+single-index steps, and everything else through generator tables built
+from the relations.  The recursive tuple collector (`_mul_gen`, `mul`,
+`inv`, ...) is the tests' independent reference and is on no program
+path.
 """
 
 from __future__ import annotations
@@ -209,6 +215,7 @@ class PcGroup:
         self._rtables: list = []
         self._inv_table: Optional[np.ndarray] = None
         self._cache: dict = {}
+        self._steps: list[dict[int, int]] = [{} for _ in range(pres.ngens + 1)]
         if validate:
             witness = self.consistency_witness()
             if witness is not None:
@@ -256,7 +263,7 @@ class PcGroup:
 
     def _conj_genpow(self, j: int, g: int, e: int) -> Element:
         """Normal form of g_j conjugated by g_g**e, for j > g, 0 <= e < p;
-        memoised, as the consistency check asks for each about ten times."""
+        memoised, as a collection asks for the same conjugates often."""
         z = self._conj_cache.get((j, g, e))
         if z is None:
             z = self.generator(j)
@@ -307,8 +314,8 @@ class PcGroup:
         return x
 
     # ------------------------------------------------------------------
-    # tuple arithmetic: `mul` serves the consistency check; the pipeline
-    # calls none of these, and perfbench/tracer.py counts them by name
+    # tuple arithmetic: the tests' reference arithmetic; the program calls
+    # none of these, and perfbench/tracer.py counts them by name
 
     def mul(self, x: Element, y: Element) -> Element:
         for k in range(1, self.ngens + 1):
@@ -367,39 +374,118 @@ class PcGroup:
         overlaps g_j**p with g_i and g_j with g_i**p for j > i, and
         g_i * g_i**p vs g_i**p * g_i.  All pass exactly when normal
         forms are unique, i.e. the group has order p**ngens.
+
+        Both sides are evaluated on indices by `_index_steps`, which needs
+        no table, so the check runs above `element_bound`.  Every step is
+        a sequence of rule applications: equal sides join the critical
+        pair, and unequal sides are two irreducible forms of one word.
         """
-        m = self.ngens
-        p = self.p
+        m, p = self.ngens, self.p
+        step, times = self._index_steps()
+        s = [self._stride(k) for k in range(m + 1)]
+        power = [self._word_index(self.pres.power(k)) for k in range(m + 1)]
+
+        def witness(kind, gens, lhs, rhs):
+            return ConsistencyWitness(kind, gens, self.vec(lhs), self.vec(rhs))
+
         for k in range(3, m + 1):
             for j in range(2, k):
                 for i in range(1, j):
-                    u = self._mul_gen(self.generator(j), i, 1)
-                    lhs = self.mul(self.generator(k), u)
-                    v = self._mul_gen(self.generator(k), j, 1)
-                    rhs = self._mul_gen(v, i, 1)
+                    lhs = times(s[k], step(s[j], i, 1))
+                    rhs = step(step(s[k], j, 1), i, 1)
                     if lhs != rhs:
-                        return ConsistencyWitness("assoc", (k, j, i), lhs, rhs)
+                        return witness("assoc", (k, j, i), lhs, rhs)
         for j in range(2, m + 1):
             for i in range(1, j):
-                pj = self._power_value(j)
-                lhs = self._mul_gen(pj, i, 1)
-                u = self._mul_gen(self.generator(j), i, 1)
-                gj_pm1 = tuple(p - 1 if t == j else 0 for t in range(1, m + 1))
-                rhs = self.mul(gj_pm1, u)
+                u = step(s[j], i, 1)
+                lhs = step(power[j], i, 1)
+                rhs = times((p - 1) * s[j], u)
                 if lhs != rhs:
-                    return ConsistencyWitness("power_left", (j, i), lhs, rhs)
-                pi = self._power_value(i)
-                lhs = self.mul(self.generator(j), pi)
-                rhs = self._mul_gen(u, i, p - 1)
+                    return witness("power_left", (j, i), lhs, rhs)
+                lhs = times(s[j], power[i])
+                rhs = step(u, i, p - 1)
                 if lhs != rhs:
-                    return ConsistencyWitness("power_right", (j, i), lhs, rhs)
+                    return witness("power_right", (j, i), lhs, rhs)
         for i in range(1, m + 1):
-            pi = self._power_value(i)
-            lhs = self.mul(self.generator(i), pi)
-            rhs = self._mul_gen(pi, i, 1)
+            lhs = times(s[i], power[i])
+            rhs = step(power[i], i, 1)
             if lhs != rhs:
-                return ConsistencyWitness("power_self", (i,), lhs, rhs)
+                return witness("power_self", (i,), lhs, rhs)
         return None
+
+    def _index_steps(self):
+        """The collector's rewriting on single indices, as two functions:
+        `step(x, k, e)` = idx(vec(x) * g_k**e) for 1 <= e < p, and
+        `times(x, y)` = idx(vec(x) * vec(y)), one step per letter of y.
+
+        G_k = <g_k, ..., g_m> is normal, so a step leaves the coordinates
+        of x before k alone, and it is memoised in `_steps[k]` on the tail
+        t = x mod p s_k (s_k the stride of g_k) and e, under the key
+        t p + e.  With t = g_k^d v, v in G_(k+1),
+        t g_k^e = g_k^(d+e) v^(g_k^e): the digit d + e is reduced mod p, a
+        carry appending the power word of g_k, and each letter g_l of v is
+        then pushed as its conjugate by g_k^e, found by e rounds of
+        replacing each letter g_n with g_n [g_n, g_k].  Every push is a
+        step at a deeper generator, so the recursion is at most m deep.
+        These are the tuple collector's rules in its order, so on an
+        inconsistent presentation both reach the same normal forms.
+        """
+        p, m = self.p, self.ngens
+        strides = [self._stride(k) for k in range(m + 1)]
+        power = [self._word_index(self.pres.power(k)) for k in range(m + 1)]
+        commutator = self.pres.commutator
+        memos = self._steps
+        conjugates: dict[tuple[int, int, int], list] = {}
+
+        def letters(x):
+            out = []
+            k = m
+            while x:
+                x, e = divmod(x, p)
+                if e:
+                    out.append((k, e))
+                k -= 1
+            out.reverse()
+            return out
+
+        def step(x, k, e):
+            s = strides[k]
+            t = x % (p * s)
+            memo = memos[k]
+            y = memo.get(t * p + e)
+            if y is None:
+                d, v = divmod(t, s)
+                carry, d = divmod(d + e, p)
+                y = d * s + carry * power[k]
+                for l, a in letters(v):
+                    z = conjugate(l, k, e)
+                    for _ in range(a):
+                        for n, c in z:
+                            y = step(y, n, c)
+                memo[t * p + e] = y
+            return x - t + y
+
+        def conjugate(l, k, e):
+            z = conjugates.get((l, k, e))
+            if z is None:
+                z = [(l, 1)]
+                for _ in range(e):
+                    y = 0
+                    for n, a in z:
+                        for _ in range(a):
+                            y = step(y, n, 1)
+                            for n2, c in commutator(n, k):
+                                y = step(y, n2, c)
+                    z = letters(y)
+                conjugates[(l, k, e)] = z
+            return z
+
+        def times(x, y):
+            for k, e in letters(y):
+                x = step(x, k, e)
+            return x
+
+        return step, times
 
     # ------------------------------------------------------------------
     # indexed view
@@ -433,7 +519,7 @@ class PcGroup:
     # Arithmetic over many elements at once works on index arrays through
     # the m generator tables T_k[i] = idx(vec(i) * g_k), and single
     # elements are indices too.  The tables are built from the relations
-    # alone, so the collector above runs only in the consistency check.
+    # alone, without the tuple collector.
 
     def _stride(self, k: int) -> int:
         """Index of g_k, the place value of coordinate k."""

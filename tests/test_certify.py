@@ -139,9 +139,10 @@ def test_certify_is_deterministic(eligible_groups, eligible_reports):
 
 def test_certify_collector_call_budget(corpus_dir, monkeypatch):
     """Certification works on index tables, maps and single elements
-    included: once `PcGroup(pres)` has checked the presentation, the
-    tuple collector is never called.  Subgroups, maps and the frame are
-    indices, so few of them become tuples (`vec`).  Two centralizers are
+    included: from a presentation, the consistency check of
+    `PcGroup(pres)` included, the tuple collector is never called.
+    Subgroups, maps and the frame are indices, so few of them become
+    tuples (`vec`).  Two centralizers are
     computed: C_G(Z(Phi)) for the route, and C_G(N) once for select_n
     and select_generators; the derivation builds take Z(N) as C_G(N)
     meet N.  Six coset tables are built: one per proper term of the
@@ -202,9 +203,9 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
             if name.startswith("noninner") and getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, counted)
     for gid in ("g2187_a", "g2187_b", "g2187_c", "g2187_d"):
-        group = PcGroup(parse_pcp_file(corpus_dir / f"{gid}.pcp").presentation)
+        pres = parse_pcp_file(corpus_dir / f"{gid}.pcp").presentation
         calls.update(dict.fromkeys(names, 0))
-        report = certify_group(group, group_id=gid)
+        report = certify_group(pres, group_id=gid)
         assert report.certificates is not None, gid
         assert not any(calls[name] for name in collector), (gid, calls)
         assert calls["vec"] <= 200, (gid, calls)

@@ -362,3 +362,26 @@ def test_entry_raises_systemexit(corpus_dir, capsys, monkeypatch):
         entry()
     assert exc.value.code == 0
     assert "dihedral_8: consistent" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli(corpus_dir):
+    """`python -m noninner` is the same command as `noninner`."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import noninner
+
+    env = dict(os.environ)
+    src = str(Path(noninner.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "noninner", "validate", corpus_path(corpus_dir, "g2187_a")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "g2187_a: consistent" in done.stdout

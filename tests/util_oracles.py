@@ -8,10 +8,10 @@ The helpers after it are plain constructions and enumerations over the
 library's own types (maps, derivations, coset tables) that the program
 itself does not need: the tests use them as reference values and as
 oracles for the faster routines that replace them.  The `_by_collector`
-versions evaluate maps on exponent tuples with the recursive collector,
-independently of the index tables the library uses, with the tuple
-helpers `elements`, `gens`, `collect` and `order_of` that the library
-does not need.
+versions evaluate maps and the consistency check on exponent tuples with
+the recursive collector, independently of the index tables and index
+steps the library uses, with the tuple helpers `elements`, `gens`,
+`collect` and `order_of` that the library does not need.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from noninner import fp
 from noninner.cocycles import CosetTable, Derivation, coset_exponents, verify_cocycle
 from noninner.errors import OrderBoundError
 from noninner.maps import GroupMap, _frattini_coords
-from noninner.pcgroup import Element, PcGroup
+from noninner.pcgroup import ConsistencyWitness, Element, PcGroup
 from noninner.structure import (
     Subgroup,
     center,
@@ -64,6 +64,41 @@ def order_of(group: PcGroup, x: Element) -> int:
         x = group.pow(x, group.p)
         n *= group.p
     return n
+
+
+def consistency_witness_by_collector(group: PcGroup) -> Optional[ConsistencyWitness]:
+    """`PcGroup.consistency_witness` evaluated with the tuple collector:
+    the same four overlap families in the same order, the first failure
+    returned with its two normal forms."""
+    m, p = group.ngens, group.p
+    g = group.generator
+    for k in range(3, m + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                u = group._mul_gen(g(j), i, 1)
+                lhs = group.mul(g(k), u)
+                rhs = group._mul_gen(group._mul_gen(g(k), j, 1), i, 1)
+                if lhs != rhs:
+                    return ConsistencyWitness("assoc", (k, j, i), lhs, rhs)
+    for j in range(2, m + 1):
+        for i in range(1, j):
+            u = group._mul_gen(g(j), i, 1)
+            lhs = group._mul_gen(group._power_value(j), i, 1)
+            gj_pm1 = tuple(p - 1 if t == j else 0 for t in range(1, m + 1))
+            rhs = group.mul(gj_pm1, u)
+            if lhs != rhs:
+                return ConsistencyWitness("power_left", (j, i), lhs, rhs)
+            lhs = group.mul(g(j), group._power_value(i))
+            rhs = group._mul_gen(u, i, p - 1)
+            if lhs != rhs:
+                return ConsistencyWitness("power_right", (j, i), lhs, rhs)
+    for i in range(1, m + 1):
+        pi = group._power_value(i)
+        lhs = group.mul(g(i), pi)
+        rhs = group._mul_gen(pi, i, 1)
+        if lhs != rhs:
+            return ConsistencyWitness("power_self", (i,), lhs, rhs)
+    return None
 
 
 class TableGroup:
