@@ -349,13 +349,14 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
     p, m = G.p, G.ngens
     z_idx = center(G).indices
     nz = len(z_idx)
-    # powers[e][c] is the index of z^e for the c-th element z of Z
-    powers = [np.zeros(nz, dtype=np.int64)]
-    for _ in range(p):
-        powers.append(G.mul_indices(powers[-1], z_idx))
     starting: dict[int, list] = {}
     for word in G.pres.commutators.values():
         starting.setdefault(word[0][0], []).append(word)
+    # powers[e][c] is the index of z^e for the c-th element z of Z, for p
+    # and each exponent of a relation word
+    words = [*G.pres.powers.values(), *G.pres.commutators.values()]
+    exponents = {p} | {e for word in words for _, e in word}
+    powers = {e: G.pow_indices(z_idx, e) for e in sorted(exponents)}
 
     def value(word, pos: np.ndarray, k: int) -> np.ndarray:
         """prod_l z_l^e_l(word) for every tuple, where pos[:, l - k] is

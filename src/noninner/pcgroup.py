@@ -19,10 +19,10 @@ collection procedure; it defines a group of order p**m exactly when the
 four families of overlap tests pass (`consistency_witness` returns None).
 
 The program computes on indices only: the overlap tests by memoised
-single-index steps, and everything else through generator tables built
-from the relations.  The recursive tuple collector (`_mul_gen`, `mul`,
-`inv`, ...) is the tests' independent reference and is on no program
-path.
+single-index steps, and everything else through the generators' power
+ladders, built from the relations.  The recursive tuple collector
+(`_mul_gen`, `mul`, `inv`, ...) is the tests' independent reference and
+is on no program path.
 """
 
 from __future__ import annotations
@@ -59,13 +59,14 @@ def _normalize_word(word: Iterable[Sequence[int]]) -> Word:
     return tuple(out)
 
 
-def _push(tables: list, idx: np.ndarray, word: Iterable[tuple[int, int]]) -> np.ndarray:
-    """idx right-multiplied entrywise by a normal word of (k, e)
-    letters, one gather through T_k per unit of e."""
-    for k, e in word:
-        for _ in range(e):
-            idx = tables[k][idx]
-    return idx
+# Radix of the power ladders (see `PcGroup._tables`).  Every prime p <= 7
+# is a single base-8 digit, so there (every eligible group, every corpus
+# group) a product gathers once per coordinate.  A larger p takes one gather
+# per base-8 place, ceil(log_8 p) of them, through at most 8 ceil(log_8 p)
+# blocks per generator: at p = 313 that is 3 gathers over 19 blocks, where
+# radix 4 would take 5 gathers over 14 blocks and radix 16 the same 3 gathers
+# over 32 blocks.
+_RADIX = 8
 
 
 class PcPresentation:
@@ -213,6 +214,8 @@ class PcGroup:
         self._conj_cache: dict[tuple[int, int], Element] = {}
         self._power_values: dict[int, Element] = {}
         self._rtables: list = []
+        self._ladders: list = []
+        self._offsets: list = []
         self._inv_table: Optional[np.ndarray] = None
         self._cache: dict = {}
         self._steps: list[dict[int, int]] = [{} for _ in range(pres.ngens + 1)]
@@ -516,10 +519,15 @@ class PcGroup:
     # ------------------------------------------------------------------
     # index-table arithmetic
     #
-    # Arithmetic over many elements at once works on index arrays through
-    # the m generator tables T_k[i] = idx(vec(i) * g_k), and single
-    # elements are indices too.  The tables are built from the relations
-    # alone, without the tuple collector.
+    # Arithmetic over many elements at once works on index arrays, and
+    # single elements are indices too.  Every product reads the power
+    # ladders of the generators: the ladder of g_k holds, one block of |G|
+    # entries each, the tables of x -> x g_k**(e 8**j) for every base-8
+    # place j of the exponents below p and every digit e, and beside it one
+    # offset table per place maps each index i to the start of the block
+    # of the place-j digit of coordinate k of i.  Block 1 is the generator
+    # table T_k[i] = idx(vec(i) * g_k).  The ladders are built from the
+    # relations alone, without the tuple collector.
 
     def _stride(self, k: int) -> int:
         """Index of g_k, the place value of coordinate k."""
@@ -547,6 +555,19 @@ class PcGroup:
                 ys = heads + e * s
                 yield k, ys, ys - s
 
+    def _ladder_places(self) -> list[tuple[int, np.ndarray]]:
+        """One (first block, digits) pair per base-8 place j with
+        8**j < p: digits[d] is the place-j digit of d for 0 <= d < p, and
+        digit e >= 1 has block first + e - 1 of every ladder.  Block 0 is
+        the identity, which every place shares."""
+        places, first, weight = [], 1, 1
+        while weight < self.p:
+            digits = np.resize(np.repeat(np.arange(_RADIX), weight), self.p)
+            places.append((first, digits))
+            first += int(digits.max())
+            weight *= _RADIX
+        return places
+
     def _tables(self) -> list:
         """The generator tables, T_k at position k, built by last-letter
         levels, deepest generator first.  Where x has no letter beyond
@@ -554,21 +575,53 @@ class PcGroup:
         clears it and appends the power word of g_k.  Otherwise x = x' g_l
         with last letter l > k, and x g_k = (x' g_k) g_l^(g_k), where
         g_l^(g_k) = g_l [g_l, g_k] is a normal word beyond k: the entry of
-        the parent x', an earlier level, pushed through its letters' tables.
+        the parent x', an earlier level, pushed through its letters'
+        ladders.
+
+        T_k is built in place as block 1 of the ladder of g_k, and the
+        ladder is completed before the next generator: within a place,
+        block e is T_k**(8**j) applied to block e - 1, and the first block
+        of a place, g_k**(8**j) = g_k**(8**(j-1)) g_k**(7 * 8**(j-1)), is
+        the previous place's first block applied to its last.  The offset
+        tables repeat each digit's block start over the stride of g_k and
+        tile that over the coordinates before k.
         """
         if not self._rtables:
-            p, m = self.p, self.ngens
+            p, m, n = self.p, self.ngens, self.element_count
             levels = list(self._last_letter_levels())
+            places = self._ladder_places()
+            blocks = places[-1][0] + int(places[-1][1].max())
+            dtype = np.min_scalar_type(blocks * n)
+            starts = [
+                np.where(digits > 0, (first + digits - 1) * n, 0).astype(dtype)
+                for first, digits in places
+            ]
+            self._ladders = [None] * (m + 1)
+            self._offsets = [None] * (m + 1)
             tables: list = [None] * (m + 1)
             for k in range(m, 0, -1):
                 s = self._stride(k)
-                cur = np.empty(self.element_count, dtype=np.int64)
-                cur[::s] = np.arange(s, self.element_count + s, s)
+                ladder = np.empty(blocks * n, dtype=np.int64)
+                block = [ladder[b * n : (b + 1) * n] for b in range(blocks)]
+                block[0][:] = np.arange(n)
+                cur = block[1]
+                cur[::s] = np.arange(s, n + s, s)
                 cur[(p - 1) * s :: p * s] += self._word_index(self.pres.power(k)) - p * s
                 for last, ys, parents in levels:
                     if last > k:
-                        conj_word = ((last, 1),) + self.pres.commutator(last, k)
-                        cur[ys] = _push(tables, cur[parents], conj_word)
+                        comm = self._word_index(self.pres.commutator(last, k))
+                        cur[ys] = self._push(cur[parents], self._stride(last) + comm, last)
+                # the gathered entries are indices below n, so "clip" never
+                # acts; the default "raise" would copy each block through a
+                # buffer, about a third of the probe's table build
+                for j, (first, digits) in enumerate(places):
+                    if j:
+                        prev = places[j - 1][0]
+                        np.take(block[prev], block[first - 1], out=block[first], mode="clip")
+                    for b in range(first + 1, first + int(digits.max())):
+                        np.take(block[first], block[b - 1], out=block[b], mode="clip")
+                self._ladders[k] = ladder
+                self._offsets[k] = [np.tile(np.repeat(t, s), p ** (k - 1)) for t in starts]
                 tables[k] = cur
             self._rtables = tables
         return self._rtables
@@ -577,27 +630,52 @@ class PcGroup:
         """Index table for right multiplication by g_g."""
         return self._tables()[g]
 
+    def _push(self, idx: np.ndarray, y: int, first: int) -> np.ndarray:
+        """idx right-multiplied entrywise by the element of index y, whose
+        coordinates before `first` are 0: one gather per nonzero base-8
+        digit of each later coordinate, through that digit's block."""
+        n = self.element_count
+        for k in range(first, self.ngens + 1):
+            ladder = self._ladders[k]
+            for offsets in self._offsets[k]:
+                start = int(offsets[y])
+                if start:
+                    idx = ladder[start : start + n].take(idx)
+        return idx
+
     def mul_indices(self, a, b) -> np.ndarray:
         """Elementwise product of index arrays, idx(vec(a[i]) * vec(b[i])).
 
         `b` may also be a single index, which then multiplies every entry
-        of `a`.  Each coordinate k of b is applied as that many steps
-        through the table of g_k, masked to the entries whose coordinate
-        k is at least the step.
+        of `a`.  Coordinate k of b is applied through the power ladder of
+        g_k, one gather per base-8 place: an array b picks each entry's
+        block by the offset table, and a single b gathers only through the
+        blocks of its nonzero digits.  At p <= 7 that is one gather per
+        coordinate.
         """
+        self._tables()
         b = np.asarray(b, dtype=np.int64)
         if b.ndim == 0:
-            word = enumerate(self.vec(int(b)), start=1)
-            return _push(self._tables(), np.array(a, dtype=np.int64), word)
-        out = np.array(np.broadcast_to(a, b.shape), dtype=np.int64)
-        for k in range(1, self.ngens + 1):
-            digit = (b // self._stride(k)) % self.p
-            for r in range(1, self.p):
-                sel = digit >= r
-                if not sel.any():
-                    break
-                out[sel] = self._rtable(k)[out[sel]]
+            return self._push(np.array(a, dtype=np.int64), int(b), 1)
+        out = np.asarray(a, dtype=np.int64)
+        for ladder, places in zip(self._ladders[1:], self._offsets[1:]):
+            for offsets in places:
+                out = ladder.take(offsets.take(b) + out)
         return out
+
+    def pow_indices(self, x, e: int) -> np.ndarray:
+        """Elementwise power x**e, e >= 0, of an index array or a single
+        index, by square and multiply: bit_length(e) - 1 squarings and
+        popcount(e) - 1 products."""
+        base = np.array(x, dtype=np.int64)
+        out = None
+        while e:
+            if e & 1:
+                out = base if out is None else self.mul_indices(out, base)
+            e >>= 1
+            if e:
+                base = self.mul_indices(base, base)
+        return np.zeros_like(base) if out is None else out
 
     def comm_indices(self, x, y) -> np.ndarray:
         """Elementwise commutator [x, y] = (y x)^-1 (x y) of index arrays
@@ -625,12 +703,11 @@ class PcGroup:
             out = np.zeros(self.element_count, dtype=np.int64)
             for k in range(self.ngens, 0, -1):
                 s = self._stride(k)
-                power_inv = out[self._word_index(self.pres.power(k))]
-                word = list(enumerate(self.vec(int(power_inv)), start=1))
+                power_inv = int(out[self._word_index(self.pres.power(k))])
                 cur = out[:s]
                 for e in range(self.p - 1, 0, -1):
                     cur = tables[k][cur]
-                    out[e * s : (e + 1) * s] = _push(tables, cur, word)
+                    out[e * s : (e + 1) * s] = self._push(cur, power_inv, k + 1)
             self._inv_table = out
         return self._inv_table
 

@@ -176,14 +176,12 @@ def whole_group(group: PcGroup) -> Subgroup:
 
 
 def power_table(group: PcGroup) -> np.ndarray:
-    """Array P with P[i] = idx(vec(i)**p), built once per group."""
+    """Array P with P[i] = idx(vec(i)**p), built once per group by
+    square and multiply."""
     table = group._cache.get("power_table")
     if table is None:
         group._check_bound()
-        x = np.arange(group.element_count, dtype=np.int64)
-        table = x
-        for _ in range(group.p - 1):
-            table = group.mul_indices(table, x)
+        table = group.pow_indices(np.arange(group.element_count, dtype=np.int64), group.p)
         group._cache["power_table"] = table
     return table
 

@@ -352,3 +352,37 @@ def test_central_automorphisms_match_unique_dedup(corpus_groups, probe_5_7):
     for gid, G in cases.items():
         expected = central_automorphisms_by_unique(G)
         assert np.array_equal(central_automorphisms(G), expected), gid
+
+
+def test_large_prime_conditions_array_product_budget(tmp_path, monkeypatch, capsys):
+    """On C313 x C313 (97 969 elements) routing and diagnostics make at
+    most 20 array products (13 made) before the tail solve stops at the
+    element bound: the powers of Z are taken only for p and the exponents
+    of relation words, by square and multiply (p array products over Z
+    before, and one masked pass per unit of each coordinate in each)."""
+    from noninner import cli
+    from noninner.errors import OrderBoundError
+    from noninner.pcpfile import parse_pcp_file
+
+    path = tmp_path / "c313_squared.pcp"
+    path.write_text("pcp 1\nprime 313\nngens 2\n")
+    calls = {"array": 0}
+    original = PcGroup.mul_indices
+
+    def counted(self, a, b):
+        calls["array"] += np.ndim(b) > 0
+        return original(self, a, b)
+
+    monkeypatch.setattr(PcGroup, "mul_indices", counted)
+    G = PcGroup(parse_pcp_file(path).presentation, validate=False)
+    assert decide_route(G).route is Route.NOT_COCLASS_2
+    message = (
+        "central automorphisms: 97969 tail tuples times |Z| = 97969 "
+        "exceed the element bound 100000"
+    )
+    with pytest.raises(OrderBoundError) as exc:
+        diagnostics(G)
+    assert str(exc.value) == message
+    assert calls["array"] <= 20, calls
+    assert cli.main(["conditions", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,5 +1,8 @@
 """Collection engine: presentation validation, group laws, consistency."""
 
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +14,9 @@ from util_oracles import (
     elements,
     gens,
     inv_table_by_products,
+    mul_indices_by_masked_passes,
     order_of,
+    pow_indices_by_products,
     rtables_by_masked_passes,
 )
 
@@ -300,48 +305,188 @@ def test_tables_match_whole_group_pass_builds(corpus_groups, probe_5_7):
 
 
 def test_table_builds_make_no_array_products(corpus_dir, manifest, probe_5_7_path, monkeypatch):
-    """On a fresh group the m generator tables and the inverse table are
-    gathers through earlier entries: no `mul_indices` call with an array
-    right factor (the inverse table by cancellation made m)."""
-    import numpy as np
-
+    """On a fresh group the power ladders, with the m generator tables in
+    them, and the inverse table are gathers through earlier entries: no
+    `mul_indices` call at all (the inverse table by cancellation made m
+    with an array right factor), at C313 x C313 too."""
     from noninner.pcpfile import parse_pcp_file
 
-    calls = {"array": 0}
+    calls = {"mul_indices": 0}
     original = PcGroup.mul_indices
 
     def counted(self, a, b):
-        calls["array"] += np.ndim(b) > 0
+        calls["mul_indices"] += 1
         return original(self, a, b)
 
     monkeypatch.setattr(PcGroup, "mul_indices", counted)
     paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
-    for path in sorted(paths) + [probe_5_7_path]:
-        G = PcGroup(parse_pcp_file(path).presentation, validate=False)
+    cases = {path.name: parse_pcp_file(path).presentation for path in sorted(paths)}
+    cases["probe_5_7"] = parse_pcp_file(probe_5_7_path).presentation
+    cases["c313_squared"] = PcPresentation(313, 2)
+    for gid, pres in cases.items():
+        G = PcGroup(pres, validate=False)
         for k in range(1, G.ngens + 1):
             G._rtable(k)
         G.inv_table()
-        assert calls["array"] == 0, (path.name, calls)
+        assert all(ladder is not None for ladder in G._ladders[1:]), gid
+        assert calls["mul_indices"] == 0, (gid, calls)
 
 
-@settings(max_examples=40, deadline=None)
+def test_power_ladder_shape(corpus_groups, probe_5_7):
+    """Each ladder holds one identity block and, per base-8 place j with
+    8**j < p, one block per nonzero digit: at most 8 ceil(log_8 p)
+    blocks.  T_k is its block 1, not a copy.  The offset tables point each
+    index at the block of its digit, and the block of digit e at place j
+    is T_k applied e 8**j times."""
+    import numpy as np
+
+    cases = dict(corpus_groups, probe_5_7=probe_5_7, c313_squared=wide_group("c313_squared"))
+    for gid, G in cases.items():
+        p, n = G.p, G.element_count
+        places = 1
+        while 8**places < p:
+            places += 1
+        blocks = 1 + sum(min(7, (p - 1) // 8**j) for j in range(places))
+        assert blocks <= 8 * places
+        idx = np.arange(n)
+        for k in range(1, G.ngens + 1):
+            table = G._rtable(k)
+            ladder = G._ladders[k]
+            assert ladder.size == blocks * n, (gid, k)
+            assert np.shares_memory(table, ladder), (gid, k)
+            assert len(G._offsets[k]) == places, (gid, k)
+            digit = idx // G._stride(k) % p
+            cur, first = idx, 1
+            for j, offsets in enumerate(G._offsets[k]):
+                place_digit = digit // 8**j % 8
+                starts = np.where(place_digit > 0, (first + place_digit - 1) * n, 0)
+                assert np.array_equal(offsets, starts), (gid, k, j)
+                first += min(7, (p - 1) // 8**j)
+            for d in range(1, p):
+                cur = table[cur]
+                j = 0
+                while d % 8 ** (j + 1) == 0:
+                    j += 1
+                if d < 8 ** (j + 1):  # d = e 8**j with 1 <= e < 8
+                    start = int(G._offsets[k][j][d * G._stride(k)])
+                    assert np.array_equal(ladder[start : start + n], cur), (gid, k, d)
+
+
+def test_pow_indices_match_products(corpus_groups, probe_5_7):
+    """Square and multiply equals e - 1 products: the table of p-th powers
+    on every corpus group and the probe, and a seeded sample of C313 x C313
+    at p and other exponents."""
+    import numpy as np
+
+    from noninner.structure import power_table
+
+    cases = dict(corpus_groups, probe_5_7=probe_5_7)
+    for gid, G in cases.items():
+        x = np.arange(G.element_count)
+        expected = pow_indices_by_products(G, x, G.p)
+        assert np.array_equal(G.pow_indices(x, G.p), expected), gid
+        assert np.array_equal(power_table(G), expected), gid
+        for e in (1, 2, 2 * G.p + 1):
+            assert np.array_equal(G.pow_indices(x, e), pow_indices_by_products(G, x, e)), (gid, e)
+        assert not G.pow_indices(x, 0).any()
+    G = wide_group("c313_squared")
+    x = np.random.default_rng(15).integers(0, G.element_count, 200)
+    for e in (2, 7, 64, 312, 313, 314):
+        assert np.array_equal(G.pow_indices(x, e), pow_indices_by_products(G, x, e)), e
+    assert int(G.pow_indices(int(x[0]), 313)) == 0
+
+
+def _class_two(rng, p: int, top: int, central: int) -> PcPresentation:
+    """A seeded class-2 presentation: the powers and commutators of the
+    first `top` generators are random words in the last `central`
+    generators, which are central of order p (always consistent)."""
+    m = top + central
+
+    def word():
+        return [(k, rng.randrange(1, p)) for k in range(top + 1, m + 1) if rng.random() < 0.5]
+
+    powers = {i: word() for i in range(1, top + 1)}
+    commutators = {(j, i): word() for j in range(2, top + 1) for i in range(1, j)}
+    return PcPresentation(p, m, powers, commutators)
+
+
+def _wide_presentations() -> dict:
+    rng = random.Random(13)
+    return {
+        "c313_squared": PcPresentation(313, 2),
+        "heisenberg_43": PcPresentation(43, 3, commutators={(2, 1): [(3, 1)]}),
+        "chain_11_4": PcPresentation(11, 4, commutators={(2, 1): [(3, 1)], (3, 1): [(4, 1)]}),
+        "class_two_2_16": _class_two(rng, 2, 8, 8),
+        "class_two_7_5": _class_two(rng, 7, 3, 2),
+        "power_word_5_3": PcPresentation(
+            5, 3, powers={1: [(3, 1)]}, commutators={(2, 1): [(3, 2)]}
+        ),
+    }
+
+
+WIDE = sorted(_wide_presentations())
+
+
+@functools.lru_cache(maxsize=None)
+def wide_group(gid: str) -> PcGroup:
+    """Groups at p in {2, 5, 7, 11, 43, 313}, with several base-8 places
+    in the exponents from p = 11 on; each is checked consistent."""
+    return PcGroup(_wide_presentations()[gid])
+
+
+def _check_products(G, a, b):
+    """mul_indices against the collector and the masked-pass oracle, for
+    1-D and 2-D right factors and single left and right factors."""
+    import numpy as np
+
+    def collected(i, j):
+        return G.idx(G.mul(G.vec(int(i)), G.vec(int(j))))
+
+    product = G.mul_indices(a, b)
+    assert product.tolist() == [collected(i, j) for i, j in zip(a, b)]
+    assert np.array_equal(mul_indices_by_masked_passes(G, a, b), product)
+    # 2-D right factors, against a 2-D and a broadcast 1-D left factor
+    b2 = np.stack([b, b[::-1]])
+    expected = [product.tolist(), [collected(i, j) for i, j in zip(a, b[::-1])]]
+    assert G.mul_indices(np.stack([a, a]), b2).tolist() == expected
+    assert G.mul_indices(a, b2).tolist() == expected
+    assert np.array_equal(mul_indices_by_masked_passes(G, a, b2), G.mul_indices(a, b2))
+    # a single left factor multiplies into every entry
+    assert G.mul_indices(int(a[0]), b).tolist() == [collected(a[0], j) for j in b]
+    # a single right factor multiplies every entry
+    single = G.mul_indices(a, int(b[0]))
+    assert single.tolist() == [collected(i, b[0]) for i in a]
+    assert np.array_equal(single, mul_indices_by_masked_passes(G, a, np.full_like(a, b[0])))
+    assert G.mul_idx(int(a[0]), int(b[0])) == product[0]
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["dihedral_8", "heisenberg_5", "wreath_81", "g2187_c"]),
+    st.sampled_from(["dihedral_8", "heisenberg_5", "wreath_81", "g2187_c", *WIDE]),
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=25),
 )
 def test_array_product_matches_mul(corpus_groups, gid, pairs):
     import numpy as np
 
-    G = corpus_groups[gid]
+    G = corpus_groups[gid] if gid in corpus_groups else wide_group(gid)
     a = np.array([i % G.element_count for i, _ in pairs], dtype=np.int64)
     b = np.array([j % G.element_count for _, j in pairs], dtype=np.int64)
-    expected = [G.idx(G.mul(G.vec(int(i)), G.vec(int(j)))) for i, j in zip(a, b)]
-    assert G.mul_indices(a, b).tolist() == expected
-    # a single right factor multiplies every entry
-    assert G.mul_indices(a, int(b[0])).tolist() == [
-        G.idx(G.mul(G.vec(int(i)), G.vec(int(b[0])))) for i in a
-    ]
-    assert G.mul_idx(int(a[0]), int(b[0])) == expected[0]
+    _check_products(G, a, b)
+
+
+def test_array_product_matches_mul_at_every_prime():
+    """Every wide group, seeded: the identity and the last element among
+    random factors, so the top digit of each coordinate is exercised."""
+    import numpy as np
+
+    rng = np.random.default_rng(14)
+    for gid in WIDE:
+        G = wide_group(gid)
+        n = G.element_count
+        a = np.r_[0, n - 1, rng.integers(0, n, 30)]
+        b = np.r_[n - 1, 0, rng.integers(0, n, 30)]
+        _check_products(G, a, b)
+        _check_products(G, b, a)
 
 
 def test_consistency_check_collector_budget(corpus_dir, manifest, probe_5_7_path, monkeypatch):

@@ -738,3 +738,34 @@ def inv_table_by_products(group: PcGroup) -> np.ndarray:
         out += step
         cur = group.mul_indices(cur, step)
     return out
+
+
+# ---------------------------------------------------------------------------
+# index products and powers by unit steps, which the power ladders and
+# square-and-multiply replaced
+
+
+def mul_indices_by_masked_passes(group: PcGroup, a, b) -> np.ndarray:
+    """The array product idx(vec(a[i]) * vec(b[i])) with each coordinate
+    k of b applied as that many steps through the table of g_k, masked
+    to the entries whose coordinate k is at least the step: up to p - 1
+    masked passes per coordinate."""
+    b = np.asarray(b, dtype=np.int64)
+    out = np.array(np.broadcast_to(a, b.shape), dtype=np.int64)
+    for k in range(1, group.ngens + 1):
+        digit = (b // group._stride(k)) % group.p
+        for r in range(1, group.p):
+            sel = digit >= r
+            if not sel.any():
+                break
+            out[sel] = group._rtable(k)[out[sel]]
+    return out
+
+
+def pow_indices_by_products(group: PcGroup, x, e: int) -> np.ndarray:
+    """Elementwise x**e, e >= 1, by e - 1 array products with x."""
+    x = np.asarray(x, dtype=np.int64)
+    out = x
+    for _ in range(e - 1):
+        out = group.mul_indices(out, x)
+    return out
