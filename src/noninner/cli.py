@@ -44,6 +44,7 @@ from .pcpfile import parse_pcp_file
 from .report import report_to_dict, report_to_json, report_to_text
 from .structure import (
     coclass,
+    derived_subgroup,
     frattini,
     lower_central_series,
     nilpotency_class,
@@ -116,7 +117,7 @@ def _cmd_series(args) -> int:
     print(f"class   {nilpotency_class(group)} (coclass {coclass(group)})")
     print("upper central series orders:", [s.order for s in ucs])
     print("lower central series orders:", [s.order for s in lcs])
-    print("derived subgroup order:", lcs[1].order)
+    print("derived subgroup order:", derived_subgroup(group).order)
     print("Frattini subgroup order:", frattini(group).order)
     return EXIT_OK
 

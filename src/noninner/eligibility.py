@@ -17,23 +17,19 @@ from typing import Optional
 
 import numpy as np
 
-from . import fp
 from .errors import OrderBoundError, SelectionError
-from .maps import _frattini_coords
+from .maps import _frattini_coords, generates
 from .pcgroup import PcGroup
 from .structure import (
     Subgroup,
     center,
     center_of,
     centralizer,
-    closure,
     coclass,
+    derived_subgroup,
     frattini,
-    intersection,
     is_normal,
-    lower_central_series,
     minimal_generator_count,
-    nilpotency_class,
     omega1,
     power_table,
     quotient_exponent_is_p,
@@ -146,9 +142,10 @@ def select_n(group: PcGroup) -> Subgroup:
     Z < N < Z_2, N of rank 2 and exponent p, and C_G(N) maximal.
 
     If Z_2 is elementary abelian (rank 3) the candidates are the p+1
-    subgroups generated by Z and one element of Z_2 outside Z; ties break
-    to the candidate with the least sorted element-index tuple.  If Z_2
-    has an element of order p^2 the choice is forced: N = Omega_1(Z_2).
+    subgroups generated by Z and one element x of Z_2 outside Z, each
+    built as the p cosets Z x^e; ties break to the candidate with the
+    least sorted element-index tuple.  If Z_2 has an element of order
+    p^2 the choice is forced: N = Omega_1(Z_2).
     """
     p = group.p
     series = upper_central_series(group)
@@ -160,20 +157,24 @@ def select_n(group: PcGroup) -> Subgroup:
             f"second center has order {z2.order}, expected {p**3}"
         )
     if not power_table(group)[z2.indices].any():
-        # Z_2 has exponent p and Z is central of order p, so <Z, x> has
-        # order p^2 and is the candidate of each of its elements outside Z
-        candidates: list[Subgroup] = []
+        # Z_2 has exponent p and Z is central of order p, so <Z, x> is
+        # elementary abelian of order p^2, the union of the cosets Z x^e,
+        # and is the candidate of each of its elements outside Z
+        candidates: list[np.ndarray] = []
         covered = z1.mask.copy()
         for x in z2.indices.tolist():
             if covered[x]:
                 continue
-            cand = closure(group, np.append(z1.indices, x))
-            covered |= cand.mask
-            if cand.order == p * p and _is_elementary_abelian(group, cand):
-                candidates.append(cand)
-        if not candidates:
-            raise SelectionError("no rank-2 exponent-p subgroup between Z and Z_2")
-        n_sub = min(candidates, key=lambda s: s.indices.tolist())
+            cosets = [z1.indices]
+            for _ in range(p - 1):
+                cosets.append(group.mul_indices(cosets[-1], x))
+            # np.sort, as np.unique would import numpy.ma (about 1.7 MB)
+            cand = np.sort(np.concatenate(cosets))
+            if (cand[1:] == cand[:-1]).any():
+                raise SelectionError("cosets of Z in <Z, x> are not disjoint")
+            covered[cand] = True
+            candidates.append(cand)
+        n_sub = Subgroup(group, min(candidates, key=lambda c: c.tolist()))
     else:
         n_sub = omega1(group, z2)
     # Verification of everything the construction relies on.
@@ -249,7 +250,8 @@ def select_generators(group: PcGroup, n_sub: Subgroup) -> SelectionContext:
     b: index-least element outside C_G(N); a: index-least element of
     C_G(N) outside Phi; w: index-least element of N outside Z with
     [w, b] != 1.  All structural facts the construction uses are checked
-    here; any failure raises SelectionError.
+    here; any failure raises SelectionError.  That a and b generate G is
+    checked modulo Phi (`generates`), without building <a, b>.
     """
     p = group.p
     m = group.ngens
@@ -294,7 +296,7 @@ def select_generators(group: PcGroup, n_sub: Subgroup) -> SelectionContext:
     comm_a_b = int(group.comm_indices(a, b))
     comm_w_b = int(group.comm_indices(w, b))
 
-    if closure(group, [a, b]).order != group.element_count:
+    if not generates(group, [a, b]):
         raise SelectionError("a and b do not generate the group")
     z_deep = series[m - 4]
     if not phi.mask[comm_a_b] or z_deep.mask[comm_a_b]:
@@ -338,9 +340,9 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
     (k = m, ..., 1): step k adds every choice of z_k to the tuples
     (z_(k+1), ..., z_m) kept so far, then keeps those that satisfy the
     power relation of g_k and each commutator relation whose word starts
-    at g_k.  A solution is an automorphism when its images have full rank
-    modulo the Frattini subgroup; the rank is taken once per distinct
-    coordinate matrix.
+    at g_k.  A solution is an automorphism when its images generate
+    (`generates`), which is decided once per distinct coordinate matrix
+    modulo the Frattini subgroup.
 
     Raises OrderBoundError when a step would hold more tuples than the
     group's element bound.
@@ -383,22 +385,19 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
             keep &= value(word, pos, k) == 0
         rows = rows[keep]
     rows = rows[np.lexsort(rows.T[::-1])]
+    # z_k is central, so z_k g_k is the image g_k z_k
+    images = G.mul_indices(rows, np.broadcast_to(G.gen_indices, rows.shape))
 
     qc = _frattini_coords(G)
     # row k of a tuple's coordinate matrix is coords(g_k) + coords(z_k), so
     # the codes of the z_k (coordinate rows read base p) fix the matrix;
     # the all-identity tuple always solves, so there is a first code row
-    gen_coords, z_coords = qc.coords(G.gen_indices), qc.coords(z_idx)
     pos = np.searchsorted(z_idx, rows)
-    codes = (z_coords @ p ** np.arange(qc.dim, dtype=np.int64))[pos]
+    codes = (qc.coords(z_idx) @ p ** np.arange(qc.dim, dtype=np.int64))[pos]
     order = np.lexsort(codes.T[::-1])
     first = np.r_[True, (codes[order[1:]] != codes[order[:-1]]).any(axis=1)]
-    full = np.array(
-        [fp.rank((gen_coords + z_coords[pos[r]]) % p, p) == qc.dim for r in order[first]]
-    )
-    rows = rows[np.sort(order[full[np.cumsum(first) - 1]])]
-    # z_k is central, so z_k g_k is the image g_k z_k
-    return G.mul_indices(rows, np.broadcast_to(G.gen_indices, rows.shape))
+    full = np.array([generates(G, images[r]) for r in order[first]])
+    return images[np.sort(order[full[np.cumsum(first) - 1]])]
 
 
 def diagnostics(group: PcGroup) -> dict:
@@ -413,7 +412,7 @@ def diagnostics(group: PcGroup) -> dict:
       Deaconescu-Silberberg already provide a noninner automorphism of
       order p fixing Phi(G) elementwise.
     """
-    derived = lower_central_series(group)[1]
+    derived = derived_subgroup(group)
     z1 = center(group)
     phi = frattini(group)
     z_phi = center_of(group, phi)

@@ -74,6 +74,14 @@ def _frattini_coords(group: PcGroup) -> QuotientCoords:
     return qc
 
 
+def generates(group: PcGroup, indices) -> bool:
+    """Whether the elements with the given indices generate the group.
+    By Burnside's basis theorem they do exactly when their images span
+    G/Phi(G), that is when their Frattini coordinates have full rank."""
+    qc = _frattini_coords(group)
+    return fp.rank(qc.coords(indices), group.p) == qc.dim
+
+
 def verify_automorphism(f: GroupMap) -> Optional[str]:
     """None when f is an automorphism, else a failure reason.
 
@@ -82,8 +90,7 @@ def verify_automorphism(f: GroupMap) -> Optional[str]:
     evaluated at once on index arrays, the right-hand side through f's
     table, and the first failure in the order g1, ..., gm, then [g2, g1],
     [g3, g1], [g3, g2], ... is reported.  Bijectivity: the images must
-    generate, which for a p-group reduces to full rank modulo the
-    Frattini subgroup.
+    generate (`generates`).
     """
     G = f.group
     m = G.ngens
@@ -101,8 +108,7 @@ def verify_automorphism(f: GroupMap) -> Optional[str]:
     if bad.size:
         j, i = pairs[bad[0]]
         return f"commutator relation [g{j}, g{i}] is not preserved"
-    qc = _frattini_coords(G)
-    if fp.rank(qc.coords(images), G.p) != qc.dim:
+    if not generates(G, images):
         return "images do not generate the group"
     return None
 

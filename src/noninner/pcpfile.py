@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import InconsistentPresentationError, PcpSyntaxError
-from .pcgroup import PcGroup, PcPresentation, Word
+from .pcgroup import PcGroup, PcPresentation, Word, _is_prime
 
 _TOKEN = re.compile(r"\S+")
 _ID_COMMENT = re.compile(r"^#\s*id:\s*(\S+)\s*$")
@@ -127,6 +127,8 @@ def parse_pcp(
                     lineno, toks[0][1], "second line must be 'prime <p>'"
                 )
             p = _parse_int(toks[1][0], lineno, toks[1][1], "a prime")
+            if not _is_prime(p):
+                raise PcpSyntaxError(lineno, toks[1][1], f"p must be prime, got {p}")
             header_stage = 2
             continue
         if header_stage == 2:
@@ -135,6 +137,8 @@ def parse_pcp(
                     lineno, toks[0][1], "third line must be 'ngens <m>'"
                 )
             ngens = _parse_int(toks[1][0], lineno, toks[1][1], "a generator count")
+            if ngens < 1:
+                raise PcpSyntaxError(lineno, toks[1][1], f"ngens must be >= 1, got {ngens}")
             header_stage = 3
             continue
 

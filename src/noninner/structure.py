@@ -316,15 +316,32 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
     return _store(group, "ucs", series)
 
 
+def _relation_closure(group: PcGroup, key: str, words) -> Subgroup:
+    """Normal closure of relation words, cached under `key`.  The words
+    are normal forms, so their indices are their values."""
+    sub = _cached(group, key)
+    if sub is None:
+        sub = _store(group, key, normal_closure(group, [group._word_index(w) for w in words]))
+    return sub
+
+
+def derived_subgroup(group: PcGroup) -> Subgroup:
+    """G' as the normal closure of the commutator relation words, the
+    normal forms of the [g_j, g_i]: modulo it the defining generators
+    commute, and every commutator lies in G'."""
+    return _relation_closure(group, "derived", group.pres.commutators.values())
+
+
 def lower_central_series(group: PcGroup) -> list[Subgroup]:
-    """[G = term_1, term_2, ..., 1], strictly descending.
+    """[G = term_1, term_2, ..., 1], strictly descending, with
+    term_2 = `derived_subgroup`.
 
     For H = <X>, [H, G] is the normal closure of the [x, g_k] over x in
     X and the defining generators g_k: modulo it every x commutes with
     every g_k, so H is central.  The r pivot elements of a term (see
     `_pivot_elements`) have distinct leading depths, with coordinate 1
     there, so their p^r normal-form products are distinct: they generate
-    the term, and each step takes the normal closure of m * r
+    the term, and each later step takes the normal closure of m * r
     commutators [x, g_k] = x^-1 x^(g_k).
     """
     series = _cached(group, "lcs")
@@ -335,9 +352,12 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
     series = [whole_group(group)]
     while series[-1].order > 1:
         cur = series[-1]
-        x = _pivot_elements(group, cur.indices)[1]
-        comms = group.mul_indices(inv_t[x], np.array([perm[x] for perm in perms]))
-        nxt = normal_closure(group, comms.ravel())
+        if len(series) == 1:
+            nxt = derived_subgroup(group)
+        else:
+            x = _pivot_elements(group, cur.indices)[1]
+            comms = group.mul_indices(inv_t[x], np.array([perm[x] for perm in perms]))
+            nxt = normal_closure(group, comms.ravel())
         if not nxt < cur:
             raise StructureError("lower central series stalled; group not nilpotent")
         series.append(nxt)
@@ -345,7 +365,10 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
 
 
 def nilpotency_class(group: PcGroup) -> int:
-    return len(lower_central_series(group)) - 1
+    """Nilpotency class, read from the upper central series: in a
+    nilpotent group the upper and lower central series have the same
+    length, and the route needs the upper one anyway."""
+    return len(upper_central_series(group)) - 1
 
 
 def coclass(group: PcGroup) -> int:
@@ -353,17 +376,14 @@ def coclass(group: PcGroup) -> int:
 
 
 def frattini(group: PcGroup) -> Subgroup:
-    """Frattini subgroup: derived subgroup together with p-th powers.
-
-    Modulo the derived subgroup the group is abelian, so the p-th
-    powers of the defining generators generate all p-th powers there.
-    """
-    sub = _cached(group, "frattini")
-    if sub is None:
-        derived = lower_central_series(group)[1] if group.element_count > 1 else trivial_subgroup(group)
-        powers = [group._word_index(group.pres.power(k)) for k in range(1, group.ngens + 1)]
-        sub = _store(group, "frattini", closure(group, np.concatenate([derived.indices, powers])))
-    return sub
+    """Frattini subgroup Phi(G) = G' G^p, as the normal closure of all
+    relation words, commutator and power: modulo it the defining
+    generators commute and have p-th power 1, so the quotient is
+    elementary abelian, and every relation word lies in G' G^p."""
+    pres = group.pres
+    return _relation_closure(
+        group, "frattini", [*pres.commutators.values(), *pres.powers.values()]
+    )
 
 
 def minimal_generator_count(group: PcGroup) -> int:

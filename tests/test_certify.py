@@ -149,20 +149,35 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
     upper central series (five at class 5) and N's, which both
     derivations share, as they share the representatives' exponents
     (one decomposition) and the powers of w and [w,b] (two power
-    lists)."""
+    lists).  The class comes from the upper central series, Phi from the
+    relation words, and generation is tested modulo Phi, so the lower
+    central series is never built and at most two closures run (Phi's,
+    and Omega_1(Z_2) when Z_2 has exponent p^2; N's candidates are
+    cosets of Z); only the chosen N is checked elementary abelian."""
     import sys
 
     import noninner.cocycles as cocycles
+    import noninner.eligibility as eligibility
     import noninner.structure as structure
     from noninner.pcgroup import PcGroup
     from noninner.pcpfile import parse_pcp_file
 
     collector = ("_mul_gen", "mul", "inv", "pow", "conj", "comm")
-    names = collector + ("vec", "centralizer", "coset_min_table", "exponents", "_powers")
+    counted_functions = (
+        "centralizer",
+        "coset_min_table",
+        "closure",
+        "lower_central_series",
+        "_is_elementary_abelian",
+    )
+    names = collector + ("vec", "exponents", "_powers") + counted_functions
     calls = dict.fromkeys(names, 0)
     original_vec = PcGroup.vec
     original_exponents, original_powers = cocycles._Decomposer.exponents, cocycles._powers
-    originals = {name: getattr(structure, name) for name in ("centralizer", "coset_min_table")}
+    originals = {
+        name: getattr(eligibility if name.startswith("_") else structure, name)
+        for name in counted_functions
+    }
 
     def counted_collector(name):
         original = getattr(PcGroup, name)
@@ -213,6 +228,9 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
         assert calls["coset_min_table"] <= 6, (gid, calls)
         assert calls["exponents"] <= 1, (gid, calls)
         assert calls["_powers"] <= 2, (gid, calls)
+        assert calls["lower_central_series"] == 0, (gid, calls)
+        assert calls["closure"] <= 2, (gid, calls)
+        assert calls["_is_elementary_abelian"] <= 1, (gid, calls)
 
 
 def test_group_is_freed_without_a_garbage_collection(corpus_dir):

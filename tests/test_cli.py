@@ -53,6 +53,20 @@ def test_validate_syntax_error(tmp_path, capsys):
     assert "parse error" in err and "line 4" in err
 
 
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("pcp 1\nprime 4\nngens 2\n", "line 2, column 7"),
+        ("# a comment\npcp 1\nprime 3\nngens 0\n", "line 4, column 7"),
+    ],
+)
+def test_validate_bad_header_value(tmp_path, capsys, text, where):
+    path = tmp_path / "header.pcp"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert where in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # series / conditions
 

@@ -16,7 +16,7 @@ from noninner.eligibility import (
     select_n,
 )
 from noninner.errors import SelectionError
-from noninner.maps import GroupMap, map_order, verify_automorphism
+from noninner.maps import GroupMap, generates, map_order, verify_automorphism
 from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.structure import (
     center,
@@ -120,6 +120,22 @@ def test_select_n_independent_of_route_gate(heis3):
     assert center(heis3) < n_sub
 
 
+def test_select_n_rejects_overlapping_cosets(corpus_dir, monkeypatch):
+    """The candidates <Z, x> are built as the p cosets Z x^e; should the
+    products ever give overlapping cosets, selection fails with
+    SelectionError rather than building a smaller set."""
+    from noninner.pcpfile import parse_pcp_file
+    from noninner.structure import power_table
+
+    G = PcGroup(parse_pcp_file(corpus_dir / "g2187_a.pcp").presentation)
+    # Z_2 has exponent p (the coset branch), and the series and power
+    # table are built before the products are broken
+    assert not power_table(G)[upper_central_series(G)[2].indices].any()
+    monkeypatch.setattr(PcGroup, "mul_indices", lambda self, a, b: a)
+    with pytest.raises(SelectionError, match="not disjoint"):
+        select_n(G)
+
+
 def test_select_n_rejects_wrong_layer_sizes(corpus_wreath, corpus_dihedral):
     with pytest.raises(SelectionError, match="second center"):
         select_n(corpus_wreath)
@@ -137,6 +153,7 @@ def test_select_generators_frame(eligible_groups):
         p, m = G.p, G.ngens
         a, b, w = G.vec(ctx.a), G.vec(ctx.b), G.vec(ctx.w)
         assert closure(G, [ctx.a, ctx.b]).order == G.element_count
+        assert generates(G, [ctx.a, ctx.b])
         assert ctx.centralizer_n.mask[ctx.a]
         assert not ctx.centralizer_n.mask[ctx.b]
         assert not ctx.phi.mask[ctx.a]
@@ -343,6 +360,32 @@ def test_route_and_diagnostics_make_no_collector_calls(
         decide_route(G)
         diagnostics(G)
         assert not any(calls.values()), (gid, calls)
+
+
+def test_route_and_diagnostics_build_no_lower_central_series(corpus_dir, manifest, monkeypatch):
+    """The class comes from the upper central series and G' and Phi
+    from the relation words, so routing and diagnostics never build the
+    lower central series."""
+    import sys
+
+    import noninner.structure as structure
+    from noninner.pcpfile import parse_pcp_file
+
+    original = structure.lower_central_series
+    calls = {"lower_central_series": 0}
+
+    def counted(group):
+        calls["lower_central_series"] += 1
+        return original(group)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("noninner") and getattr(module, "lower_central_series", None) is original:
+            monkeypatch.setattr(module, "lower_central_series", counted)
+    for gid, entry in sorted(manifest["groups"].items()):
+        G = PcGroup(parse_pcp_file(corpus_dir / entry["file"]).presentation)
+        decide_route(G)
+        diagnostics(G)
+        assert calls["lower_central_series"] == 0, gid
 
 
 def test_central_automorphisms_match_unique_dedup(corpus_groups, probe_5_7):

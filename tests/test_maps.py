@@ -10,6 +10,7 @@ from noninner.maps import (
     compose,
     find_conjugating_element,
     fixes_elementwise,
+    generates,
     inner_search_size,
     is_central_map,
     map_order,
@@ -26,6 +27,21 @@ from util_oracles import (
     inner_map,
     verify_automorphism_by_collector,
 )
+
+
+def test_generates_agrees_with_closure(corpus_groups):
+    """Generation modulo Phi (Burnside's basis theorem) gives the same
+    verdict as building the subgroup, on 200 seeded pairs and 200
+    seeded triples of element indices per corpus group."""
+    rng = np.random.default_rng(41)
+    for gid, G in corpus_groups.items():
+        verdicts = set()
+        for size in (2, 3):
+            for seeds in rng.integers(0, G.element_count, (200, size)):
+                expected = closure(G, seeds).order == G.element_count
+                assert generates(G, seeds) == expected, (gid, seeds)
+                verdicts.add(expected)
+        assert verdicts == {True, False}, gid
 
 
 def test_groupmap_requires_full_image_list(heis3):

@@ -17,6 +17,7 @@ from util_oracles import (
     mul_indices_by_masked_passes,
     order_of,
     pow_indices_by_products,
+    random_presentation,
     rtables_by_masked_passes,
 )
 
@@ -516,21 +517,6 @@ def test_consistency_check_collector_budget(corpus_dir, manifest, probe_5_7_path
         assert 0 < steps <= 250, (path.name, steps)
 
 
-def _random_presentation(rng):
-    """A presentation with p in {2, 3, 5, 7}, at most 6 generators, and
-    each letter of each relation word present with one of three
-    densities; about a third of them are inconsistent."""
-    p, m = rng.choice([2, 3, 5, 7]), rng.randint(1, 6)
-    density = rng.choice([0.15, 0.3, 0.5])
-
-    def word(floor):
-        return [(k, rng.randrange(1, p)) for k in range(floor + 1, m + 1) if rng.random() < density]
-
-    powers = {i: word(i) for i in range(1, m + 1)}
-    commutators = {(j, i): word(j) for j in range(2, m + 1) for i in range(1, j)}
-    return PcPresentation(p, m, powers, commutators)
-
-
 def test_consistency_witness_matches_the_collector(corpus_dir, manifest, probe_5_7_path):
     """The index steps reach the collector's normal forms in its order,
     so the witness is the collector's, kind, generators and both sides,
@@ -541,7 +527,7 @@ def test_consistency_witness_matches_the_collector(corpus_dir, manifest, probe_5
     from noninner.pcpfile import parse_pcp_file
 
     rng = random.Random(12)
-    cases = [_random_presentation(rng) for _ in range(2400)]
+    cases = [random_presentation(rng) for _ in range(2400)]
     paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
     cases += [parse_pcp_file(path).presentation for path in sorted(paths) + [probe_5_7_path]]
     kinds = []

@@ -67,7 +67,7 @@ CASES = [
     ("pcp 1\nprime 3\n", 3, "missing header line 'ngens <m>'"),
     ("pcp 1\nprime 3\nprime 3\n", 3, "third line must be 'ngens <m>'"),
     ("pcp 1\nprime x\nngens 3\n", 2, "expected a prime"),
-    ("pcp 1\nprime 4\nngens 2\n", 1, "p must be prime"),
+    ("pcp 1\nprime 4\nngens 2\n", 2, "p must be prime"),
     ("pcp 1\nprime 3\nngens 2\nfrob 1 = 2^1\n", 4, "unknown directive"),
     ("pcp 1\nprime 3\nngens 2\npow 1\n", 4, "expected 'pow <i> = <word>'"),
     ("pcp 1\nprime 3\nngens 2\npow 0 = 2^1\n", 4, "out of range"),
@@ -98,6 +98,26 @@ def test_syntax_errors_carry_line_and_reason(text, line, fragment):
     assert err.line == line
     assert fragment in err.reason
     assert f"line {line}" in str(err)
+
+
+@pytest.mark.parametrize("comments", ["", "# a comment\n"])
+@pytest.mark.parametrize(
+    "header,line,fragment",
+    [
+        ("pcp 1\nprime 4\nngens 2\n", 2, "p must be prime, got 4"),
+        ("pcp 1\nprime 1\nngens 2\n", 2, "p must be prime, got 1"),
+        ("pcp 1\nprime 3\nngens 0\n", 3, "ngens must be >= 1, got 0"),
+    ],
+)
+def test_header_values_point_at_their_token(comments, header, line, fragment):
+    """A prime that is not prime and a generator count below 1 are
+    reported at the value token of their header line, column 7, however
+    many comment lines come first."""
+    with pytest.raises(PcpSyntaxError) as exc:
+        parse_pcp(comments + header)
+    shift = comments.count("\n")
+    assert (exc.value.line, exc.value.column) == (line + shift, 7)
+    assert fragment in exc.value.reason
 
 
 def test_missing_header_points_past_end():

@@ -17,6 +17,7 @@ from noninner.structure import (
     closure,
     coclass,
     coset_min_table,
+    derived_subgroup,
     frattini,
     intersection,
     is_normal,
@@ -38,11 +39,13 @@ from util_oracles import (
     centralizer_by_mult_perms,
     coset_min_table_by_elements,
     elements,
+    frattini_by_derived_series,
     is_elementary_abelian_by_pairs,
     lower_central_series_by_elements,
     omega1_by_pow,
     order_of,
     quotient_is_cyclic_by_scan,
+    random_presentation,
     subgroup_tuples,
     table_group_from_pcgroup,
 )
@@ -403,3 +406,27 @@ def test_lower_central_series_mul_indices_budget(
         lower_central_series(G)
         budget = 2 * G.ngens * G.element_count
         assert passed["elements"] <= budget, (path.name, passed, budget)
+
+
+def test_class_derived_and_frattini_agree_with_the_lower_series(corpus_groups, probe_5_7):
+    """The class read from the upper central series, G' and Phi as normal
+    closures of relation words agree with the element-by-element lower
+    central series and with Phi as G' joined with the power words, on
+    every corpus group, the probe, and the consistent presentations
+    within the element bound among 400 seeded random ones."""
+    import random
+
+    groups = dict(corpus_groups, probe_5_7=probe_5_7)
+    rng = random.Random(31)
+    for n in range(400):
+        G = PcGroup(random_presentation(rng), validate=False)
+        if G.element_count <= G.element_bound and G.consistency_witness() is None:
+            groups[f"random_{n}"] = G
+    assert len(groups) >= 200
+    for gid, G in groups.items():
+        oracle = lower_central_series_by_elements(G)
+        assert nilpotency_class(G) == len(oracle) - 1, gid
+        assert derived_subgroup(G) == oracle[1], gid
+        assert frattini(G) == frattini_by_derived_series(G), gid
+        assert nilpotency_class(G) == len(lower_central_series(G)) - 1, gid
+        assert derived_subgroup(G) == lower_central_series(G)[1], gid

@@ -27,7 +27,7 @@ from noninner import fp
 from noninner.cocycles import CosetTable, Derivation, coset_exponents, verify_cocycle
 from noninner.errors import OrderBoundError
 from noninner.maps import GroupMap, _frattini_coords
-from noninner.pcgroup import ConsistencyWitness, Element, PcGroup
+from noninner.pcgroup import ConsistencyWitness, Element, PcGroup, PcPresentation
 from noninner.structure import (
     Subgroup,
     center,
@@ -675,6 +675,31 @@ def lower_central_series_by_elements(group: PcGroup) -> list[Subgroup]:
         comms[0] = False
         series.append(normal_closure(G, np.nonzero(comms)[0]))
     return series
+
+
+def frattini_by_derived_series(group: PcGroup) -> Subgroup:
+    """Phi(G) as the closure of G' (the second term of
+    `lower_central_series_by_elements`) with the power relation words:
+    modulo G' the group is abelian, so the p-th powers of the defining
+    generators generate all p-th powers there."""
+    derived = lower_central_series_by_elements(group)[1]
+    powers = [group._word_index(group.pres.power(k)) for k in range(1, group.ngens + 1)]
+    return closure(group, np.concatenate([derived.indices, powers]))
+
+
+def random_presentation(rng) -> PcPresentation:
+    """A presentation with p in {2, 3, 5, 7}, at most 6 generators, and
+    each letter of each relation word present with one of three
+    densities; about a third of them are inconsistent."""
+    p, m = rng.choice([2, 3, 5, 7]), rng.randint(1, 6)
+    density = rng.choice([0.15, 0.3, 0.5])
+
+    def word(floor):
+        return [(k, rng.randrange(1, p)) for k in range(floor + 1, m + 1) if rng.random() < density]
+
+    powers = {i: word(i) for i in range(1, m + 1)}
+    commutators = {(j, i): word(j) for j in range(2, m + 1) for i in range(1, j)}
+    return PcPresentation(p, m, powers, commutators)
 
 
 def conj_columns_by_products(group: PcGroup) -> np.ndarray:
