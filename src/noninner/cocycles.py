@@ -205,21 +205,32 @@ def derivation_from_a_exponent(ctx: SelectionContext) -> Derivation:
 
 class _CocycleFrame:
     """The part of the cocycle check that does not depend on the values,
-    built once per coset table and Z(N).
+    built once per coset table and Z(N): the rows of the check and, per
+    row g2, where each coset goes under g2 and how g2 acts on Z(N).
 
-    The representatives are exactly the elements whose digits at N's
-    pivots vanish (the least element of a coset clears each pivot digit
-    in turn), so a representative r whose last nonzero digit is at k is
-    parent * g_k with parent = r - stride_k a representative too.  The
-    representatives thus fall into the levels of `GroupMap.apply_table`:
-    `levels` holds, per level, the coset product by g_k as a permutation
-    of representative positions and the positions of the level's rows
-    and of their parents.  `conj_code[t, c]` is the position in Z(N) of
-    reps[t]^-1 * z_c * reps[t], built by the same levels through the
+    The rows are g2 = 1 and g2 = g_k for every k that is not a pivot of
+    N, in ascending index order (1, g_m, g_(m-1), ...).  They decide all
+    R^2 pairs, R = |G/N|:
+
+    - If the identity holds at (g1, x) and at (g1, g_k) for every g1,
+      it holds at (g1, x g_k) for every g1:
+      d(g1 x g_k) = (d(g1)^x d(x))^(g_k) d(g_k) = d(g1)^(x g_k) d(x g_k).
+    - The representatives are exactly the elements whose digits at N's
+      pivots vanish (the least element of a coset clears each pivot
+      digit in turn; checked here).  So a representative g2 != 1 whose
+      last nonzero digit is at k is parent * g_k, where parent =
+      g2 - stride_k and g_k = stride_k are representatives below g2.
+    - Hence the least g2 at which the identity fails for some g1 is a
+      row: were it not, both its factors would pass every g1, and so
+      would it.  The identity row fails exactly when d(1) != 1.
+
+    `rows` holds the rows' positions among the representatives,
+    `quot[r, t]` the position of the coset of reps[t] * g2 for row r,
+    and `conj[r, c]` the position in Z(N) of g2^-1 * z_c * g2, from the
     conjugation permutations of the generators.
     """
 
-    __slots__ = ("zn", "levels", "conj_code")
+    __slots__ = ("zn", "rows", "quot", "conj")
 
     def __init__(self, group: PcGroup, n_sub: Subgroup, ct: CosetTable, zn: Subgroup):
         G = group
@@ -231,26 +242,20 @@ class _CocycleFrame:
             raise CertificationError(
                 "coset representatives are not the elements with zero digits at N's pivots"
             )
+        pivots = set(n_sub.pivots)
+        gens = [k for k in range(G.ngens, 0, -1) if k not in pivots]
         cperms = _conj_gen_perms(G)
         zn_idx = zn.indices
-        conj = np.empty((len(zn_idx), ct.count), dtype=np.int64)
-        conj[:, 0] = zn_idx  # reps[0] is the identity
-        self.levels = []
-        for k in range(1, G.ngens + 1):
-            s = G._stride(k)
-            last = reps % s == 0  # no nonzero digit beyond k
-            digit = reps // s % p
-            quot = ct.rep_pos[ct.min_table[G._rtable(k)[reps]]]
-            for e in range(1, p):
-                rows = np.nonzero(last & (digit == e))[0]
-                if rows.size:
-                    parents = ct.rep_pos[reps[rows] - s]
-                    conj[:, rows] = cperms[k - 1][conj[:, parents]]
-                    self.levels.append((quot, rows, parents))
+        conj = np.array([zn_idx] + [cperms[k - 1][zn_idx] for k in gens])
         if not zn.mask[conj].all():
-            raise ValueError("Z(N) is not normal: a conjugate leaves it")
+            raise CertificationError("Z(N) is not normal: a conjugate leaves it")
         self.zn = zn
-        self.conj_code = np.searchsorted(zn_idx, conj.T)
+        self.rows = ct.rep_pos[[0] + [G._stride(k) for k in gens]]
+        self.quot = np.array(
+            [np.arange(ct.count)]
+            + [ct.rep_pos[ct.min_table[G._rtable(k)[reps]]] for k in gens]
+        )
+        self.conj = np.searchsorted(zn_idx, conj)
 
 
 def verify_cocycle(d: Derivation):
@@ -261,17 +266,16 @@ def verify_cocycle(d: Derivation):
 
 
 def verify_cocycles(derivations: Sequence[Derivation]) -> List[Optional[tuple]]:
-    """`verify_cocycle` of each derivation, in one sweep over the pairs
-    of cosets; all of them must share one coset table and one Z(N).
+    """`verify_cocycle` of each derivation, checked on the rows of
+    `_CocycleFrame`; all of them must share one coset table and one Z(N).
 
-    Values are coded by their position in Z(N).  The coset of g1 * g2
-    is built for all g1 of a block by the representatives' levels in g2:
-    at g2 = parent * g_k it is the coset of g1 * parent times g_k, one
-    gather through an R-sized permutation, R = |G/N|.  These positions
-    do not depend on the values, so each block is built once and every
-    derivation is checked against it.  A block holds 4 * |G| // R values
-    of g1, so no array is longer than 4 * |G|, and every one of the R^2
-    pairs is checked.
+    Values are coded by their position in Z(N), and one product of
+    arrays gives the |Z(N)|^2 products of Z(N).  Each derivation then
+    compares the two sides of the identity on a (rows x R) array, R =
+    |G/N|.  The rows ascend, so the first failure in row-major order
+    has the least failing row g2 and, for it, the least g1; by the
+    frame's lemma that g2 is the least failing one over all R^2 pairs,
+    which is the counterexample a sweep over every pair would report.
     """
     d0 = derivations[0]
     G, ct, zn = d0.group, d0.coset_table, d0.zn
@@ -282,48 +286,25 @@ def verify_cocycles(derivations: Sequence[Derivation]) -> List[Optional[tuple]]:
         frame = ct._frame = _CocycleFrame(G, d0.n_sub, ct, zn)
     zn_idx = zn.indices
     nz = len(zn_idx)
-    checks = []
-    for d in derivations:
-        val_code = np.searchsorted(zn_idx, d.values)
-        # prod_code[c, u] codes z_c * vals[u]; taking only the distinct
-        # values keeps it at most |Z(N)| * R <= |G| entries long
-        taken = np.zeros(nz, dtype=bool)
-        taken[val_code] = True
-        vals = np.flatnonzero(taken)
-        prod_code = np.searchsorted(
-            zn_idx, G.mul_indices(np.repeat(zn_idx, len(vals)), np.tile(zn_idx[vals], nz))
-        ).reshape(nz, len(vals))
-        # rhs_by_code[t2, c] codes z_c^g2 * d(g2) for g2 = reps[t2]
-        rhs_by_code = prod_code[frame.conj_code, np.searchsorted(vals, val_code).reshape(-1, 1)]
-        checks.append((val_code, rhs_by_code))
+    # prod[c, u] codes z_c * z_u
+    prod = np.searchsorted(
+        zn_idx, G.mul_indices(np.repeat(zn_idx, nz), np.tile(zn_idx, nz))
+    ).reshape(nz, nz)
     reps = ct.rep_indices
-    R = ct.count
-    width = 4 * G.element_count // R  # at least 4, as R <= |G|
-    firsts = [None] * len(derivations)
-    for c0 in range(0, R, width):
-        cols = np.arange(c0, min(c0 + width, R))
-        # pos[t2, c] is the coset position of reps[cols[c]] * reps[t2]
-        pos = np.empty((R, len(cols)), dtype=np.int64)
-        pos[0] = cols
-        for quot, rows, parents in frame.levels:
-            pos[rows] = quot.take(pos.take(parents, axis=0))
-        for k, (val_code, rhs_by_code) in enumerate(checks):
-            lhs = val_code.take(pos)
-            rhs = rhs_by_code.take(val_code[cols], axis=1)
-            bad = lhs != rhs
-            if bad.any():
-                # row-major: least g2, then least g1; the representatives
-                # are sorted, so (g2, g1) compare as their positions do
-                r, c = divmod(int(np.flatnonzero(bad)[0]), len(cols))
-                found = (reps[r], reps[cols[c]], zn_idx[lhs[r, c]], zn_idx[rhs[r, c]])
-                if firsts[k] is None or found[:2] < firsts[k][:2]:
-                    firsts[k] = found
-    for d, first in zip(derivations, firsts):
-        d._verified = first is None
-    return [
-        None if first is None else tuple(int(x) for x in (first[1], first[0]) + first[2:])
-        for first in firsts
-    ]
+    out = []
+    for d in derivations:
+        val = np.searchsorted(zn_idx, d.values)
+        lhs = val.take(frame.quot)  # d(g1 g2)
+        rhs = prod[frame.conj[:, val], val[frame.rows, np.newaxis]]  # d(g1)^g2 d(g2)
+        bad = np.flatnonzero(lhs != rhs)
+        d._verified = not bad.size
+        if bad.size:
+            r, t = divmod(int(bad[0]), ct.count)
+            g1, g2 = reps[t], reps[frame.rows[r]]
+            out.append(tuple(int(x) for x in (g1, g2, zn_idx[lhs[r, t]], zn_idx[rhs[r, t]])))
+        else:
+            out.append(None)
+    return out
 
 
 def lift_to_automorphism(d: Derivation) -> GroupMap:

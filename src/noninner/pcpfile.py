@@ -1,6 +1,6 @@
 """Reading and writing the `.pcp` presentation interchange format.
 
-A file is line-oriented; `#` starts a comment (a comment of the exact
+A file is line-oriented UTF-8 text; `#` starts a comment (a comment of the exact
 form `# id: NAME` names the group).  The first three significant lines
 must be, in order:
 
@@ -196,9 +196,20 @@ def parse_pcp(
 
 
 def parse_pcp_file(path, validate: bool = True) -> PcpDocument:
+    """Parse a UTF-8 `.pcp` file; its stem is the default group id.  A
+    byte that is not UTF-8 raises PcpSyntaxError at its line and column,
+    counted as `parse_pcp` counts them."""
     path = Path(path)
-    doc = parse_pcp(path.read_text(), group_id=path.stem, validate=validate)
-    return doc
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the byte decodes; "?" stands in for the byte
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise PcpSyntaxError(
+            len(lines), len(lines[-1]), f"byte {data[exc.start]:#04x} is not UTF-8"
+        ) from None
+    return parse_pcp(text, group_id=path.stem, validate=validate)
 
 
 def serialize_pcp(pres: PcPresentation, group_id: Optional[str] = None) -> str:

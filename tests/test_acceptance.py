@@ -59,6 +59,7 @@ from util_oracles import (
     heisenberg_matrices,
     table_group_from_pcgroup,
     value_at,
+    verify_cocycle_by_rows,
 )
 
 
@@ -243,6 +244,9 @@ def test_cocycle_certificates_exhaustive(eligible_ctxs):
         d_a = derivation_from_a_exponent(ctx)
         assert verify_cocycle(d_b) is None, gid
         assert verify_cocycle(d_a) is None, gid
+        # every pair of cosets, apart from the generator-row check
+        assert verify_cocycle_by_rows(d_b) is None, gid
+        assert verify_cocycle_by_rows(d_a) is None, gid
         for x in elements(G):
             assert b_exponent_value(ctx, x) == value_at(d_b, x), (gid, x)
             assert a_exponent_value(ctx, x) == value_at(d_a, x), (gid, x)

@@ -53,6 +53,19 @@ def test_validate_syntax_error(tmp_path, capsys):
     assert "parse error" in err and "line 4" in err
 
 
+NOT_UTF8 = b"pcp 1\nprime 3\nngens 3\n# \xff\xfe\ncomm 2 1 = 3^1\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "bytes.pcp"
+    path.write_bytes(NOT_UTF8)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 4, column 3:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "text,where",
     [
@@ -268,6 +281,17 @@ def test_audit_parse_error_beats_mismatch(small_corpus, capsys):
     by_id = {row["group_id"]: row for row in data["results"]}
     assert by_id["heisenberg_3"]["status"] == "PARSE_ERROR"
     assert by_id["wreath_81"]["status"] == "ROUTE_MISMATCH"
+
+
+def test_audit_file_that_is_not_utf8_is_a_parse_error(small_corpus, capsys):
+    (small_corpus / "heisenberg_3.pcp").write_bytes(NOT_UTF8)
+    assert main(["audit", str(small_corpus), "--json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    by_id = {row["group_id"]: row for row in data["results"]}
+    assert by_id["heisenberg_3"]["status"] == "PARSE_ERROR"
+    assert by_id["heisenberg_3"]["detail"].startswith("line 4, column 3:")
+    assert by_id["dihedral_8"]["status"] == "OK"
+    assert by_id["wreath_81"]["status"] == "OK"
 
 
 def test_audit_manifest_entry_without_file(small_corpus, capsys):

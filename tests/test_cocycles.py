@@ -1,5 +1,7 @@
 """Derivations on coset spaces, their verification, and lifts."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,9 @@ from noninner.cocycles import (
     verify_cocycles,
 )
 from noninner.eligibility import select_generators, select_n
-from noninner.errors import OrderBoundError
+from noninner.errors import CertificationError, OrderBoundError
 from noninner.maps import is_central_map, map_order, verify_automorphism
-from noninner.structure import center, whole_group
+from noninner.structure import center, closure, whole_group
 from util_oracles import (
     a_exponent_value,
     all_derivations,
@@ -210,7 +212,7 @@ def test_unverified_failing_derivation_refuses_to_lift(heis3, heis_derivations):
 
 
 # ---------------------------------------------------------------------------
-# the level-built cocycle check against the check by rows
+# the cocycle check on generator rows against the check of all pairs
 
 
 @pytest.fixture(scope="module")
@@ -241,8 +243,8 @@ def mutations(eligible_groups):
 
 def test_verify_cocycle_matches_row_oracle_on_mutations(mutations):
     """200 seeded mutations of the two derivations of each eligible
-    group: the level-built check returns exactly the oracle's verdict
-    and counterexample (least g2, then least g1)."""
+    group: the check on generator rows returns exactly the oracle's
+    verdict and counterexample (least g2, then least g1)."""
     checked = failed = 0
     for gid, (_, mutated) in mutations.items():
         for cases in mutated:
@@ -262,7 +264,7 @@ def _check_jointly(ds, expected):
 
 
 def test_verify_cocycles_matches_row_oracle_jointly(mutations):
-    """The joint sweep gives each derivation the row oracle's verdict and
+    """The joint check gives each derivation the row oracle's verdict and
     counterexample: every mutation beside the clean other derivation,
     and beside a mutation of the other derivation."""
     for gid, ((d_b, d_a), (muts_b, muts_a)) in mutations.items():
@@ -272,11 +274,11 @@ def test_verify_cocycles_matches_row_oracle_jointly(mutations):
             _check_jointly([m_b, m_a], [e_b, e_a])
 
 
-def test_verify_cocycles_takes_least_g2_across_blocks(eligible_groups):
+def test_verify_cocycles_takes_least_g2_before_least_g1(eligible_groups):
     """Changing the value at the last representative breaks the identity
-    at g2 = reps[1] only for first factors g1 beyond the first column
-    block, and in the first block at the larger g2 = reps[R - 1]; the
-    sweep must still report the least g2."""
+    at g2 = reps[1] only for first factors g1 at position 4 * |G| // R or
+    beyond, and at the larger g2 = reps[R - 1] already for g1 = reps[1];
+    the check must still report the least g2, then the least g1."""
     G = eligible_groups["g2187_a"]
     ctx = select_generators(G, select_n(G))
     d_b, d_a = derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)
@@ -313,9 +315,11 @@ def test_verify_cocycles_refuses_mixed_inputs(heis3, heis_derivations, ctx):
 
 
 def test_verify_cocycle_memory_is_bounded(eligible_groups):
-    """Column blocks keep every array of the check at most 4 * |G| long:
-    one joint check of both derivations on a 3^7 group, its set-up
-    included, stays below the R x R = 243^2 table of coset products."""
+    """The check holds (rows x R) arrays, one row per generator outside
+    N's pivots and one for the identity: one joint check of both
+    derivations on a 3^7 group, its frame included, stays below
+    64 * m * R bytes, where the R x R = 243^2 table of coset products
+    alone would take 472 392."""
     import tracemalloc
 
     G = eligible_groups["g2187_a"]
@@ -329,4 +333,104 @@ def test_verify_cocycle_memory_is_bounded(eligible_groups):
     finally:
         tracemalloc.stop()
     assert result == [None, None]
-    assert peak < R * R * 8, peak
+    assert peak < 64 * G.ngens * R, peak
+
+
+def test_verify_cocycle_agrees_with_all_pairs_on_every_map_of_heisenberg_3(
+    heis3, heis_derivations
+):
+    """All 3^9 maps from the nine cosets of the Heisenberg group mod 3
+    over its centre into the centre: the check on generator rows gives
+    each the oracle's verdict and counterexample, and exactly the nine
+    derivations pass."""
+    z = center(heis3)
+    ct = CosetTable(heis3, z)
+    passed = set()
+    for values in itertools.product(z.indices.tolist(), repeat=ct.count):
+        d = Derivation(heis3, z, ct, values, z)
+        expected = verify_cocycle_by_rows(d)
+        assert verify_cocycle(d) == expected, values
+        if expected is None:
+            passed.add(values)
+    assert passed == {derivation_key(d) for d in heis_derivations}
+
+
+def test_verify_cocycle_agrees_with_all_pairs_on_heisenberg_5(heis5):
+    """The Heisenberg group mod 5 over its centre: its 25 derivations and
+    300 seeded maps get the oracle's verdict and counterexample.  Of the
+    maps, 100 take random values, 100 take random values with d(1) = 1,
+    and 100 are derivations with 1 to 3 values replaced."""
+    z = center(heis5)
+    ds = all_derivations(heis5, z)
+    assert len(ds) == 25
+    ct, zn = ds[0].coset_table, ds[0].zn
+    rng = np.random.default_rng(15)
+    cases = [d.values for d in ds]
+    for _ in range(100):
+        cases.append(rng.choice(zn.indices, ct.count))
+        values = rng.choice(zn.indices, ct.count)
+        values[0] = 0  # the identity
+        cases.append(values)
+        values = ds[rng.integers(len(ds))].values.copy()
+        k = int(rng.integers(1, 4))
+        values[rng.choice(ct.count, k, replace=False)] = rng.choice(zn.indices, k)
+        cases.append(values)
+    verdicts = []
+    for values in cases:
+        d = Derivation(heis5, z, ct, values, zn)
+        expected = verify_cocycle_by_rows(d)
+        assert verify_cocycle(d) == expected, values.tolist()
+        verdicts.append(expected)
+    assert verdicts[:25] == [None] * 25
+    assert sum(v is not None for v in verdicts[25:]) >= 250
+
+
+def test_verify_cocycle_reports_a_value_at_the_identity(heis3, heis_derivations, ctx):
+    """d(1) != 1 breaks the identity at g1 = g2 = 1, the least pair:
+    d(1) = d(1)^1 d(1) would need d(1) = d(1)^2."""
+    for G, d in ((heis3, heis_derivations[0]), (ctx.group, derivation_from_b_exponent(ctx))):
+        z = int(d.zn.indices[1])
+        values = d.values.copy()
+        values[0] = z
+        broken = Derivation(G, d.n_sub, d.coset_table, values, d.zn)
+        assert verify_cocycle(broken) == (0, 0, z, int(G.mul_indices(z, z)))
+        assert verify_cocycle_by_rows(broken) == verify_cocycle(broken)
+
+
+def test_cocycle_frame_rows_and_products(eligible_groups, monkeypatch):
+    """On every eligible group the frame has 1 + m - |pivots(N)| = 6
+    rows, and a joint check of both derivations, its frame included,
+    makes at most one array product: the products of Z(N)."""
+    from noninner.pcgroup import PcGroup
+
+    calls = []
+    original = PcGroup.mul_indices
+
+    def counted(self, a, b):
+        calls.append(1)
+        return original(self, a, b)
+
+    for gid, G in sorted(eligible_groups.items()):
+        ctx = select_generators(G, select_n(G))
+        ds = [derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)]
+        ct = ds[0].coset_table
+        assert ct._frame is None
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(PcGroup, "mul_indices", counted)
+            assert verify_cocycles(ds) == [None, None]
+        assert len(calls) <= 1, gid
+        rows = len(ct._frame.rows)
+        assert rows == 1 + G.ngens - len(ctx.n_sub.pivots) == 6, gid
+
+
+def test_cocycle_frame_refuses_a_zn_that_is_not_normal(heis3):
+    """Z(N) = <g1> on the Heisenberg group mod 3 is not normal: g2
+    conjugates g1 out of it.  The check says so as a CertificationError
+    (one line from the command line) rather than a bare ValueError."""
+    z = center(heis3)
+    g1 = closure(heis3, [int(heis3.gen_indices[0])])
+    d = Derivation(heis3, z, CosetTable(heis3, z), np.zeros(9, dtype=np.int64), g1)
+    with pytest.raises(CertificationError, match="Z\\(N\\) is not normal"):
+        verify_cocycle(d)
+    assert d._verified is None

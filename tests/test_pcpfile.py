@@ -146,3 +146,21 @@ def test_parse_pcp_file_uses_stem_as_id(tmp_path):
     doc = parse_pcp_file(path)
     assert doc.group_id == "tiny_c9"
     assert doc.presentation.order == 9
+
+
+@pytest.mark.parametrize(
+    "data,line,column",
+    [
+        (b"pcp 1\nprime 3\nngens 3\n# \xff\xfe\ncomm 2 1 = 3^1\n", 4, 3),
+        (b"\xffpcp 1\n", 1, 1),
+        # the column counts characters, as the tokens' columns do
+        ("# id: x \u00e9\u00e9\r\npcp 1 # ".encode() + b"\xc3(", 2, 9),
+    ],
+)
+def test_bytes_that_are_not_utf8_are_a_syntax_error(tmp_path, data, line, column):
+    path = tmp_path / "bytes.pcp"
+    path.write_bytes(data)
+    with pytest.raises(PcpSyntaxError) as exc:
+        parse_pcp_file(path)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert "not UTF-8" in exc.value.reason
