@@ -27,6 +27,7 @@ is on no program path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -38,17 +39,31 @@ Element = tuple[int, ...]
 Word = tuple[tuple[int, int], ...]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+# Miller-Rabin to the prime bases up to 41 is exact below the least strong
+# pseudoprime to all of them, 3 317 044 064 679 887 385 961 981 (Sorenson and
+# Webster, Math. Comp. 86, 2017); the bases up to 37 alone stop at 3.2e23.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+@functools.lru_cache(maxsize=64)
+def _prime_error(n: int) -> Optional[str]:
+    """None when n is prime, else why it is refused as p: not prime, or
+    too large for the deterministic test.  Cached, so the parser's header
+    check and `PcPresentation` test a file's prime once."""
+    if n >= _PRIME_BOUND:
+        return f"p = {n} is not below {_PRIME_BOUND}, the bound of the primality test"
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return None if n in _PRIME_BASES else f"p must be prime, got {n}"
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _PRIME_BASES:
+        # n passes base b when b^d = 1 or b^(d 2^i) = -1 for some i < r
+        x = pow(b, d, n)
+        if x != 1 and n - 1 not in (pow(x, 2**i, n) for i in range(r)):
+            return f"p must be prime, got {n}"
+    return None
 
 
 def _normalize_word(word: Iterable[Sequence[int]]) -> Word:
@@ -97,8 +112,9 @@ class PcPresentation:
         powers: Optional[Mapping[int, Iterable[Sequence[int]]]] = None,
         commutators: Optional[Mapping[tuple[int, int], Iterable[Sequence[int]]]] = None,
     ) -> None:
-        if not _is_prime(p):
-            raise PresentationError(f"p must be prime, got {p}")
+        problem = _prime_error(p)
+        if problem:
+            raise PresentationError(problem)
         if ngens < 1:
             raise PresentationError(f"ngens must be >= 1, got {ngens}")
         self.p = p
@@ -431,7 +447,9 @@ class PcGroup:
         replacing each letter g_n with g_n [g_n, g_k].  Every push is a
         step at a deeper generator, so the recursion is at most m deep.
         These are the tuple collector's rules in its order, so on an
-        inconsistent presentation both reach the same normal forms.
+        inconsistent presentation both reach the same normal forms.  The
+        conjugates and the spelling of an index as letters are memoised
+        for one call.
         """
         p, m = self.p, self.ngens
         strides = [self._stride(k) for k in range(m + 1)]
@@ -440,6 +458,7 @@ class PcGroup:
         memos = self._steps
         conjugates: dict[tuple[int, int, int], list] = {}
 
+        @functools.cache
         def letters(x):
             out = []
             k = m
@@ -545,15 +564,16 @@ class PcGroup:
 
     def _last_letter_levels(self):
         """Yield (k, ys, parents), one level per last nonzero coordinate k
-        of y and its value: parents = ys - stride_k peel the letter g_k
-        off, and each lies in an earlier level or is the identity."""
+        of y and its value e: as the coordinates before k vary in steps of
+        p s_k (s_k the stride of g_k), ys is the slice(e s_k, |G|, p s_k),
+        a view rather than a gather.  Its parents ys - s_k peel g_k off and
+        lie in an earlier level or are the identity."""
         self._check_bound()
+        p, n = self.p, self.element_count
         for k in range(1, self.ngens + 1):
             s = self._stride(k)
-            heads = np.arange(self.p ** (k - 1), dtype=np.int64) * self.p * s
-            for e in range(1, self.p):
-                ys = heads + e * s
-                yield k, ys, ys - s
+            for e in range(1, p):
+                yield k, slice(e * s, n, p * s), slice((e - 1) * s, n, p * s)
 
     def _ladder_places(self) -> list[tuple[int, np.ndarray]]:
         """One (first block, digits) pair per base-8 place j with

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import InconsistentPresentationError, PcpSyntaxError
-from .pcgroup import PcGroup, PcPresentation, Word, _is_prime
+from .pcgroup import PcGroup, PcPresentation, Word, _prime_error
 
 _TOKEN = re.compile(r"\S+")
 _ID_COMMENT = re.compile(r"^#\s*id:\s*(\S+)\s*$")
@@ -49,9 +49,13 @@ def _tokens(line: str):
 
 
 def _parse_int(tok: str, lineno: int, col: int, what: str) -> int:
-    if not tok.isdigit():
+    # int() reads the str.isdecimal digits; str.isdigit also admits '³'
+    if not tok.isdecimal():
         raise PcpSyntaxError(lineno, col, f"expected {what}, got {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts, 4300 by default
+        raise PcpSyntaxError(lineno, col, f"{what} of {len(tok)} digits is too long") from None
 
 
 def _parse_word(
@@ -70,7 +74,8 @@ def _parse_word(
             raise PcpSyntaxError(
                 lineno, col, f"expected letter of the form k^e, got {tok!r}"
             )
-        k, e = int(m.group(1)), int(m.group(2))
+        k = _parse_int(m.group(1), lineno, col, "a generator index")
+        e = _parse_int(m.group(2), lineno, col, "an exponent")
         if not 1 <= k <= ngens:
             raise PcpSyntaxError(lineno, col, f"generator index {k} out of range")
         if k <= floor:
@@ -127,8 +132,9 @@ def parse_pcp(
                     lineno, toks[0][1], "second line must be 'prime <p>'"
                 )
             p = _parse_int(toks[1][0], lineno, toks[1][1], "a prime")
-            if not _is_prime(p):
-                raise PcpSyntaxError(lineno, toks[1][1], f"p must be prime, got {p}")
+            problem = _prime_error(p)
+            if problem:
+                raise PcpSyntaxError(lineno, toks[1][1], problem)
             header_stage = 2
             continue
         if header_stage == 2:

@@ -247,28 +247,33 @@ def coset_min_table(group: PcGroup, sub: Subgroup) -> np.ndarray:
     """Array M with M[i] = smallest index in the right coset vec(i)*S.
 
     Two indices share a value exactly when they lie in the same right
-    coset; for normal S these are the cosets of G/S.  The tails
-    T_j = <b_j, ..., b_r> of the canonical basis are subgroups (an
-    induced pc sequence), and T_j is the union of the b_j^e * T_(j+1)
-    over e in [0, p), so
-
-        min(x * T_j) = min over e of min(x * b_j^e * T_(j+1)).
-
-    The basis is folded in deepest pivot first, starting from the
-    identity table of T_(r+1) = 1.  Each basis element costs one
-    right-multiplication permutation and p - 1 gathers into a running
-    minimum: O(|G| * p * log_p |S|) time and O(|G|) memory.
+    coset; for normal S these are the cosets of G/S.  S's canonical
+    basis is folded into the identity table (`_fold_basis`).
     """
-    out = np.arange(group.element_count, dtype=np.int64)
-    for b in reversed(sub.basis):
-        perm = group.right_mult_perm(b)
-        # shifted[x] = out[x * b^e] after the e-th step
-        shifted, folded = out, out.copy()
+    return _fold_basis(group, np.arange(group.element_count, dtype=np.int64), sub.basis)
+
+
+def _fold_basis(group: PcGroup, table: np.ndarray, elements: Sequence[int]) -> np.ndarray:
+    """The coset-minimum table of a subgroup T_1 from that of T_(s+1)
+    and elements c_1, ..., c_s such that each T_j is the union of the
+    c_j^e * T_(j+1) over e in [0, p): then
+
+        min(x * T_j) = min over e of min(x * c_j^e * T_(j+1)),
+
+    folded deepest c_j first.  The tails T_j = <b_j, ..., b_r> of a
+    canonical basis (an induced pc sequence) qualify, above T_(r+1) = 1.
+    Each element costs one right-multiplication permutation and p - 1
+    gathers into a running minimum, in O(|G|) memory.
+    """
+    for c in reversed(elements):
+        perm = group.right_mult_perm(c)
+        # shifted[x] = table[x * c^e] after the e-th step
+        shifted, folded = table, table.copy()
         for _ in range(group.p - 1):
             shifted = shifted[perm]
             np.minimum(folded, shifted, out=folded)
-        out = folded
-    return out
+        table = folded
+    return table
 
 
 def _fixed_by_conjugation(group: PcGroup, targets: Iterable[int]) -> np.ndarray:
@@ -298,14 +303,24 @@ def center(group: PcGroup) -> Subgroup:
 
 
 def upper_central_series(group: PcGroup) -> list[Subgroup]:
-    """[1 = Z_0, Z_1, ..., Z_c = G], strictly ascending."""
+    """[1 = Z_0, Z_1, ..., Z_c = G], strictly ascending.
+
+    Z_(i+1) holds the x whose coset x Z_i every generator fixes by
+    conjugation, read from Z_i's coset-minimum table.  One table runs up
+    the series: Z_i's is Z = Z_(i-1)'s folded (`_fold_basis`) with the
+    basis elements c_j of Z_i at the pivots d_1 < ... < d_s that Z lacks,
+    log_p |Z_(c-1)| folds in all.  This is exact: T_j = Z_i n G_(d_j) Z is
+    a subgroup (G_d = <g_d, ..., g_m> is normal), T_1 = Z_i, T_(s+1) = Z,
+    and sifting shows T_j is the disjoint union of the c_j^e T_(j+1), as
+    c_j^e in T_(j+1) would give Z an element leading at d_j, no pivot of Z.
+    """
     series = _cached(group, "ucs")
     if series is not None:
         return series
     perms = _conj_gen_perms(group)
     series = [trivial_subgroup(group)]
+    m_table = np.arange(group.element_count, dtype=np.int64)
     while series[-1].order < group.element_count:
-        m_table = coset_min_table(group, series[-1])
         mask = np.ones(group.element_count, dtype=bool)
         for perm in perms:
             mask &= m_table[perm] == m_table
@@ -313,6 +328,11 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
         if nxt.order <= series[-1].order:
             raise StructureError("upper central series stalled; group not nilpotent")
         series.append(nxt)
+        if nxt.order < group.element_count:
+            known = set(series[-2].pivots)
+            m_table = _fold_basis(
+                group, m_table, [b for k, b in zip(nxt.pivots, nxt.basis) if k not in known]
+            )
     return _store(group, "ucs", series)
 
 
@@ -448,6 +468,12 @@ class QuotientCoords:
     representative at the added pivots: a homomorphism onto F_p^dim
     with kernel S.  Only the images of the defining generators are
     kept, and they refer to no group.
+
+    They are read from digits, without a product: g_k at an added pivot
+    is its own representative, with image the unit vector u_k, and at a
+    pivot k of S the basis element b_k = g_k * (letters beyond k) has
+    digit 0 at S's deeper pivots, so 0 = coords(b_k) = coords(g_k) + the
+    sum of e_l(b_k) u_l over the added l > k.
     """
 
     def __init__(self, group: PcGroup, sub: Subgroup):
@@ -459,20 +485,16 @@ class QuotientCoords:
         if not all(sub.mask[group._word_index(w)] for w in pres.powers.values()):
             raise ValueError("quotient does not have exponent p")
         places = group.gen_indices
-        reps = places.copy()
-        for k, b in zip(sub.pivots, sub.basis):
-            steps = -(reps // places[k - 1]) % p
-            for r in range(1, p):
-                sel = steps >= r
-                if not sel.any():
-                    break
-                reps[sel] = group.mul_indices(reps[sel], b)
         self.p = p
         self._places = places
         self.added_pivots = tuple(k for k in range(1, m + 1) if k not in sub.pivots)
         self.dim = len(self.added_pivots)
-        added_places = places[[k - 1 for k in self.added_pivots]]
-        self._gen_coords = (reps.reshape(-1, 1) // added_places % p).reshape(m, self.dim)
+        added_places = places[[k - 1 for k in self.added_pivots]].reshape(1, -1)
+        # b_k at each pivot k of S, the identity elsewhere
+        kernel = np.zeros(m, dtype=np.int64)
+        kernel[[k - 1 for k in sub.pivots]] = sub.basis
+        gen, ker = places.reshape(-1, 1), kernel.reshape(-1, 1)
+        self._gen_coords = (gen // added_places - ker // added_places) % p
 
     def coords(self, indices) -> np.ndarray:
         """Images in F_p^dim of the elements with the given indices, one

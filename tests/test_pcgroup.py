@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noninner.errors import InconsistentPresentationError, PresentationError
-from noninner.pcgroup import PcGroup, PcPresentation
+from noninner.pcgroup import _PRIME_BOUND, PcGroup, PcPresentation, _prime_error
 from util_oracles import (
     collect,
     consistency_witness_by_collector,
@@ -42,6 +42,29 @@ def test_presentation_rejects_nonprime_p():
         PcPresentation(4, 2)
     with pytest.raises(PresentationError, match="prime"):
         PcPresentation(1, 2)
+
+
+def test_primality_is_exact_on_strong_pseudoprimes_and_carmichael_numbers():
+    """Miller-Rabin to the prime bases up to 41 agrees with trial division
+    below 20 000, refuses strong pseudoprimes to the bases up to 7 and up
+    to 37 and Carmichael numbers, and refuses to decide at its bound."""
+
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(20_000) if _prime_error(n) is None] == [
+        n for n in range(20_000) if by_trial_division(n)
+    ]
+    pseudoprimes = [3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825_265, 321_197_185]
+    for n in pseudoprimes + carmichael:
+        assert _prime_error(n) == f"p must be prime, got {n}", n
+    for n in [2**31 - 1, 10_000_000_000_000_061, 2**61 - 1]:
+        assert _prime_error(n) is None, n
+    for n in [_PRIME_BOUND, 2**127 - 1]:
+        assert str(_PRIME_BOUND) in _prime_error(n), n
+        with pytest.raises(PresentationError, match="bound of the primality test"):
+            PcPresentation(n, 1)
 
 
 def test_presentation_rejects_bad_ngens():

@@ -120,6 +120,50 @@ def test_header_values_point_at_their_token(comments, header, line, fragment):
     assert fragment in exc.value.reason
 
 
+def test_large_prime_parses_fast_and_is_tested_once():
+    """A 17-digit prime (trial division took seconds on it) parses in well
+    under a second, and its primality is decided once per parse although
+    both the header and `PcPresentation` check it."""
+    import time
+
+    from noninner.pcgroup import _prime_error
+
+    _prime_error.cache_clear()
+    start = time.perf_counter()
+    doc = parse_pcp("pcp 1\nprime 10000000000000061\nngens 1\n")
+    assert time.perf_counter() - start < 0.2
+    assert doc.presentation.p == 10_000_000_000_000_061
+    assert _prime_error.cache_info().misses == 1
+
+
+def test_prime_above_the_primality_bound_points_at_its_token():
+    from noninner.pcgroup import _PRIME_BOUND
+
+    with pytest.raises(PcpSyntaxError) as exc:
+        parse_pcp(f"pcp 1\nprime {_PRIME_BOUND + 2}\nngens 1\n")
+    assert (exc.value.line, exc.value.column) == (2, 7)
+    assert f"not below {_PRIME_BOUND}" in exc.value.reason
+
+
+@pytest.mark.parametrize(
+    "text,line,column,fragment",
+    [
+        ("pcp 1\nprime " + "1" * 5000 + "\nngens 1\n", 2, 7, "a prime of 5000 digits is too long"),
+        ("pcp 1\nprime 3\nngens " + "1" * 5000 + "\n", 3, 7, "of 5000 digits is too long"),
+        ("pcp 1\nprime 3\nngens 2\npow 1 = 2^" + "1" * 5000 + "\n", 4, 9, "an exponent of 5000"),
+        ("pcp 1\nprime \u00b3\nngens 1\n", 2, 7, "expected a prime, got '\u00b3'"),
+        ("pcp 1\nprime 3\nngens 2\npow \u00b9 = 1\n", 4, 5, "expected a generator index"),
+    ],
+)
+def test_numbers_int_cannot_read_are_syntax_errors(text, line, column, fragment):
+    """Digit tokens that int() refuses, too long or not decimal digits,
+    are syntax errors at their token, not a ValueError."""
+    with pytest.raises(PcpSyntaxError) as exc:
+        parse_pcp(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert fragment in exc.value.reason
+
+
 def test_missing_header_points_past_end():
     with pytest.raises(PcpSyntaxError) as exc:
         parse_pcp("# only a comment\n")

@@ -44,10 +44,12 @@ from util_oracles import (
     lower_central_series_by_elements,
     omega1_by_pow,
     order_of,
+    quotient_gen_coords_by_products,
     quotient_is_cyclic_by_scan,
     random_presentation,
     subgroup_tuples,
     table_group_from_pcgroup,
+    upper_central_series_by_terms,
 )
 
 
@@ -414,14 +416,7 @@ def test_class_derived_and_frattini_agree_with_the_lower_series(corpus_groups, p
     central series and with Phi as G' joined with the power words, on
     every corpus group, the probe, and the consistent presentations
     within the element bound among 400 seeded random ones."""
-    import random
-
-    groups = dict(corpus_groups, probe_5_7=probe_5_7)
-    rng = random.Random(31)
-    for n in range(400):
-        G = PcGroup(random_presentation(rng), validate=False)
-        if G.element_count <= G.element_bound and G.consistency_witness() is None:
-            groups[f"random_{n}"] = G
+    groups = dict(corpus_groups, probe_5_7=probe_5_7, **_random_consistent_groups())
     assert len(groups) >= 200
     for gid, G in groups.items():
         oracle = lower_central_series_by_elements(G)
@@ -430,3 +425,140 @@ def test_class_derived_and_frattini_agree_with_the_lower_series(corpus_groups, p
         assert frattini(G) == frattini_by_derived_series(G), gid
         assert nilpotency_class(G) == len(lower_central_series(G)) - 1, gid
         assert derived_subgroup(G) == lower_central_series(G)[1], gid
+
+
+def _random_consistent_groups() -> dict[str, PcGroup]:
+    """The consistent presentations within the element bound among 400
+    seeded random ones, as fresh groups."""
+    import random
+
+    rng = random.Random(31)
+    groups = {}
+    for n in range(400):
+        G = PcGroup(random_presentation(rng), validate=False)
+        if G.element_count <= G.element_bound and G.consistency_witness() is None:
+            groups[f"random_{n}"] = G
+    return groups
+
+
+def _fresh_groups(corpus_groups, probe_5_7) -> dict[str, PcGroup]:
+    """The corpus, the probe and the random consistent groups, each with
+    nothing cached yet."""
+    groups = {
+        gid: PcGroup(G.pres, validate=False)
+        for gid, G in dict(corpus_groups, probe_5_7=probe_5_7).items()
+    }
+    return dict(groups, **_random_consistent_groups())
+
+
+def test_upper_central_series_running_tables_match_per_term_oracle(
+    corpus_groups, probe_5_7, monkeypatch
+):
+    """The series folded term on term equals the one with a fresh coset
+    table per term, and after each term's fold the running table is that
+    term's coset-minimum table."""
+    import noninner.structure as structure
+
+    folds = []
+    original = structure._fold_basis
+
+    def recording(group, table, elements):
+        out = original(group, table, elements)
+        folds.append(out)
+        return out
+
+    monkeypatch.setattr(structure, "_fold_basis", recording)
+    for gid, G in _fresh_groups(corpus_groups, probe_5_7).items():
+        folds.clear()
+        series = upper_central_series(G)
+        running = list(folds)
+        expected_series, expected_tables = upper_central_series_by_terms(G)
+        assert series == expected_series, gid
+        assert len(running) == len(series) - 2, gid
+        for term, table, expected in zip(series[1:], running, expected_tables[1:]):
+            assert np.array_equal(table, expected), (gid, term)
+            assert np.array_equal(table, coset_min_table(G, term)), (gid, term)
+
+
+def test_upper_central_series_folds_each_pivot_once(
+    corpus_dir, manifest, probe_5_7_path, monkeypatch
+):
+    """With the conjugation permutations built, the series makes one
+    right-multiplication permutation per pivot of Z_(c-1): 5 on the
+    eligible 3^7 groups, where a fresh table per term made 13."""
+    from noninner.pcpfile import parse_pcp_file
+
+    calls = {"right_mult_perm": 0}
+    original = PcGroup.right_mult_perm
+
+    def counted(self, y):
+        calls["right_mult_perm"] += 1
+        return original(self, y)
+
+    monkeypatch.setattr(PcGroup, "right_mult_perm", counted)
+    paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
+    for path in sorted(paths) + [probe_5_7_path]:
+        G = PcGroup(parse_pcp_file(path).presentation, validate=False)
+        _conj_gen_perms(G)
+        calls["right_mult_perm"] = 0
+        series = upper_central_series(G)
+        assert calls["right_mult_perm"] == series[-2].log_order, path.name
+        if path.stem in ("g2187_a", "g2187_b", "g2187_c", "g2187_d"):
+            assert calls["right_mult_perm"] == 5, path.name
+
+
+def test_quotient_coords_match_reduction_by_products(corpus_groups, probe_5_7):
+    """The generator images read from basis digits equal those of the
+    reduction by products, modulo Phi and modulo Phi joined with seeded
+    elements, where the basis has nonzero digits at added pivots."""
+    rng = np.random.default_rng(17)
+    for gid, G in _fresh_groups(corpus_groups, probe_5_7).items():
+        phi = frattini(G)
+        subs = [phi] + [
+            closure(G, np.append(phi.basis, x))
+            for x in rng.integers(0, G.element_count, size=2).tolist()
+        ]
+        for sub in subs:
+            qc = QuotientCoords(G, sub)
+            expected = quotient_gen_coords_by_products(G, sub)
+            assert np.array_equal(qc._gen_coords, expected), (gid, sub)
+
+
+def test_frattini_coords_take_no_products(corpus_groups, probe_5_7, monkeypatch):
+    """`QuotientCoords(G, Phi)` makes no `mul_indices` call (10 per
+    eligible 3^7 group by reduction with products)."""
+    calls = {"mul_indices": 0}
+    original = PcGroup.mul_indices
+
+    def counted(self, a, b):
+        calls["mul_indices"] += 1
+        return original(self, a, b)
+
+    groups = dict(corpus_groups, probe_5_7=probe_5_7)
+    phis = {gid: frattini(G) for gid, G in groups.items()}
+    monkeypatch.setattr(PcGroup, "mul_indices", counted)
+    for gid, G in groups.items():
+        QuotientCoords(G, phis[gid])
+        assert calls["mul_indices"] == 0, gid
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_last_letter_levels_partition_the_nonidentity_elements(p):
+    """Every y != 1 lies in exactly one level, the one of its last nonzero
+    coordinate k and its value, with parent y - s_k in an earlier level or
+    the identity."""
+    G = PcGroup(PcPresentation(p, 4))
+    idx = np.arange(G.element_count)
+    level_of = np.full(G.element_count, -1)
+    level_of[0] = 0
+    for n, (k, ys, parents) in enumerate(G._last_letter_levels(), start=1):
+        ys, parents = idx[ys], idx[parents]
+        s = G._stride(k)
+        values = np.unique((ys // s) % p)
+        assert (ys % s == 0).all() and values.size == 1 and values[0] > 0, (k, n)
+        assert ys.size == p ** (k - 1), (k, n)
+        assert (level_of[ys] == -1).all(), (k, n)
+        assert np.array_equal(parents, ys - s), (k, n)
+        assert (level_of[parents] >= 0).all(), (k, n)
+        level_of[ys] = n
+    assert (level_of[1:] > 0).all()

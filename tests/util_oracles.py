@@ -30,10 +30,13 @@ from noninner.maps import GroupMap, _frattini_coords
 from noninner.pcgroup import ConsistencyWitness, Element, PcGroup, PcPresentation
 from noninner.structure import (
     Subgroup,
+    _conj_gen_perms,
     center,
     center_of,
     closure,
+    coset_min_table,
     normal_closure,
+    trivial_subgroup,
     whole_group,
 )
 
@@ -794,3 +797,47 @@ def pow_indices_by_products(group: PcGroup, x, e: int) -> np.ndarray:
     for _ in range(e - 1):
         out = group.mul_indices(out, x)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the upper central series with a fresh coset table per term, and quotient
+# coordinates by reducing generators with products, which the running table
+# and the digits of the basis replaced
+
+
+def upper_central_series_by_terms(group: PcGroup) -> tuple[list[Subgroup], list[np.ndarray]]:
+    """The upper central series and the coset-minimum tables of its terms
+    before G, each table folded afresh from the identity with the term's
+    whole basis (`coset_min_table`): Z_(i+1) holds the x with
+    M_i[x^(g_k)] = M_i[x] for every defining generator g_k."""
+    G = group
+    perms = _conj_gen_perms(G)
+    series, tables = [trivial_subgroup(G)], []
+    while series[-1].order < G.element_count:
+        table = coset_min_table(G, series[-1])
+        tables.append(table)
+        mask = np.ones(G.element_count, dtype=bool)
+        for perm in perms:
+            mask &= table[perm] == table
+        series.append(Subgroup(G, np.nonzero(mask)[0]))
+    return series, tables
+
+
+def quotient_gen_coords_by_products(group: PcGroup, sub: Subgroup) -> np.ndarray:
+    """The images of the defining generators in F_p^dim of an elementary
+    abelian quotient G/S: each g_k right-multiplied by powers of S's basis
+    elements, pivot by pivot in ascending order, until its digits at S's
+    pivots vanish (up to p - 1 masked `mul_indices` passes per pivot),
+    then its digits at the other pivots."""
+    p, m = group.p, group.ngens
+    places = group.gen_indices
+    reps = places.copy()
+    for k, b in zip(sub.pivots, sub.basis):
+        steps = -(reps // places[k - 1]) % p
+        for r in range(1, p):
+            sel = steps >= r
+            if not sel.any():
+                break
+            reps[sel] = group.mul_indices(reps[sel], b)
+    added = [k - 1 for k in range(1, m + 1) if k not in sub.pivots]
+    return reps.reshape(-1, 1) // places[added] % p
