@@ -16,7 +16,8 @@ indices.
 
 A presentation with these shape constraints always yields a terminating
 collection procedure; it defines a group of order p**m exactly when the
-four families of overlap tests pass (`consistency_witness` returns None).
+four families of overlap tests (`overlaps`) all pass, that is when
+`consistency_witness` returns None.
 
 The program computes on indices only: the overlap tests by memoised
 single-index steps, and everything else through the generators' power
@@ -385,51 +386,43 @@ class PcGroup:
     # ------------------------------------------------------------------
     # consistency
 
-    def consistency_witness(self) -> Optional[ConsistencyWitness]:
-        """Run all overlap tests; return the first failure, else None.
+    def overlaps(self):
+        """Yield (kind, gens, lhs, rhs) for every overlap test, the two
+        sides as indices, in this order: g_k(g_j g_i) vs (g_k g_j)g_i for
+        k > j > i, the two power overlaps g_j**p with g_i and g_j with
+        g_i**p for j > i, and g_i * g_i**p vs g_i**p * g_i.  All pairs are
+        equal exactly when normal forms are unique, i.e. the group has
+        order p**ngens.
 
-        The tests compare two collection orders for each critical word:
-        g_k(g_j g_i) vs (g_k g_j)g_i for k > j > i, the two power
-        overlaps g_j**p with g_i and g_j with g_i**p for j > i, and
-        g_i * g_i**p vs g_i**p * g_i.  All pass exactly when normal
-        forms are unique, i.e. the group has order p**ngens.
-
-        Both sides are evaluated on indices by `_index_steps`, which needs
-        no table, so the check runs above `element_bound`.  Every step is
-        a sequence of rule applications: equal sides join the critical
-        pair, and unequal sides are two irreducible forms of one word.
+        Both sides are evaluated by `_index_steps`, which needs no table,
+        so the tests run above `element_bound`.  Every step is a sequence
+        of rule applications: equal sides join the critical pair, and
+        unequal sides are two irreducible forms of one word.  The tests
+        are evaluated lazily, one pair per `next`.
         """
         m, p = self.ngens, self.p
         step, times = self._index_steps()
         s = [self._stride(k) for k in range(m + 1)]
         power = [self._word_index(self.pres.power(k)) for k in range(m + 1)]
-
-        def witness(kind, gens, lhs, rhs):
-            return ConsistencyWitness(kind, gens, self.vec(lhs), self.vec(rhs))
-
         for k in range(3, m + 1):
             for j in range(2, k):
                 for i in range(1, j):
                     lhs = times(s[k], step(s[j], i, 1))
-                    rhs = step(step(s[k], j, 1), i, 1)
-                    if lhs != rhs:
-                        return witness("assoc", (k, j, i), lhs, rhs)
+                    yield "assoc", (k, j, i), lhs, step(step(s[k], j, 1), i, 1)
         for j in range(2, m + 1):
             for i in range(1, j):
                 u = step(s[j], i, 1)
-                lhs = step(power[j], i, 1)
-                rhs = times((p - 1) * s[j], u)
-                if lhs != rhs:
-                    return witness("power_left", (j, i), lhs, rhs)
-                lhs = times(s[j], power[i])
-                rhs = step(u, i, p - 1)
-                if lhs != rhs:
-                    return witness("power_right", (j, i), lhs, rhs)
+                yield "power_left", (j, i), step(power[j], i, 1), times((p - 1) * s[j], u)
+                yield "power_right", (j, i), times(s[j], power[i]), step(u, i, p - 1)
         for i in range(1, m + 1):
-            lhs = times(s[i], power[i])
-            rhs = step(power[i], i, 1)
+            yield "power_self", (i,), times(s[i], power[i]), step(power[i], i, 1)
+
+    def consistency_witness(self) -> Optional[ConsistencyWitness]:
+        """The first unequal pair of `overlaps`, as exponent tuples, or
+        None when the presentation is consistent."""
+        for kind, gens, lhs, rhs in self.overlaps():
             if lhs != rhs:
-                return witness("power_self", (i,), lhs, rhs)
+                return ConsistencyWitness(kind, gens, self.vec(lhs), self.vec(rhs))
         return None
 
     def _index_steps(self):

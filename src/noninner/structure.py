@@ -293,13 +293,8 @@ def _fixed_by_conjugation(group: PcGroup, targets: Iterable[int]) -> np.ndarray:
 
 
 def center(group: PcGroup) -> Subgroup:
-    """Elements fixed by conjugation with every defining generator."""
-    sub = _cached(group, "center")
-    if sub is None:
-        sub = _store(
-            group, "center", Subgroup(group, _fixed_by_conjugation(group, group.gen_indices))
-        )
-    return sub
+    """Z(G), the first step of `upper_central_series`."""
+    return upper_central_series(group)[1]
 
 
 def upper_central_series(group: PcGroup) -> list[Subgroup]:

@@ -8,9 +8,10 @@ Sources of groups:
   * the Sylow 3-subgroup of SL(2, Z/27), given by explicit matrices and
     converted to a power-commutator presentation (the Z_2/Z-cyclic
     rejection-route example);
-  * a parametrized family of order-3^7 presentations scanned for
-    consistency (the eligible examples); see family_scan for the
-    construction and the solved central tails;
+  * one central step over three coclass-2 parents of order 3^6 (the
+    eligible examples): `central_step` solves the consistency equations
+    of the central tails, and each group is its parent extended by a
+    fixed combination of the kernel vectors;
   * the maximal-class group of order 3^6 (Eisenstein integers modulo
     L^5 extended by a cube root of unity) extended by a near-central
     element (the three-generator rejection-route example).
@@ -27,15 +28,14 @@ Run from the repository root:
 
     python3 tools/source_corpus.py --out corpus
 
-Runtime is dominated by the family scan (roughly three minutes).  The
-output directory receives one .pcp file per kept group plus
-manifest.json recording ids, routes, sources and fingerprints.
+It takes about a second.  The output directory receives one .pcp file
+per kept group plus manifest.json recording ids, routes, sources and
+fingerprints.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from collections import Counter, deque
@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from noninner import fp
 from noninner.eligibility import Route, decide_route
 from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.pcpfile import parse_pcp, serialize_pcp
@@ -81,7 +82,6 @@ class ConcreteGroup:
         elems = [model.identity()]
         pos = {self.idkey: 0}
         queue = deque(elems)
-        self.too_big = False
         while queue:
             x = queue.popleft()
             for g in self.gens:
@@ -89,16 +89,12 @@ class ConcreteGroup:
                 k = model.key(y)
                 if k not in pos:
                     if len(elems) >= cap:
-                        self.too_big = True
-                        queue.clear()
-                        break
+                        raise RuntimeError(f"the group has more than {cap} elements")
                     pos[k] = len(elems)
                     elems.append(y)
                     queue.append(y)
         self.elems = elems
-        self.pos = pos
         self._inv: dict = {}
-        self._comm_cache: dict = {}
 
     @property
     def order(self) -> int:
@@ -131,55 +127,9 @@ class ConcreteGroup:
         m = self.model
         return m.op(m.op(m.op(self.inv(x), self.inv(y)), x), y)
 
-    def conj(self, x, y):
-        m = self.model
-        return m.op(m.op(self.inv(y), x), y)
-
-    def _gen_comm_keys(self):
-        """comm_keys[i][j] = key of [elems[i], gens[j]] (cached)."""
-        got = self._comm_cache.get("gen_comm")
-        if got is None:
-            got = [
-                [self.model.key(self.comm(x, g)) for g in self.gens]
-                for x in self.elems
-            ]
-            self._comm_cache["gen_comm"] = got
-        return got
-
-    def subgroup_closure(self, seeds):
-        """Key-set and element list of the subgroup generated by seeds."""
-        m = self.model
-        seeds = [s for s in seeds if m.key(s) != self.idkey]
-        elems = [m.identity()]
-        keys = {self.idkey}
-        queue = deque(elems)
-        while queue:
-            x = queue.popleft()
-            for s in seeds:
-                y = m.op(x, s)
-                k = m.key(y)
-                if k not in keys:
-                    keys.add(k)
-                    elems.append(y)
-                    queue.append(y)
-        return keys, elems
-
-    def normal_closure(self, seeds):
-        keys, elems = self.subgroup_closure(seeds)
-        while True:
-            extra = []
-            for x in elems:
-                for g in self.gens:
-                    y = self.conj(x, g)
-                    if self.model.key(y) not in keys:
-                        extra.append(y)
-            if not extra:
-                return keys, elems
-            keys, elems = self.subgroup_closure(elems + extra)
-
     def upper_series(self):
         """Key-sets 1 = Z_0 < Z_1 < ... < Z_c = G."""
-        comm_keys = self._gen_comm_keys()
+        comm_keys = [[self.model.key(self.comm(x, g)) for g in self.gens] for x in self.elems]
         levels = [{self.idkey}]
         cur = levels[0]
         while len(cur) < self.order:
@@ -193,26 +143,6 @@ class ConcreteGroup:
             levels.append(nxt)
             cur = nxt
         return levels
-
-    def nilpotency_class(self) -> int:
-        cur_elems = self.elems
-        cls = 0
-        while len(cur_elems) > 1:
-            seeds = []
-            seen = set()
-            for x in cur_elems:
-                for g in self.gens:
-                    c = self.comm(x, g)
-                    k = self.model.key(c)
-                    if k != self.idkey and k not in seen:
-                        seen.add(k)
-                        seeds.append(c)
-            keys, elems = self.normal_closure(seeds) if seeds else ({self.idkey}, [self.model.identity()])
-            if len(elems) == len(cur_elems):
-                raise RuntimeError("lower central series stalled")
-            cur_elems = elems
-            cls += 1
-        return cls
 
     def order_histogram(self):
         return Counter(self.element_order(x) for x in self.elems)
@@ -381,252 +311,114 @@ def fingerprint(group: PcGroup) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# candidate constructions
+# constructions
 
 
 def mat(entries, q):
     return np.array(entries, dtype=np.int64) % q
 
 
-def _overlap_diffs(group):
-    """All overlap-test pairs (lhs, rhs) in a fixed order, no early exit.
+def tail_slots(m: int) -> list:
+    """The relations of an m-generator presentation that `central_step`
+    gives a tail: ("pow", i) for i = 1..m, then ("comm", (j, i)) for
+    j = 2..m and i < j."""
+    return [("pow", i) for i in range(1, m + 1)] + [
+        ("comm", (j, i)) for j in range(2, m + 1) for i in range(1, j)
+    ]
 
-    Same four families as PcGroup.consistency_witness: associativity
-    g_k(g_j g_i) vs (g_k g_j)g_i, the two power overlaps, and the
-    power-self tests.
+
+def with_tails(pres: PcPresentation, tails) -> PcPresentation:
+    """pres with a new last generator g_(m+1) of order p and central,
+    each relation of `tail_slots(m)` times g_(m+1)^t for its tail t."""
+    p, m = pres.p, pres.ngens
+    relations = {"pow": dict(pres.powers), "comm": dict(pres.commutators)}
+    for (kind, key), t in zip(tail_slots(m), tails):
+        if int(t) % p:
+            words = relations[kind]
+            words[key] = [*words.get(key, ()), (m + 1, int(t) % p)]
+    return PcPresentation(p, m + 1, powers=relations["pow"], commutators=relations["comm"])
+
+
+def central_step(pres: PcPresentation):
+    """The consistent central extensions of pres by one generator of
+    order p: (slots, kernel), where `with_tails(pres, t)` is consistent
+    exactly when t is an F_p combination of the kernel basis.
+
+    This is the tails-and-consistency step of the p-quotient algorithm
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    2005, ch. 9).  g_(m+1) is central of order p, so collection modulo
+    it is collection in pres, and each overlap test of the extension
+    differs from pres's only in its last digit, which is linear in the
+    tails over F_p.  Zero tails give pres x C_p, which is consistent, so
+    there is no constant term, and one run per slot gives the matrix.
+    Raises ValueError when pres itself is inconsistent.
     """
-    m, p = group.ngens, group.p
-    out = []
-    for k in range(3, m + 1):
-        for j in range(2, k):
-            for i in range(1, j):
-                u = group._mul_gen(group.generator(j), i, 1)
-                lhs = group.mul(group.generator(k), u)
-                v = group._mul_gen(group.generator(k), j, 1)
-                rhs = group._mul_gen(v, i, 1)
-                out.append((lhs, rhs))
-    for j in range(2, m + 1):
-        for i in range(1, j):
-            pj = group._power_value(j)
-            lhs = group._mul_gen(pj, i, 1)
-            u = group._mul_gen(group.generator(j), i, 1)
-            gj_pm1 = tuple(p - 1 if t == j else 0 for t in range(1, m + 1))
-            rhs = group.mul(gj_pm1, u)
-            out.append((lhs, rhs))
-            pi = group._power_value(i)
-            lhs2 = group.mul(group.generator(j), pi)
-            rhs2 = group._mul_gen(u, i, p - 1)
-            out.append((lhs2, rhs2))
-    for i in range(1, m + 1):
-        pi = group._power_value(i)
-        lhs = group.mul(group.generator(i), pi)
-        rhs = group._mul_gen(pi, i, 1)
-        out.append((lhs, rhs))
-    return out
+    p = pres.p
+    slots = tail_slots(pres.ngens)
+    columns = []
+    for tails in np.eye(len(slots), dtype=np.int64):
+        column = []
+        for kind, gens, lhs, rhs in PcGroup(with_tails(pres, tails), validate=False).overlaps():
+            if lhs // p != rhs // p:
+                raise ValueError(f"the parent fails the overlap test {kind} on {gens}")
+            column.append((lhs - rhs) % p)
+        columns.append(column)
+    ech, pivots = fp.row_echelon(np.array(columns).T, p)
+    kernel = []
+    for free in (c for c in range(len(slots)) if c not in pivots):
+        vec = np.zeros(len(slots), dtype=np.int64)
+        vec[free] = 1
+        vec[pivots] = -ech[: len(pivots), free] % p
+        kernel.append(vec)
+    return slots, kernel
 
 
-# Relations of the order-3^7 family that carry a free central tail
-# (a g7-component solved for by linear algebra): five powers and five
-# commutators, in this order.
-_TAIL_SLOTS = (
-    ("pow", 2),
-    ("pow", 3),
-    ("pow", 4),
-    ("pow", 5),
-    ("pow", 6),
-    ("comm", (3, 2)),
-    ("comm", (4, 2)),
-    ("comm", (5, 2)),
-    ("comm", (5, 4)),
-    ("comm", (6, 2)),
-)
+def kernel_member(pres: PcPresentation, coeffs) -> PcPresentation:
+    """The central extension of pres whose tails are sum(c * v) over
+    `central_step`'s kernel basis."""
+    slots, kernel = central_step(pres)
+    if len(coeffs) != len(kernel):
+        raise ValueError(f"{len(kernel)} kernel coefficients required, got {len(coeffs)}")
+    zero = np.zeros(len(slots), dtype=np.int64)
+    return with_tails(pres, sum((c * v for c, v in zip(coeffs, kernel)), zero))
 
 
-def _family_presentation(struct, tails, extra_comms=None):
-    """Member of the order-3^7 candidate family.
+def relations_text(pres: PcPresentation) -> str:
+    """pres as <g1..gm | relations>, trivial relations left out."""
 
-    Chain: g3 = g1^3, g4 = [g2,g1], g5 = [g4,g1], g6 = [g5,g1],
-    g7 = [g6,g1] (central).  The lower central series is
-    G > <g4..g7> > <g5,g6,g7> > <g6,g7> > <g7> > 1 and G/gamma_2 is
-    C9 x C3 (g1 has order 9 or 27); this is the only layer profile
-    compatible with a noncyclic second-center quotient at this order.
-    The target upper central series is <g7> < <g3,g6,g7> < ..., so the
-    relations [g4,g3], [g5,g3], [g6,g3], [g6,g4], [g6,g5] are all
-    trivial (forcing Z_2 inside the centre of the Frattini subgroup)
-    and [g3,g2], [g6,g2], g3^3, g6^3 only carry central tails.
+    def word(w):
+        return " ".join(f"g{k}" if e == 1 else f"g{k}^{e}" for k, e in w)
 
-    struct: dict of non-central exponents
-        p2_4, p2_5, p2_6 : g2^3 = g4^. g5^. g6^. (times tail)
-        p4_5, p4_6       : g4^3 = g5^. g6^.
-        p5_6             : g5^3 = g6^.
-        c42_5, c42_6     : [g4,g2] = g5^. g6^.
-        c52_6            : [g5,g2] = g6^.
-        c54_6            : [g5,g4] = g6^.
-    tails: sequence of ten g7-exponents, one per _TAIL_SLOTS entry.
-    extra_comms: optional extra commutator words merged in on top (used
-    to force, e.g., [g6,g4] != 1 when hunting rejection-route examples).
-    """
-    t = {slot: int(e) % 3 for slot, e in zip(_TAIL_SLOTS, tails)}
+    rels = [f"g{i}^{pres.p} = {word(w)}" for i, w in sorted(pres.powers.items())]
+    rels += [f"[g{j},g{i}] = {word(w)}" for (j, i), w in sorted(pres.commutators.items())]
+    return f"<g1..g{pres.ngens} | {', '.join(rels)}>"
 
-    def word(*pairs):
-        return [(g, e % 3) for g, e in pairs if e % 3]
 
-    powers = {
-        1: [(3, 1)],
-        2: word(
-            (4, struct["p2_4"]),
-            (5, struct["p2_5"]),
-            (6, struct["p2_6"]),
-            (7, t[("pow", 2)]),
-        ),
-        3: word((7, t[("pow", 3)])),
-        4: word((5, struct["p4_5"]), (6, struct["p4_6"]), (7, t[("pow", 4)])),
-        5: word((6, struct["p5_6"]), (7, t[("pow", 5)])),
-        6: word((7, t[("pow", 6)])),
-    }
-    comms = {
-        (2, 1): [(4, 1)],
-        (3, 2): word((7, t[("comm", (3, 2))])),
-        (4, 1): [(5, 1)],
-        (4, 2): word(
-            (5, struct["c42_5"]),
-            (6, struct["c42_6"]),
-            (7, t[("comm", (4, 2))]),
-        ),
-        (5, 1): [(6, 1)],
-        (5, 2): word((6, struct["c52_6"]), (7, t[("comm", (5, 2))])),
-        (5, 4): word((6, struct["c54_6"]), (7, t[("comm", (5, 4))])),
-        (6, 1): [(7, 1)],
-        (6, 2): word((7, t[("comm", (6, 2))])),
-    }
-    if extra_comms:
-        for key, word in extra_comms.items():
-            if isinstance(key, tuple):
-                comms[key] = list(word)
-            else:
-                powers[key] = list(word)
+def _parent_3_6(powers, commutators) -> PcPresentation:
+    """A coclass-2 parent of order 3^6 on the chain g3 = g1^3,
+    g4 = [g2,g1], g5 = [g4,g1], g6 = [g5,g1]."""
     return PcPresentation(
         3,
-        7,
-        powers={i: w for i, w in powers.items() if w},
-        commutators={k: w for k, w in comms.items() if w},
+        6,
+        powers={1: [(3, 1)], **powers},
+        commutators={(2, 1): [(4, 1)], (4, 1): [(5, 1)], (5, 1): [(6, 1)], **commutators},
     )
 
 
-_STRUCT_KEYS = (
-    "p2_4",
-    "p2_5",
-    "p2_6",
-    "p4_5",
-    "p4_6",
-    "p5_6",
-    "c42_5",
-    "c42_6",
-    "c52_6",
-    "c54_6",
-)
-
-
-class FamilyMember:
-    """A consistent member of the order-3^7 family.
-
-    Records the structural exponents, the solved central tails, and a
-    basis of the tail-solution kernel (directions in which the tails
-    may be shifted while preserving consistency).
-    """
-
-    def __init__(self, struct, tails, kernel, presentation):
-        self.struct = dict(struct)
-        self.tails = tuple(int(t) % 3 for t in tails)
-        self.kernel = tuple(tuple(int(v) % 3 for v in vec) for vec in kernel)
-        self.presentation = presentation
-
-    def tail_variant(self, coeffs, extra_comms=None):
-        """Presentation with tails shifted by sum(c * kernel vector).
-
-        Stays inside the solution space of the consistency equations,
-        so the result is consistent whenever the member is; the caller
-        still re-validates.
-        """
-        if len(coeffs) != len(self.kernel):
-            raise ValueError("one coefficient per kernel vector required")
-        tails = list(self.tails)
-        for c, vec in zip(coeffs, self.kernel):
-            for k, v in enumerate(vec):
-                tails[k] = (tails[k] + c * v) % 3
-        return _family_presentation(self.struct, tails, extra_comms)
-
-
-def family_scan(extra_comms=None, progress=None):
-    """Yield every consistent member of the order-3^7 candidate family.
-
-    For each assignment of the ten non-central structural exponents,
-    the ten free central (g7) tails enter every overlap test linearly:
-    multiplying a relation by the central g7^d shifts each collected
-    side by exactly d in the g7 coordinate and nowhere else.  So a
-    structural assignment extends to a consistent presentation exactly
-    when (a) the tail-free member has overlap discrepancies confined
-    to the g7 coordinate and (b) the resulting linear system over F_3
-    is solvable.  Solving it (one probe per tail slot plus one base
-    run) replaces a 3^10-fold enumeration of the tails.
-    """
-    from noninner import fp
-
-    n_slots = len(_TAIL_SLOTS)
-    zero = [0] * n_slots
-    total = 3 ** len(_STRUCT_KEYS)
-    combos = itertools.product(range(3), repeat=len(_STRUCT_KEYS))
-    for count, combo in enumerate(combos):
-        if progress and count % 4096 == 0:
-            progress(count, total)
-        struct = dict(zip(_STRUCT_KEYS, combo))
-        base = PcGroup(
-            _family_presentation(struct, zero, extra_comms), validate=False
-        )
-        pairs = _overlap_diffs(base)
-        ok = True
-        base_diff = []
-        for lhs, rhs in pairs:
-            if lhs[:6] != rhs[:6]:
-                ok = False
-                break
-            base_diff.append((lhs[6] - rhs[6]) % 3)
-        if not ok:
-            continue
-        cols = []
-        for slot in range(n_slots):
-            probe_tails = list(zero)
-            probe_tails[slot] = 1
-            probe = PcGroup(
-                _family_presentation(struct, probe_tails, extra_comms),
-                validate=False,
-            )
-            col = []
-            for (lhs, rhs), b in zip(_overlap_diffs(probe), base_diff):
-                col.append((lhs[6] - rhs[6] - b) % 3)
-            cols.append(col)
-        matrix = [
-            [cols[s][row] for s in range(n_slots)]
-            for row in range(len(base_diff))
-        ]
-        rhs_vec = [(-b) % 3 for b in base_diff]
-        sol = fp.solve(matrix, rhs_vec, 3)
-        if sol is None:
-            continue
-        ech, pivots = fp.row_echelon(matrix, 3)
-        kernel = []
-        for free_col in (c for c in range(n_slots) if c not in pivots):
-            vec = [0] * n_slots
-            vec[free_col] = 1
-            for r, c in enumerate(pivots):
-                vec[c] = int(-ech[r, free_col]) % 3
-            kernel.append(vec)
-        tails = [int(v) for v in sol]
-        pres = _family_presentation(struct, tails, extra_comms)
-        group = PcGroup(pres, validate=False)
-        if group.consistency_witness() is not None:
-            continue
-        yield FamilyMember(struct, tails, kernel, pres)
+# The ELIGIBLE examples: id, parent of order 3^6 and kernel coefficients of
+# its central step.  Each parent is the group's quotient by g7, and
+# g2187_a and g2187_b share theirs.
+_PARENT_AB = _parent_3_6({4: [(6, 2)]}, {(4, 2): [(5, 1), (6, 1)], (5, 2): [(6, 1)]})
+ELIGIBLE_STEPS = [
+    ("g2187_a", _PARENT_AB, (0, 0, 0, 0, 0, 0, 1, 1)),
+    ("g2187_b", _PARENT_AB, (0, 0, 1, 0, 0, 0, 1, 1)),
+    (
+        "g2187_c",
+        _parent_3_6({4: [(6, 2)]}, {(4, 2): [(5, 2)], (5, 2): [(6, 2)]}),
+        (0, 0, 1, 0, 0, 0, 0, 2),
+    ),
+    ("g2187_d", _parent_3_6({2: [(5, 2)], 4: [(6, 2)]}, {}), (0, 0, 0, 0, 0, 0, 0, 1)),
+]
 
 
 def maximal_class_3_6():
@@ -747,10 +539,6 @@ HAND_WRITTEN = [
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="corpus", help="output directory")
-    ap.add_argument(
-        "--eligible-target", type=int, default=4,
-        help="how many eligible order-3^7 groups to keep",
-    )
     args = ap.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -758,14 +546,14 @@ def main(argv=None) -> int:
     kept: list[dict] = []  # manifest entries (with presentation attached)
     notes: list[str] = []
 
-    def keep(group_id, pres, route, source, fp=None):
+    def keep(group_id, pres, route, source, fprint=None):
         kept.append(
             {
                 "id": group_id,
                 "pres": pres,
                 "route": route.value,
                 "source": source,
-                "fingerprint": fp,
+                "fingerprint": fprint,
             }
         )
 
@@ -794,75 +582,28 @@ def main(argv=None) -> int:
         fingerprint(group),
     )
 
-    # -- eligible examples from the presentation family -------------------
-    print("[family] scanning the order-3^7 presentation family "
-          "(about three minutes)...")
-
-    def progress(done, total):
-        if done % 16384 == 0:
-            print(f"  {done}/{total} structural assignments", flush=True)
-
-    members = list(family_scan(progress=progress))
-    print(f"  {len(members)} consistent members")
-
-    eligible: list[dict] = []
+    # -- eligible examples: one central step over order-3^6 parents -------
     eligible_fps: list[dict] = []
-
-    def consider(pres, source):
+    for group_id, parent, coeffs in ELIGIBLE_STEPS:
+        pres = kernel_member(parent, coeffs)
         group = PcGroup(pres)  # validated
         route = decide_route(group).route
+        print(f"[central step] {group_id}: route {route.value}")
         if route is not Route.ELIGIBLE:
-            print(f"    route {route.value}; skipping")
-            return
-        fp_ = fingerprint(group)
-        if fp_ in eligible_fps:
-            print("    duplicate fingerprint; skipping")
-            return
-        eligible_fps.append(fp_)
-        entry_id = f"g2187_{chr(ord('a') + len(eligible))}"
-        eligible.append({"id": entry_id})
-        keep(entry_id, pres, Route.ELIGIBLE, source, fp_)
-        print(f"    kept as {entry_id}")
-
-    def describe_member(member, coeffs=None):
-        parts = [f"{k}={v}" for k, v in member.struct.items() if v]
-        tail = (
-            " with kernel shift " + "+".join(map(str, coeffs))
-            if coeffs and any(coeffs)
-            else ""
+            raise RuntimeError(f"{group_id} routes {route.value}, expected ELIGIBLE")
+        fprint = fingerprint(group)
+        if fprint in eligible_fps:
+            raise RuntimeError(f"{group_id} repeats the fingerprint of an earlier group")
+        eligible_fps.append(fprint)
+        keep(
+            group_id,
+            pres,
+            route,
+            f"central step over the order-3^6 parent {relations_text(parent)}: "
+            "the tails of g7 on its 21 relations combine the 8 kernel vectors "
+            f"with coefficients {list(coeffs)}",
+            fprint,
         )
-        return (
-            "order-3^7 presentation family (chain g3=g1^3, g4=[g2,g1], "
-            "g5=[g4,g1], g6=[g5,g1], g7=[g6,g1]); structural exponents "
-            + (", ".join(parts) if parts else "all zero")
-            + "; central tails solved from the consistency equations"
-            + tail
-        )
-
-    for member in members:
-        if len(eligible) >= args.eligible_target:
-            break
-        nonzero = {k: v for k, v in member.struct.items() if v}
-        print(f"  [family member] struct {nonzero}")
-        consider(member.presentation, describe_member(member))
-        if len(eligible) >= args.eligible_target:
-            break
-        # kernel shift in the g1^9 direction: same structural exponents
-        # but g3^3 = g7, so g1 has order 27 and Z_2 becomes C9 x C3
-        for slot_index, slot in enumerate(_TAIL_SLOTS):
-            if slot != ("pow", 3):
-                continue
-            for vec_index, vec in enumerate(member.kernel):
-                if vec[slot_index] % 3 == 0:
-                    continue
-                coeffs = [0] * len(member.kernel)
-                coeffs[vec_index] = 1
-                pres = member.tail_variant(coeffs)
-                if PcGroup(pres, validate=False).consistency_witness():
-                    continue
-                print("  [family member, g1^9 = g7 variant]")
-                consider(pres, describe_member(member, coeffs))
-                break
 
     # -- rejection-route example: three generators ------------------------
     # Extend the maximal-class group of order 3^6 by a near-central
@@ -892,12 +633,6 @@ def main(argv=None) -> int:
         notes.append(
             "no coclass-2 order-3^7 group on the Z2_NOT_IN_ZPHI_OR_D_NOT_2 "
             "route was found"
-        )
-
-    if len(eligible) < 3:
-        notes.append(
-            f"family scan yielded only {len(eligible)} eligible groups "
-            "of order 3^7"
         )
 
     manifest: dict = {
