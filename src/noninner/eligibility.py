@@ -336,13 +336,13 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
     g_k^p = w_k exactly when z_k^p = prod_l z_l^e_l(w_k), and the
     commutator relation [g_j, g_i] = w_ji exactly when
     prod_l z_l^e_l(w_ji) = 1, where e_l(w) is the exponent of g_l in the
-    normal word w.  The tail tuples are solved deepest generator first
-    (k = m, ..., 1): step k adds every choice of z_k to the tuples
-    (z_(k+1), ..., z_m) kept so far, then keeps those that satisfy the
-    power relation of g_k and each commutator relation whose word starts
-    at g_k.  A solution is an automorphism when its images generate
-    (`generates`), which is decided once per distinct coordinate matrix
-    modulo the Frattini subgroup.
+    normal word w.  The tail tuples, as positions in Z, are solved deepest
+    generator first (k = m, ..., 1): step k puts each z_k, in index order,
+    before all the tuples (z_(k+1), ..., z_m) kept so far, in their order,
+    and keeps those that satisfy the power relation of g_k and each
+    commutator relation whose word starts at g_k; so the tuples stay in
+    product order, with no sort.  Generation depends only on a solution's
+    coordinate matrix mod Phi: one `generates` call, one tuple per matrix.
 
     Raises OrderBoundError when a step would hold more tuples than the
     group's element bound.
@@ -368,36 +368,31 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
             out = G.mul_indices(out, powers[e][pos[:, l - k]])
         return out
 
-    # rows[r, t] is the index of z_(k+t) in the r-th tuple kept after step k
-    rows = np.zeros((1, 0), dtype=np.int64)
+    # pos[r, t] is the position in Z of z_(k+t) in the r-th tuple after step k
+    pos = np.zeros((1, 0), dtype=np.int64)
     for k in range(m, 0, -1):
-        if len(rows) * nz > G.element_bound:
+        if len(pos) * nz > G.element_bound:
             raise OrderBoundError(
-                f"central automorphisms: {len(rows)} tail tuples times |Z| = {nz} "
+                f"central automorphisms: {len(pos)} tail tuples times |Z| = {nz} "
                 f"exceed the element bound {G.element_bound}"
             )
-        rows = np.column_stack(
-            [np.repeat(z_idx, len(rows)), np.tile(rows, (nz, 1))]
-        )
-        pos = np.searchsorted(z_idx, rows)
+        pos = np.column_stack([np.repeat(np.arange(nz), len(pos)), np.tile(pos, (nz, 1))])
         keep = powers[p][pos[:, 0]] == value(G.pres.power(k), pos, k)
         for word in starting.get(k, ()):
             keep &= value(word, pos, k) == 0
-        rows = rows[keep]
-    rows = rows[np.lexsort(rows.T[::-1])]
+        pos = pos[keep]
     # z_k is central, so z_k g_k is the image g_k z_k
-    images = G.mul_indices(rows, np.broadcast_to(G.gen_indices, rows.shape))
+    images = G.mul_indices(z_idx[pos], np.broadcast_to(G.gen_indices, pos.shape))
 
     qc = _frattini_coords(G)
     # row k of a tuple's coordinate matrix is coords(g_k) + coords(z_k), so
     # the codes of the z_k (coordinate rows read base p) fix the matrix;
     # the all-identity tuple always solves, so there is a first code row
-    pos = np.searchsorted(z_idx, rows)
     codes = (qc.coords(z_idx) @ p ** np.arange(qc.dim, dtype=np.int64))[pos]
     order = np.lexsort(codes.T[::-1])
     first = np.r_[True, (codes[order[1:]] != codes[order[:-1]]).any(axis=1)]
-    full = np.array([generates(G, images[r]) for r in order[first]])
-    return images[np.sort(order[full[np.cumsum(first) - 1]])]
+    full = generates(G, images[order[first]])[np.cumsum(first) - 1]
+    return images[np.sort(order[full])]
 
 
 def diagnostics(group: PcGroup) -> dict:

@@ -74,12 +74,13 @@ def _frattini_coords(group: PcGroup) -> QuotientCoords:
     return qc
 
 
-def generates(group: PcGroup, indices) -> bool:
-    """Whether the elements with the given indices generate the group.
-    By Burnside's basis theorem they do exactly when their images span
-    G/Phi(G), that is when their Frattini coordinates have full rank."""
-    qc = _frattini_coords(group)
-    return fp.rank(qc.coords(indices), group.p) == qc.dim
+def generates(group: PcGroup, indices):
+    """Whether the elements with the given indices generate the group (for
+    a (B, k) array, whether each row does).  By Burnside's basis theorem,
+    exactly when their Frattini coordinates have full rank modulo Phi(G)."""
+    qc, indices = _frattini_coords(group), np.asarray(indices, dtype=np.int64)
+    full = fp.rank(qc.coords(indices).reshape(*indices.shape, qc.dim), group.p) == qc.dim
+    return full if indices.ndim == 2 else bool(full)
 
 
 def verify_automorphism(f: GroupMap) -> Optional[str]:

@@ -240,6 +240,37 @@ def test_central_automorphisms_of_cyclic_9():
     assert np.array_equal(auts, central_automorphisms_by_enumeration(G))
 
 
+@pytest.mark.parametrize("p, n, order", [(3, 2, 48), (5, 2, 480), (3, 3, 11_232), (2, 4, 20_160)])
+def test_central_automorphisms_of_elementary_abelian_groups(p, n, order):
+    """Z = C_p^n is the whole group, so the central automorphisms are all
+    of GL_n(p), of order prod (p^n - p^i).  At (3, 3) and (2, 4) every
+    tuple has its own coordinate matrix: stacks of 19 683 and 65 536."""
+    assert math.prod(p**n - p**i for i in range(n)) == order
+    assert len(central_automorphisms(PcGroup(PcPresentation(p, n)))) == order
+
+
+def test_central_automorphisms_make_one_rank_call(corpus_groups, monkeypatch):
+    """Generation is decided for one tuple per distinct coordinate matrix
+    in a single stacked `fp.rank` call (on heis_x_c3, one stack of 27
+    matrices where each used to be its own call)."""
+    import noninner.fp as fp
+
+    shapes = []
+    original = fp.rank
+
+    def counted(mat, p):
+        shapes.append(np.shape(mat))
+        return original(mat, p)
+
+    monkeypatch.setattr(fp, "rank", counted)
+    for gid, G in corpus_groups.items():
+        shapes.clear()
+        central_automorphisms(G)
+        assert len(shapes) <= 1, (gid, shapes)
+        if gid == "heis_x_c3":
+            assert shapes == [(27, G.ngens, 3)], shapes
+
+
 def _factor(kind: str, tails: tuple) -> tuple:
     """(ngens, powers, commutators) of one factor over p = 3, numbered
     from 1.  The Heisenberg factor may carry power tails on g1 and g2
@@ -303,10 +334,10 @@ def test_tables_match_whole_group_pass_builds_on_products(pres):
 
 def test_central_automorphisms_collector_call_budget(corpus_dir, monkeypatch):
     """The tails are solved on index arrays and the Frattini coordinates
-    come from index products, so past the route decision the tuple
-    collector is never called.  The solutions are index rows, which
-    diagnostics only counts, so hardly any index becomes a tuple
-    (`vec`)."""
+    are read from the digits of the indices, with no product, so past the
+    route decision the tuple collector is never called.  The solutions
+    are index rows, which diagnostics only counts, so hardly any index
+    becomes a tuple (`vec`)."""
     from noninner.pcpfile import parse_pcp_file
 
     pres = parse_pcp_file(corpus_dir / "heis_x_c3.pcp").presentation

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noninner import fp
+from util_oracles import row_echelon_by_rows
 
 
 def test_row_echelon_frozen():
@@ -32,6 +33,12 @@ def test_row_echelon_identity_and_zero():
     ech, pivots = fp.row_echelon(np.zeros((3, 3), dtype=int), 3)
     assert pivots == []
     assert (ech == 0).all()
+
+
+def test_row_echelon_without_columns():
+    ech, pivots = fp.row_echelon(np.zeros((2, 0), dtype=int), 3)
+    assert ech.shape == (2, 0) and pivots == []
+    assert fp.rank(np.zeros((2, 0), dtype=int), 3) == 0
 
 
 def test_rank_frozen():
@@ -106,3 +113,31 @@ def test_row_echelon_is_idempotent_and_rank_bounded(sys_):
     for r, c in enumerate(pivots):
         col = ech[:, c]
         assert col[r] == 1 and (np.delete(col, r) == 0).all()
+
+
+@st.composite
+def stack(draw):
+    """A stack (B, r, c) over F_p with sparse entries and whole zero rows."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 313]))
+    b, r, c = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    row = st.one_of(st.just([0] * c), st.lists(entry, min_size=c, max_size=c))
+    mats = draw(st.lists(st.lists(row, min_size=r, max_size=r), min_size=b, max_size=b))
+    return p, np.array(mats, dtype=np.int64).reshape(b, r, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack())
+def test_stacked_row_echelon_matches_row_by_row_oracle(case):
+    p, mats = case
+    ech, pivots = fp.row_echelon(mats, p)
+    ranks = fp.rank(mats, p)
+    assert ech.shape == mats.shape and len(pivots) == len(ranks) == len(mats)
+    for b, mat in enumerate(mats):
+        expected, expected_pivots = row_echelon_by_rows(mat, p)
+        assert (ech[b] == expected).all(), b
+        assert pivots[b] == expected_pivots, b
+        assert ranks[b] == len(expected_pivots), b
+        alone, alone_pivots = fp.row_echelon(mat, p)
+        assert (alone == expected).all() and alone_pivots == expected_pivots
+        assert fp.rank(mat, p) == len(expected_pivots)

@@ -841,3 +841,40 @@ def quotient_gen_coords_by_products(group: PcGroup, sub: Subgroup) -> np.ndarray
             reps[sel] = group.mul_indices(reps[sel], b)
     added = [k - 1 for k in range(1, m + 1) if k not in sub.pivots]
     return reps.reshape(-1, 1) // places[added] % p
+
+
+# ---------------------------------------------------------------------------
+# Gaussian elimination one matrix and one row at a time, which the stacked
+# elimination of `fp` replaced
+
+
+def row_echelon_by_rows(mat, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form of one matrix over F_p and its pivot
+    columns: at each column the first nonzero row at or below the next
+    pivot row is swapped up, scaled to 1 and subtracted from every other
+    row, a Python loop over the rows."""
+    a = np.array(mat, dtype=np.int64) % p
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for rr in range(r, rows):
+            if a[rr, c] % p:
+                pivot_row = rr
+                break
+        if pivot_row is None:
+            continue
+        a[[r, pivot_row]] = a[[pivot_row, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        for rr in range(rows):
+            if rr != r and a[rr, c]:
+                a[rr] = (a[rr] - a[rr, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
