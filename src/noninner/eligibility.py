@@ -341,8 +341,12 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
     before all the tuples (z_(k+1), ..., z_m) kept so far, in their order,
     and keeps those that satisfy the power relation of g_k and each
     commutator relation whose word starts at g_k; so the tuples stay in
-    product order, with no sort.  Generation depends only on a solution's
-    coordinate matrix mod Phi: one `generates` call, one tuple per matrix.
+    product order, with no sort.  The image g_k z_k = z_k g_k is read from
+    the generator table T_k at Z.  A solution is an automorphism exactly
+    when its images generate G, that is when their coordinate matrix mod
+    Phi has full rank (Burnside): when Z <= Phi it is the generators' own
+    matrix, so every solution is one; otherwise one `generates` call
+    decides one tuple per distinct matrix.
 
     Raises OrderBoundError when a step would hold more tuples than the
     group's element bound.
@@ -363,10 +367,11 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
     def value(word, pos: np.ndarray, k: int) -> np.ndarray:
         """prod_l z_l^e_l(word) for every tuple, where pos[:, l - k] is
         the position of z_l in Z."""
-        out = np.zeros(len(pos), dtype=np.int64)
+        out = None
         for l, e in word:
-            out = G.mul_indices(out, powers[e][pos[:, l - k]])
-        return out
+            z = powers[e][pos[:, l - k]]
+            out = z if out is None else G.mul_indices(out, z)
+        return np.zeros(len(pos), dtype=np.int64) if out is None else out
 
     # pos[r, t] is the position in Z of z_(k+t) in the r-th tuple after step k
     pos = np.zeros((1, 0), dtype=np.int64)
@@ -381,8 +386,10 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
         for word in starting.get(k, ()):
             keep &= value(word, pos, k) == 0
         pos = pos[keep]
-    # z_k is central, so z_k g_k is the image g_k z_k
-    images = G.mul_indices(z_idx[pos], np.broadcast_to(G.gen_indices, pos.shape))
+    gen_at_z = np.stack([G._rtable(k)[z_idx] for k in range(1, m + 1)], axis=1)
+    images = gen_at_z[pos, np.arange(m)]
+    if frattini(G).mask[z_idx].all():
+        return images
 
     qc = _frattini_coords(G)
     # row k of a tuple's coordinate matrix is coords(g_k) + coords(z_k), so

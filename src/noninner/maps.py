@@ -77,7 +77,8 @@ def _frattini_coords(group: PcGroup) -> QuotientCoords:
 def generates(group: PcGroup, indices):
     """Whether the elements with the given indices generate the group (for
     a (B, k) array, whether each row does).  By Burnside's basis theorem,
-    exactly when their Frattini coordinates have full rank modulo Phi(G)."""
+    exactly when their Frattini coordinates have full rank modulo Phi(G),
+    in one `fp.rank` call (`verify_automorphism` reads its table instead)."""
     qc, indices = _frattini_coords(group), np.asarray(indices, dtype=np.int64)
     full = fp.rank(qc.coords(indices).reshape(*indices.shape, qc.dim), group.p) == qc.dim
     return full if indices.ndim == 2 else bool(full)
@@ -90,8 +91,9 @@ def verify_automorphism(f: GroupMap) -> Optional[str]:
     (including the trivial ones); both sides of all relations are
     evaluated at once on index arrays, the right-hand side through f's
     table, and the first failure in the order g1, ..., gm, then [g2, g1],
-    [g3, g1], [g3, g2], ... is reported.  Bijectivity: the images must
-    generate (`generates`).
+    [g3, g1], [g3, g2], ... is reported.  Once they hold, the table is a
+    homomorphism of a finite group, bijective exactly when it is a
+    permutation of the indices, that is exactly when the images generate.
     """
     G = f.group
     m = G.ngens
@@ -109,7 +111,7 @@ def verify_automorphism(f: GroupMap) -> Optional[str]:
     if bad.size:
         j, i = pairs[bad[0]]
         return f"commutator relation [g{j}, g{i}] is not preserved"
-    if not generates(G, images):
+    if not np.bincount(table, minlength=G.element_count).all():
         return "images do not generate the group"
     return None
 

@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 from noninner.certify import certify_group
 from noninner.maps import GroupMap, fixes_elementwise, map_order, verify_automorphism
 from noninner.report import report_to_dict, report_to_json, report_to_text
@@ -231,6 +233,28 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
         assert calls["lower_central_series"] == 0, (gid, calls)
         assert calls["closure"] <= 2, (gid, calls)
         assert calls["_is_elementary_abelian"] <= 1, (gid, calls)
+
+
+def test_certify_makes_one_rank_call(corpus_dir, eligible_ids, monkeypatch):
+    """Only the [a, b] generation test of `select_generators` takes an
+    F_p rank; `verify_automorphism` reads bijectivity from each lift's
+    table, so an ELIGIBLE certification makes one `fp.rank` call."""
+    import noninner.fp as fp
+    from noninner.pcpfile import parse_pcp_file
+
+    shapes = []
+    original = fp.rank
+
+    def counted(mat, p):
+        shapes.append(np.shape(mat))
+        return original(mat, p)
+
+    monkeypatch.setattr(fp, "rank", counted)
+    for gid in eligible_ids:
+        shapes.clear()
+        report = certify_group(parse_pcp_file(corpus_dir / f"{gid}.pcp").presentation)
+        assert report.certificates is not None, gid
+        assert len(shapes) == 1, (gid, shapes)
 
 
 def test_group_is_freed_without_a_garbage_collection(corpus_dir):

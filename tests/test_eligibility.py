@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noninner.eligibility import (
     Route,
@@ -33,6 +33,7 @@ from util_oracles import (
     inv_table_by_products,
     order_of,
     rtables_by_masked_passes,
+    verify_automorphism_by_collector,
 )
 
 # Frozen expected route per corpus group.  dihedral_8 also has coclass 1,
@@ -250,9 +251,11 @@ def test_central_automorphisms_of_elementary_abelian_groups(p, n, order):
 
 
 def test_central_automorphisms_make_one_rank_call(corpus_groups, monkeypatch):
-    """Generation is decided for one tuple per distinct coordinate matrix
-    in a single stacked `fp.rank` call (on heis_x_c3, one stack of 27
-    matrices where each used to be its own call)."""
+    """When Z <= Phi every tail solution keeps the generators' own matrix
+    mod Phi, so no rank is taken; heis_x_c3 is the one corpus group with
+    Z not in Phi, and there generation is decided for one tuple per
+    distinct coordinate matrix in a single stacked `fp.rank` call (one
+    stack of 27 matrices)."""
     import noninner.fp as fp
 
     shapes = []
@@ -266,9 +269,8 @@ def test_central_automorphisms_make_one_rank_call(corpus_groups, monkeypatch):
     for gid, G in corpus_groups.items():
         shapes.clear()
         central_automorphisms(G)
-        assert len(shapes) <= 1, (gid, shapes)
-        if gid == "heis_x_c3":
-            assert shapes == [(27, G.ngens, 3)], shapes
+        expected = [(27, 4, 3)] if gid == "heis_x_c3" else []
+        assert shapes == expected, (gid, shapes)
 
 
 def _factor(kind: str, tails: tuple) -> tuple:
@@ -320,6 +322,28 @@ def small_direct_products(draw) -> PcPresentation:
 def test_central_automorphisms_match_enumeration_on_products(pres):
     G = PcGroup(pres)
     assert np.array_equal(central_automorphisms(G), central_automorphisms_by_enumeration(G))
+
+
+@settings(deadline=None, max_examples=20)
+@given(small_direct_products())
+@example(PcPresentation(3, 2, powers={1: [(2, 1)]}))
+def test_verify_automorphism_matches_collector_on_central_tails(pres):
+    """Every map g_k -> g_k z_k over Z^m, homomorphisms that are not onto
+    included, gets the same verdict and reason from the table check
+    (onto when the table is a permutation) as from the collector oracle
+    (onto when the images have full rank mod Phi).  On these products a
+    homomorphism that is not onto occurs exactly when Z is not inside
+    Phi, as with the example C9."""
+    G = PcGroup(pres)
+    z_idx = center(G).indices
+    reasons = set()
+    for tails in itertools.product(z_idx, repeat=G.ngens):
+        f = GroupMap(G, G.mul_indices(np.array(tails), G.gen_indices))
+        reason = verify_automorphism(f)
+        assert reason == verify_automorphism_by_collector(f), (tails, reason)
+        reasons.add(reason)
+    onto_only = "images do not generate the group" not in reasons
+    assert onto_only == bool(frattini(G).mask[z_idx].all()), reasons
 
 
 @settings(deadline=None, max_examples=40)

@@ -226,7 +226,8 @@ def test_verify_automorphism_matches_collector_on_lifts_and_mutations(eligible_g
     assert len(verdicts) == 792
     kinds = {reason.split(" ")[0] if reason else None for reason in verdicts}
     # a single changed exponent never leaves the relations intact while
-    # losing generation, so the rank reason is tested separately above
+    # losing generation, so the permutation rule's reason is tested on
+    # central tails (test_verify_automorphism_matches_collector_on_central_tails)
     assert kinds == {None, "power", "commutator"}, kinds
 
 
