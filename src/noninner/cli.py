@@ -39,7 +39,6 @@ from .errors import (
     StructureError,
     TheoremViolationError,
 )
-from .pcgroup import PcGroup
 from .pcpfile import parse_pcp_file
 from .report import report_to_dict, report_to_json, report_to_text
 from .structure import (
@@ -92,13 +91,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(path: str):
-    doc = parse_pcp_file(Path(path))
-    return doc
-
-
 def _cmd_validate(args) -> int:
-    doc = _load(args.file)
+    doc = parse_pcp_file(Path(args.file))
     pres = doc.presentation
     print(
         f"{doc.group_id}: consistent, p = {pres.p}, {pres.ngens} generators, "
@@ -108,8 +102,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    doc = _load(args.file)
-    group = PcGroup(doc.presentation, validate=False)
+    doc = parse_pcp_file(Path(args.file))
+    group = doc.group
     ucs = upper_central_series(group)
     lcs = lower_central_series(group)
     print(f"group   {doc.group_id}")
@@ -123,8 +117,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
-    doc = _load(args.file)
-    group = PcGroup(doc.presentation, validate=False)
+    doc = parse_pcp_file(Path(args.file))
+    group = doc.group
     decision = decide_route(group)
     print(f"group   {doc.group_id}")
     print(decision.describe())
@@ -142,8 +136,8 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    doc = _load(args.file)
-    report = certify_group(PcGroup(doc.presentation, validate=False), group_id=doc.group_id)
+    doc = parse_pcp_file(Path(args.file))
+    report = certify_group(doc.group, group_id=doc.group_id)
     text = report_to_json(report) if args.as_json else report_to_text(report)
     if args.out:
         Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
@@ -189,7 +183,7 @@ def _cmd_audit(args) -> int:
             continue
         try:
             doc = parse_pcp_file(root / entry["file"])
-            report = certify_group(PcGroup(doc.presentation, validate=False), group_id=group_id)
+            report = certify_group(doc.group, group_id=group_id)
         except TheoremViolationError as exc:
             row["status"] = "THEOREM_VIOLATION"
             row["detail"] = str(exc)

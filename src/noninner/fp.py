@@ -4,7 +4,7 @@ stay below p, so products fit in int64 for p below 3 * 10^9."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,18 +55,3 @@ def rank(mat: Sequence, p: int):
     ranks = a.shape[-2] - _eliminate(a, p)[1].sum(axis=1)
     return int(ranks[0]) if a.ndim == 2 else ranks
 
-
-def solve(mat: Sequence, rhs: Sequence, p: int) -> Optional[np.ndarray]:
-    """One solution x of mat @ x = rhs over F_p (free variables 0),
-    or None when the system is inconsistent."""
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64) % p)
-    b = np.array(rhs, dtype=np.int64).reshape(-1) % p
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("matrix and right-hand side have mismatched rows")
-    ech, pivots = row_echelon(np.hstack([a, b.reshape(-1, 1)]), p)
-    n = a.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    x[pivots] = ech[: len(pivots), n]
-    return x

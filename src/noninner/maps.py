@@ -97,16 +97,17 @@ def verify_automorphism(f: GroupMap) -> Optional[str]:
     """
     G = f.group
     m = G.ngens
+    power, comm = G.relation_indices
     images = f.image_indices
     table = f.apply_table()
     lhs = power_table(G)[images]
-    rhs = table[[G._word_index(G.pres.power(k)) for k in range(1, m + 1)]]
+    rhs = table[power[1:]]
     bad = np.nonzero(lhs != rhs)[0]
     if bad.size:
         return f"power relation for g{bad[0] + 1} is not preserved"
     pairs = [(j, i) for j in range(2, m + 1) for i in range(1, j)]
     lhs = G.comm_indices(images[[j - 1 for j, _ in pairs]], images[[i - 1 for _, i in pairs]])
-    rhs = table[[G._word_index(G.pres.commutator(j, i)) for j, i in pairs]]
+    rhs = table[[comm[j][i] for j, i in pairs]]
     bad = np.nonzero(lhs != rhs)[0]
     if bad.size:
         j, i = pairs[bad[0]]

@@ -21,9 +21,10 @@ four families of overlap tests (`overlaps`) all pass, that is when
 
 The program computes on indices only: the overlap tests by memoised
 single-index steps, and everything else through the generators' power
-ladders, built from the relations.  The recursive tuple collector
-(`_mul_gen`, `mul`, `inv`, ...) is the tests' independent reference and
-is on no program path.
+ladders, built from the relations.  The tuple methods `mul`, `inv`,
+`pow`, `conj` and `comm` answer through the same single-index steps and
+are on no program path; the tests' independent reference, a recursive
+tuple collector, lives with the other oracles in `tests/util_oracles.py`.
 """
 
 from __future__ import annotations
@@ -68,11 +69,7 @@ def _prime_error(n: int) -> Optional[str]:
 
 
 def _normalize_word(word: Iterable[Sequence[int]]) -> Word:
-    out = []
-    for letter in word:
-        k, e = letter
-        out.append((int(k), int(e)))
-    return tuple(out)
+    return tuple((int(k), int(e)) for k, e in word)
 
 
 # Radix of the power ladders (see `PcGroup._tables`).  Every prime p <= 7
@@ -228,8 +225,6 @@ class PcGroup:
         self.ngens = pres.ngens
         self.element_bound = element_bound
         self.identity: Element = (0,) * pres.ngens
-        self._conj_cache: dict[tuple[int, int], Element] = {}
-        self._power_values: dict[int, Element] = {}
         self._rtables: list = []
         self._ladders: list = []
         self._offsets: list = []
@@ -245,128 +240,36 @@ class PcGroup:
                     witness,
                 )
 
-    # ------------------------------------------------------------------
-    # collection core
-
     def generator(self, i: int) -> Element:
         if not 1 <= i <= self.ngens:
             raise ValueError(f"generator index {i} out of range")
         return tuple(1 if k == i else 0 for k in range(1, self.ngens + 1))
 
-    def _power_value(self, g: int) -> Element:
-        """Normal form of g_g**p, collected from its relation word."""
-        val = self._power_values.get(g)
-        if val is None:
-            val = self._mul_word(self.identity, self.pres.power(g))
-            self._power_values[g] = val
-        return val
-
-    def _conj_gen_gen(self, h: int, g: int) -> Element:
-        """Normal form of g_h conjugated by g_g, for h > g."""
-        val = self._conj_cache.get((h, g))
-        if val is None:
-            # g_h^(g_g) = g_h * [g_h, g_g]
-            val = self._mul_word(self.generator(h), self.pres.commutator(h, g))
-            self._conj_cache[(h, g)] = val
-        return val
-
-    def _conj_elem_by_gen(self, x: Element, g: int) -> Element:
-        """Conjugate x by g_g where every letter of x has index > g."""
-        out = self.identity
-        for k in range(g + 1, self.ngens + 1):
-            a = x[k - 1]
-            if a:
-                z = self._conj_gen_gen(k, g)
-                for _ in range(a):
-                    out = self.mul(out, z)
-        return out
-
-    def _conj_genpow(self, j: int, g: int, e: int) -> Element:
-        """Normal form of g_j conjugated by g_g**e, for j > g, 0 <= e < p;
-        memoised, as a collection asks for the same conjugates often."""
-        z = self._conj_cache.get((j, g, e))
-        if z is None:
-            z = self.generator(j)
-            for _ in range(e):
-                z = self._conj_elem_by_gen(z, g)
-            self._conj_cache[(j, g, e)] = z
-        return z
-
-    def _mul_gen(self, x: Element, g: int, e: int) -> Element:
-        """Normal form of x * g_g**e for 0 <= e < p.
-
-        Terminates by descent on (ngens - g, number of nonzero
-        coordinates of x at indices beyond g): the blocker branch keeps
-        g and strictly shrinks the second component, and every other
-        spawned multiplication uses a strictly larger generator index.
-        """
-        if e == 0:
-            return x
-        j = 0
-        for k in range(self.ngens, g, -1):
-            if x[k - 1]:
-                j = k
-                break
-        if j == 0:
-            total = x[g - 1] + e
-            q, r = divmod(total, self.p)
-            y = list(x)
-            y[g - 1] = r
-            out: Element = tuple(y)
-            for _ in range(q):
-                out = self.mul(out, self._power_value(g))
-            return out
-        # x = x' * g_j**a with a the deepest letter beyond g, so
-        # x * g_g**e = (x' * g_g**e) * (g_j**(g_g**e))**a
-        a = x[j - 1]
-        stripped = list(x)
-        stripped[j - 1] = 0
-        y = self._mul_gen(tuple(stripped), g, e)
-        z = self._conj_genpow(j, g, e)
-        for _ in range(a):
-            y = self.mul(y, z)
-        return y
-
-    def _mul_word(self, x: Element, word: Word) -> Element:
-        """x times a relation word, whose exponents lie in [1, p)."""
-        for k, e in word:
-            x = self._mul_gen(x, k, e)
-        return x
-
     # ------------------------------------------------------------------
-    # tuple arithmetic: the tests' reference arithmetic; the program calls
-    # none of these, and perfbench/tracer.py counts them by name
+    # tuple arithmetic through the index steps; the program calls none of
+    # these, and perfbench/tracer.py counts them by name
 
     def mul(self, x: Element, y: Element) -> Element:
-        for k in range(1, self.ngens + 1):
-            e = y[k - 1]
-            if e:
-                x = self._mul_gen(x, k, e)
-        return x
+        return self.vec(self._index_steps()[1](self.idx(x), self.idx(y)))
 
     def inv(self, x: Element) -> Element:
-        """Inverse, found by cancelling coordinates left to right.
-
-        Right-multiplying by g_k**(p - a) clears coordinate k without
-        disturbing earlier ones, and the cancelling letters accumulate
-        in ascending order, so they are themselves a normal form.
-        """
-        cur = x
-        out = [0] * self.ngens
+        """Inverse, found by cancelling coordinates left to right:
+        right-multiplying by g_k**(p - a) clears coordinate k without
+        disturbing earlier ones, and the cancelling letters accumulate in
+        ascending order, so they are themselves a normal form."""
+        step, p = self._index_steps()[0], self.p
+        cur, out = self.idx(x), 0
         for k in range(1, self.ngens + 1):
-            a = cur[k - 1]
+            a = cur // self._stride(k) % p
             if a:
-                t = self.p - a
-                cur = self._mul_gen(cur, k, t)
-                out[k - 1] = t
-        return tuple(out)
+                cur = step(cur, k, p - a)
+                out += (p - a) * self._stride(k)
+        return self.vec(out)
 
     def pow(self, x: Element, e: int) -> Element:
         if e < 0:
-            x = self.inv(x)
-            e = -e
-        out = self.identity
-        base = x
+            x, e = self.inv(x), -e
+        out, base = self.identity, x
         while e:
             if e & 1:
                 out = self.mul(out, base)
@@ -403,7 +306,7 @@ class PcGroup:
         m, p = self.ngens, self.p
         step, times = self._index_steps()
         s = [self._stride(k) for k in range(m + 1)]
-        power = [self._word_index(self.pres.power(k)) for k in range(m + 1)]
+        power = self.relation_indices[0]
         for k in range(3, m + 1):
             for j in range(2, k):
                 for i in range(1, j):
@@ -439,14 +342,15 @@ class PcGroup:
         then pushed as its conjugate by g_k^e, found by e rounds of
         replacing each letter g_n with g_n [g_n, g_k].  Every push is a
         step at a deeper generator, so the recursion is at most m deep.
-        These are the tuple collector's rules in its order, so on an
-        inconsistent presentation both reach the same normal forms.  The
+        These are the rules of the tests' recursive tuple collector in its
+        order, so on an inconsistent presentation both reach the same
+        normal forms.  The
         conjugates and the spelling of an index as letters are memoised
         for one call.
         """
         p, m = self.p, self.ngens
         strides = [self._stride(k) for k in range(m + 1)]
-        power = [self._word_index(self.pres.power(k)) for k in range(m + 1)]
+        power = self.relation_indices[0]
         commutator = self.pres.commutator
         memos = self._steps
         conjugates: dict[tuple[int, int, int], list] = {}
@@ -545,10 +449,20 @@ class PcGroup:
         """Index of g_k, the place value of coordinate k."""
         return self.p ** (self.ngens - k)
 
-    def _word_index(self, word: Word) -> int:
-        """Index of a relation word; its letters ascend with exponents in
-        [1, p), so the word is already a normal form."""
-        return sum(e * self._stride(k) for k, e in word)
+    @functools.cached_property
+    def relation_indices(self) -> tuple[list[int], list[list[int]]]:
+        """Indices of the relation words, computed once per group:
+        `power[k]` of g_k**p, and `comm[j][i]` of [g_j, g_i] for j > i (0
+        elsewhere).  A word's letters ascend with exponents in [1, p), so
+        it is already a normal form and its index is its value."""
+        m = self.ngens
+        strides = [self._stride(k) for k in range(m + 1)]
+        power, comm = [0] * (m + 1), [[0] * (m + 1) for _ in range(m + 1)]
+        for k, word in self.pres.powers.items():
+            power[k] = sum(e * strides[l] for l, e in word)
+        for (j, i), word in self.pres.commutators.items():
+            comm[j][i] = sum(e * strides[l] for l, e in word)
+        return power, comm
 
     @property
     def gen_indices(self) -> np.ndarray:
@@ -601,6 +515,7 @@ class PcGroup:
         """
         if not self._rtables:
             p, m, n = self.p, self.ngens, self.element_count
+            power, comm = self.relation_indices
             levels = list(self._last_letter_levels())
             places = self._ladder_places()
             blocks = places[-1][0] + int(places[-1][1].max())
@@ -619,11 +534,10 @@ class PcGroup:
                 block[0][:] = np.arange(n)
                 cur = block[1]
                 cur[::s] = np.arange(s, n + s, s)
-                cur[(p - 1) * s :: p * s] += self._word_index(self.pres.power(k)) - p * s
+                cur[(p - 1) * s :: p * s] += power[k] - p * s
                 for last, ys, parents in levels:
                     if last > k:
-                        comm = self._word_index(self.pres.commutator(last, k))
-                        cur[ys] = self._push(cur[parents], self._stride(last) + comm, last)
+                        cur[ys] = self._push(cur[parents], self._stride(last) + comm[last][k], last)
                 # the gathered entries are indices below n, so "clip" never
                 # acts; the default "raise" would copy each block through a
                 # buffer, about a third of the probe's table build
@@ -712,11 +626,11 @@ class PcGroup:
         deeper, so their inverses are already in the table.
         """
         if self._inv_table is None:
-            tables = self._tables()
+            tables, power = self._tables(), self.relation_indices[0]
             out = np.zeros(self.element_count, dtype=np.int64)
             for k in range(self.ngens, 0, -1):
                 s = self._stride(k)
-                power_inv = int(out[self._word_index(self.pres.power(k))])
+                power_inv = int(out[power[k]])
                 cur = out[:s]
                 for e in range(self.p - 1, 0, -1):
                     cur = tables[k][cur]

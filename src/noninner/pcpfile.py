@@ -24,11 +24,11 @@ group below p^m) raises InconsistentPresentationError with a witness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import InconsistentPresentationError, PcpSyntaxError
+from .errors import PcpSyntaxError
 from .pcgroup import PcGroup, PcPresentation, Word, _prime_error
 
 _TOKEN = re.compile(r"\S+")
@@ -40,6 +40,8 @@ _NAME_OK = re.compile(r"^[A-Za-z0-9_.-]+$")
 class PcpDocument:
     presentation: PcPresentation
     group_id: Optional[str]
+    # the group whose construction checked the presentation consistent
+    group: PcGroup = field(compare=False, repr=False)
 
 
 def _tokens(line: str):
@@ -95,12 +97,10 @@ def _parse_word(
     return word
 
 
-def parse_pcp(
-    text: str, group_id: Optional[str] = None, validate: bool = True
-) -> PcpDocument:
-    """Parse `.pcp` text.  A `# id:` comment overrides `group_id`.
-    With validate=True the presentation is consistency-checked and an
-    InconsistentPresentationError (with witness) raised on failure."""
+def parse_pcp(text: str, group_id: Optional[str] = None) -> PcpDocument:
+    """Parse `.pcp` text.  A `# id:` comment overrides `group_id`.  The
+    group is built by `PcGroup`, whose consistency check raises
+    InconsistentPresentationError (with witness) on failure."""
     lines = text.splitlines()
     header_stage = 0  # 0: expect "pcp 1", 1: expect prime, 2: expect ngens, 3: body
     p = 0
@@ -193,15 +193,10 @@ def parse_pcp(
         pres = PcPresentation(p, ngens, powers=powers, commutators=commutators)
     except ValueError as exc:
         raise PcpSyntaxError(1, 1, str(exc)) from exc
-    if validate:
-        group = PcGroup(pres, validate=False)
-        witness = group.consistency_witness()
-        if witness is not None:
-            raise InconsistentPresentationError(witness.describe(), witness)
-    return PcpDocument(pres, file_id or group_id)
+    return PcpDocument(pres, file_id or group_id, PcGroup(pres))
 
 
-def parse_pcp_file(path, validate: bool = True) -> PcpDocument:
+def parse_pcp_file(path) -> PcpDocument:
     """Parse a UTF-8 `.pcp` file; its stem is the default group id.  A
     byte that is not UTF-8 raises PcpSyntaxError at its line and column,
     counted as `parse_pcp` counts them."""
@@ -215,7 +210,7 @@ def parse_pcp_file(path, validate: bool = True) -> PcpDocument:
         raise PcpSyntaxError(
             len(lines), len(lines[-1]), f"byte {data[exc.start]:#04x} is not UTF-8"
         ) from None
-    return parse_pcp(text, group_id=path.stem, validate=validate)
+    return parse_pcp(text, group_id=path.stem)
 
 
 def serialize_pcp(pres: PcPresentation, group_id: Optional[str] = None) -> str:

@@ -331,12 +331,14 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
     return _store(group, "ucs", series)
 
 
-def _relation_closure(group: PcGroup, key: str, words) -> Subgroup:
-    """Normal closure of relation words, cached under `key`.  The words
-    are normal forms, so their indices are their values."""
+def _relation_closure(group: PcGroup, key: str, powers: bool) -> Subgroup:
+    """Normal closure of the commutator relation words, and of the power
+    words too when `powers` is set, cached under `key`."""
     sub = _cached(group, key)
     if sub is None:
-        sub = _store(group, key, normal_closure(group, [group._word_index(w) for w in words]))
+        power, comm = group.relation_indices
+        seeds = [c for row in comm + ([power] if powers else []) for c in row if c]
+        sub = _store(group, key, normal_closure(group, seeds))
     return sub
 
 
@@ -344,7 +346,7 @@ def derived_subgroup(group: PcGroup) -> Subgroup:
     """G' as the normal closure of the commutator relation words, the
     normal forms of the [g_j, g_i]: modulo it the defining generators
     commute, and every commutator lies in G'."""
-    return _relation_closure(group, "derived", group.pres.commutators.values())
+    return _relation_closure(group, "derived", powers=False)
 
 
 def lower_central_series(group: PcGroup) -> list[Subgroup]:
@@ -395,10 +397,7 @@ def frattini(group: PcGroup) -> Subgroup:
     relation words, commutator and power: modulo it the defining
     generators commute and have p-th power 1, so the quotient is
     elementary abelian, and every relation word lies in G' G^p."""
-    pres = group.pres
-    return _relation_closure(
-        group, "frattini", [*pres.commutators.values(), *pres.powers.values()]
-    )
+    return _relation_closure(group, "frattini", powers=True)
 
 
 def minimal_generator_count(group: PcGroup) -> int:
@@ -473,11 +472,10 @@ class QuotientCoords:
 
     def __init__(self, group: PcGroup, sub: Subgroup):
         p, m = group.p, group.ngens
-        pres = group.pres
-        # relation words are normal forms, so their indices are their values
-        if not all(sub.mask[group._word_index(w)] for w in pres.commutators.values()):
+        power, comm = group.relation_indices
+        if not sub.mask[comm].all():
             raise ValueError("quotient is not abelian")
-        if not all(sub.mask[group._word_index(w)] for w in pres.powers.values()):
+        if not sub.mask[power].all():
             raise ValueError("quotient does not have exponent p")
         places = group.gen_indices
         self.p = p

@@ -53,6 +53,7 @@ from util_oracles import (
     all_derivations,
     apply_by_collector,
     b_exponent_value,
+    collector,
     combine,
     derivation_key,
     elements,
@@ -147,6 +148,7 @@ def test_engine_soundness_heisenberg_exhaustive(heis3, heis5):
 def test_derivation_group_on_heisenberg_center(heis3):
     start = time.monotonic()
     G = heis3
+    C = collector(G)
     z = center(G)
     derivs = all_derivations(G, z)
     assert len(derivs) == 9
@@ -168,7 +170,7 @@ def test_derivation_group_on_heisenberg_center(heis3):
         assert fixes_elementwise(f, z)
         for x in elements(G):
             # trivial action on G/N: x^-1 f(x) lands in N
-            assert G.idx(G.mul(G.inv(x), apply_by_collector(f, x))) in z.indices
+            assert G.idx(C.mul(C.inv(x), apply_by_collector(f, x))) in z.indices
     assert time.monotonic() - start < 5.0
 
 
@@ -180,6 +182,7 @@ def test_derivation_group_on_heisenberg_center(heis3):
 
 def test_eligible_groups_tower_structure(eligible_groups):
     for gid, G in eligible_groups.items():
+        C = collector(G)
         p, m = G.p, G.ngens
         series = upper_central_series(G)
         z1, z2 = series[1], series[2]
@@ -192,7 +195,7 @@ def test_eligible_groups_tower_structure(eligible_groups):
         assert z2.order // z1.order == p**2, gid
         assert not quotient_is_cyclic(G, z2, z1), gid
         for x in (G.vec(i) for i in z2.indices):
-            assert G.idx(G.pow(x, p)) in z1.indices, gid
+            assert G.idx(C.pow(x, p)) in z1.indices, gid
 
         # Z2 sits inside the center of the Frattini subgroup, and the
         # group needs exactly two generators.
@@ -218,14 +221,15 @@ def test_eligible_groups_tower_structure(eligible_groups):
 def test_commutator_power_congruence(eligible_ctxs):
     for gid, ctx in eligible_ctxs.items():
         G = ctx.group
+        C = collector(G)
         p = G.p
         deep = ctx.z_deep.indices
         a, b, c = G.vec(ctx.a), G.vec(ctx.b), G.vec(ctx.comm_a_b)
         for r in range(p):
             for s in range(p):
-                lhs = G.comm(G.pow(a, r), G.pow(b, s))
-                rhs = G.pow(c, r * s)
-                assert G.idx(G.mul(lhs, G.inv(rhs))) in deep, (gid, r, s)
+                lhs = C.comm(C.pow(a, r), C.pow(b, s))
+                rhs = C.pow(c, r * s)
+                assert G.idx(C.mul(lhs, C.inv(rhs))) in deep, (gid, r, s)
 
 
 # ---------------------------------------------------------------------------

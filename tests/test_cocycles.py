@@ -26,6 +26,7 @@ from util_oracles import (
     apply_by_collector,
     b_exponent_value,
     canonical_rep,
+    collector,
     combine,
     derivation_key,
     value_at,
@@ -46,6 +47,7 @@ def ctx(eligible_groups):
 
 
 def test_coset_table_of_center(heis3):
+    C = collector(heis3)
     z = center(heis3)
     ct = CosetTable(heis3, z)
     assert ct.count == 9
@@ -56,7 +58,7 @@ def test_coset_table_of_center(heis3):
         assert ct.rep_indices[ct.rep_pos[r]] == r
         # representative is coset-invariant
         for zi in z.indices:
-            assert ct.min_table[heis3.idx(heis3.mul(heis3.vec(int(zi)), x))] == r
+            assert ct.min_table[heis3.idx(C.mul(heis3.vec(int(zi)), x))] == r
         assert canonical_rep(heis3, z, x) == heis3.vec(r)
 
 
@@ -121,6 +123,7 @@ def test_all_derivations_bound_errors(heis3, corpus_heis_x_c3):
 
 def test_coset_exponents_decompose(ctx):
     G = ctx.group
+    C = collector(G)
     p = G.p
     z_deep = ctx.z_deep
     a, b, c = G.vec(ctx.a), G.vec(ctx.b), G.vec(ctx.comm_a_b)
@@ -129,8 +132,8 @@ def test_coset_exponents_decompose(ctx):
         ei, ej, et = coset_exponents(ctx, i)
         assert 0 <= ei < p and 0 <= ej < p and 0 <= et < p
         # g = x * [a,b]^t * a^j * b^i with x in Z_{m-4}
-        tail = G.mul(G.pow(c, et), G.mul(G.pow(a, ej), G.pow(b, ei)))
-        x = G.mul(g, G.inv(tail))
+        tail = C.mul(C.pow(c, et), C.mul(C.pow(a, ej), C.pow(b, ei)))
+        x = C.mul(g, C.inv(tail))
         assert z_deep.mask[G.idx(x)]
 
 
@@ -138,11 +141,12 @@ def test_coset_exponents_decompose(ctx):
 @given(st.integers(0, 3**7 - 1))
 def test_coset_exponents_random(ctx, i):
     G = ctx.group
+    C = collector(G)
     g = G.vec(i)
     ei, ej, et = coset_exponents(ctx, i)
     a, b, c = G.vec(ctx.a), G.vec(ctx.b), G.vec(ctx.comm_a_b)
-    tail = G.mul(G.mul(G.pow(c, et), G.pow(a, ej)), G.pow(b, ei))
-    assert ctx.z_deep.mask[G.idx(G.mul(g, G.inv(tail)))]
+    tail = C.mul(C.mul(C.pow(c, et), C.pow(a, ej)), C.pow(b, ei))
+    assert ctx.z_deep.mask[G.idx(C.mul(g, C.inv(tail)))]
 
 
 def test_exponent_values_lie_in_n(ctx):
@@ -155,15 +159,17 @@ def test_exponent_values_lie_in_n(ctx):
 
 def test_derivation_values_depend_only_on_coset(ctx):
     G = ctx.group
+    C = collector(G)
     d = derivation_from_b_exponent(ctx)
     for i in (1, 44, 700):
         g = G.vec(i)
         for n in ctx.n_sub.basis:
-            assert value_at(d, G.mul(G.vec(n), g)) == value_at(d, g)
+            assert value_at(d, C.mul(G.vec(n), g)) == value_at(d, g)
 
 
 def test_both_derivations_verify_and_lift(ctx):
     G = ctx.group
+    C = collector(G)
     d_b = derivation_from_b_exponent(ctx)
     d_a = derivation_from_a_exponent(ctx)
     assert verify_cocycle(d_b) is None
@@ -179,9 +185,9 @@ def test_both_derivations_verify_and_lift(ctx):
     # the b-shift fixes a and moves b by w; the a-shift does the opposite
     a, b, w = G.vec(ctx.a), G.vec(ctx.b), G.vec(ctx.w)
     assert apply_by_collector(f_b, a) == a
-    assert apply_by_collector(f_b, b) == G.mul(b, w)
+    assert apply_by_collector(f_b, b) == C.mul(b, w)
     assert apply_by_collector(f_a, b) == b
-    assert apply_by_collector(f_a, a) == G.mul(a, w)
+    assert apply_by_collector(f_a, a) == C.mul(a, w)
 
     from noninner.maps import fixes_elementwise
 
@@ -280,6 +286,7 @@ def test_verify_cocycles_takes_least_g2_before_least_g1(eligible_groups):
     beyond, and at the larger g2 = reps[R - 1] already for g1 = reps[1];
     the check must still report the least g2, then the least g1."""
     G = eligible_groups["g2187_a"]
+    C = collector(G)
     ctx = select_generators(G, select_n(G))
     d_b, d_a = derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)
     ct = d_b.coset_table
@@ -295,8 +302,8 @@ def test_verify_cocycles_takes_least_g2_before_least_g1(eligible_groups):
     g1, g2 = expected[:2]
     assert pos(g2) == 1 and pos(g1) >= 4 * G.element_count // R
     h1, h2 = (G.vec(int(ct.rep_indices[t])) for t in (1, R - 1))
-    assert value_at(late, G.mul(h1, h2)) != G.mul(
-        G.conj(value_at(late, h1), h2), value_at(late, h2)
+    assert value_at(late, C.mul(h1, h2)) != C.mul(
+        C.conj(value_at(late, h1), h2), value_at(late, h2)
     )
     _check_jointly([late, d_a], [expected, None])
     _check_jointly([d_a, late], [None, expected])

@@ -30,6 +30,7 @@ from noninner.structure import (
 from util_oracles import (
     central_automorphisms_by_enumeration,
     central_automorphisms_by_unique,
+    collector,
     inv_table_by_products,
     order_of,
     rtables_by_masked_passes,
@@ -100,6 +101,7 @@ def test_route_enum_values_are_stable():
 
 def test_select_n_postconditions_and_determinism(eligible_groups):
     for gid, G in eligible_groups.items():
+        C = collector(G)
         n_sub = select_n(G)
         p = G.p
         series = upper_central_series(G)
@@ -107,7 +109,7 @@ def test_select_n_postconditions_and_determinism(eligible_groups):
         assert n_sub.order == p * p
         assert z1 < n_sub < z2
         assert is_normal(G, n_sub)
-        assert all(G.pow(G.vec(i), p) == G.identity for i in n_sub.indices.tolist())
+        assert all(C.pow(G.vec(i), p) == G.identity for i in n_sub.indices.tolist())
         cent = centralizer(G, n_sub.basis)
         assert cent.order * p == G.element_count
         assert select_n(G) == n_sub  # deterministic
@@ -150,6 +152,7 @@ def test_select_n_rejects_wrong_layer_sizes(corpus_wreath, corpus_dihedral):
 
 def test_select_generators_frame(eligible_groups):
     for gid, G in eligible_groups.items():
+        C = collector(G)
         ctx = select_generators(G, select_n(G))
         p, m = G.p, G.ngens
         a, b, w = G.vec(ctx.a), G.vec(ctx.b), G.vec(ctx.w)
@@ -159,10 +162,10 @@ def test_select_generators_frame(eligible_groups):
         assert not ctx.centralizer_n.mask[ctx.b]
         assert not ctx.phi.mask[ctx.a]
         assert ctx.n_sub.mask[ctx.w] and not ctx.z1.mask[ctx.w]
-        assert G.vec(ctx.comm_w_b) == G.comm(w, b) != G.identity
+        assert G.vec(ctx.comm_w_b) == C.comm(w, b) != G.identity
         assert ctx.z1.mask[ctx.comm_w_b]
         assert order_of(G, w) == order_of(G, G.vec(ctx.comm_w_b)) == p
-        assert G.vec(ctx.comm_a_b) == G.comm(a, b)
+        assert G.vec(ctx.comm_a_b) == C.comm(a, b)
         assert ctx.phi.mask[ctx.comm_a_b]
         assert not ctx.z_deep.mask[ctx.comm_a_b]
         assert ctx.z_deep == upper_central_series(G)[m - 4]
@@ -359,7 +362,7 @@ def test_tables_match_whole_group_pass_builds_on_products(pres):
 def test_central_automorphisms_collector_call_budget(corpus_dir, monkeypatch):
     """The tails are solved on index arrays and the Frattini coordinates
     are read from the digits of the indices, with no product, so past the
-    route decision the tuple collector is never called.  The solutions
+    route decision `PcGroup.mul` is never called.  The solutions
     are index rows, which diagnostics only counts, so hardly any index
     becomes a tuple (`vec`)."""
     from noninner.pcpfile import parse_pcp_file
@@ -389,14 +392,14 @@ def test_central_automorphisms_collector_call_budget(corpus_dir, monkeypatch):
     assert calls["vec"] <= 100, calls
 
 
-COLLECTOR = ("_mul_gen", "mul", "inv", "pow", "conj", "comm")
+COLLECTOR = ("mul", "inv", "pow", "conj", "comm")
 
 
 def test_route_and_diagnostics_make_no_collector_calls(
     corpus_dir, manifest, probe_5_7_path, monkeypatch
 ):
     """Routing and diagnostics work on index tables alone: once the
-    presentation is checked, no tuple collector function runs."""
+    presentation is checked, no tuple method of `PcGroup` runs."""
     from noninner.pcpfile import parse_pcp_file
 
     paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]

@@ -171,7 +171,9 @@ def test_missing_header_points_past_end():
     assert "pcp 1" in exc.value.reason
 
 
-def test_inconsistent_raises_with_witness_and_validate_flag():
+def test_inconsistent_raises_with_witness():
+    """The parser checks consistency by building the group, so the error
+    is `PcGroup`'s, with its witness and its message."""
     # g1^3 = g2, g2^3 = g3 puts g2 in <g1>, so [g2, g1] = g3 collapses
     text = (
         "pcp 1\nprime 3\nngens 3\n"
@@ -179,9 +181,11 @@ def test_inconsistent_raises_with_witness_and_validate_flag():
     )
     with pytest.raises(InconsistentPresentationError) as exc:
         parse_pcp(text)
-    assert exc.value.witness is not None
-    doc = parse_pcp(text, validate=False)
-    assert doc.presentation.ngens == 3
+    witness = exc.value.witness
+    assert witness is not None
+    assert str(exc.value) == (
+        f"presentation does not define a group of order 3**3: {witness.describe()}"
+    )
 
 
 def test_parse_pcp_file_uses_stem_as_id(tmp_path):

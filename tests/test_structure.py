@@ -37,6 +37,7 @@ from noninner.structure import (
 from util_oracles import (
     canonical_basis_by_scan,
     centralizer_by_mult_perms,
+    collector,
     coset_min_table_by_elements,
     elements,
     frattini_by_derived_series,
@@ -182,7 +183,8 @@ def test_subgroup_basics(corpus_groups):
 
 def test_subgroup_scans_match_tuple_oracles(corpus_groups):
     for gid, G in corpus_groups.items():
-        power = functools.cache(lambda x, G=G: G.pow(x, G.p))
+        C = collector(G)
+        power = functools.cache(lambda x, C=C: C.pow(x, C.p))
         for sub in _named_subgroups(G):
             basis = tuple(G.vec(b) for b in sub.basis)
             assert basis == canonical_basis_by_scan(G, sub), (gid, sub)
@@ -211,6 +213,7 @@ def test_basis_vanishes_at_the_other_pivots(corpus_groups, probe_5_7):
 
 def test_coset_min_table_properties(heis3):
     G = heis3
+    C = collector(G)
     z = center(G)
     table = coset_min_table(G, z)
     assert len(set(int(t) for t in table)) == G.element_count // z.order
@@ -218,16 +221,17 @@ def test_coset_min_table_properties(heis3):
         assert table[i] <= i
         # constant on the coset: x and xz share the minimum
         for zi in z.indices:
-            j = G.idx(G.mul(G.vec(i), G.vec(int(zi))))
+            j = G.idx(C.mul(G.vec(i), G.vec(int(zi))))
             assert table[j] == table[i]
 
 
 def test_omega1_and_cyclic_quotients():
     c9 = PcGroup(PcPresentation(3, 2, powers={1: [(2, 1)]}))
+    C = collector(c9)
     whole = whole_group(c9)
     om = omega1(c9, whole)
     assert om.order == 3
-    assert all(c9.pow(x, 3) == c9.identity for x in subgroup_tuples(c9, om))
+    assert all(C.pow(x, 3) == c9.identity for x in subgroup_tuples(c9, om))
     assert quotient_is_cyclic(c9, whole, trivial_subgroup(c9))
     assert not quotient_exponent_is_p(c9, trivial_subgroup(c9))
     assert quotient_exponent_is_p(c9, om)
@@ -266,7 +270,8 @@ SMALL_IDS = ["dihedral_8", "heisenberg_3", "heisenberg_5", "wreath_81", "heis_x_
 def test_quotient_exponent_matches_tuple_power_scan(corpus_groups):
     for gid in SMALL_IDS:
         G = corpus_groups[gid]
-        powers = [G.idx(G.pow(x, G.p)) for x in elements(G)]
+        C = collector(G)
+        powers = [G.idx(C.pow(x, G.p)) for x in elements(G)]
         assert power_table(G).tolist() == powers, gid
         subs = upper_central_series(G) + lower_central_series(G) + [frattini(G)]
         for sub in subs:
@@ -337,6 +342,7 @@ def test_frattini_coords_are_a_homomorphism_with_kernel_phi(corpus_groups, probe
     groups 300 seeded pairs.  Products come from the tuple collector."""
     rng = np.random.default_rng(7)
     for gid, G in dict(corpus_groups, probe_5_7=probe_5_7).items():
+        C = collector(G)
         phi = frattini(G)
         qc = QuotientCoords(G, phi)
         assert G.p**qc.dim * phi.order == G.element_count, gid
@@ -354,7 +360,7 @@ def test_frattini_coords_are_a_homomorphism_with_kernel_phi(corpus_groups, probe
         for i, j in pairs:
             assert np.array_equal(qc.coords(i), coords[i : i + 1]), (gid, i)
             expected = (coords[i] + coords[j]) % G.p
-            product = G.idx(G.mul(G.vec(i), G.vec(j)))
+            product = G.idx(C.mul(G.vec(i), G.vec(j)))
             assert np.array_equal(coords[product], expected), (gid, i, j)
 
 

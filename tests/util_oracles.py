@@ -4,20 +4,24 @@
 group operation alone (no collection, no series shortcuts), so the
 library's structural output can be checked against first principles.
 
-The helpers after it are plain constructions and enumerations over the
+`Collector` is the recursive tuple collector, the tests' reference
+arithmetic on exponent tuples: it collects from the relation words alone,
+independently of the index tables and the index steps the library uses.
+
+The helpers after them are plain constructions and enumerations over the
 library's own types (maps, derivations, coset tables) that the program
 itself does not need: the tests use them as reference values and as
 oracles for the faster routines that replace them.  The `_by_collector`
 versions evaluate maps and the consistency check on exponent tuples with
-the recursive collector, independently of the index tables and index
-steps the library uses, with the tuple helpers `elements`, `gens`,
-`collect` and `order_of` that the library does not need.
+the collector, with the tuple helpers `elements`, `gens`, `collect` and
+`order_of` that the library does not need.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from itertools import combinations, product
 from typing import Dict, List, Optional
 
@@ -41,6 +45,163 @@ from noninner.structure import (
 )
 
 
+class Collector:
+    """Collection from the relation words on exponent tuples, by
+    recursion on the deepest letter (Sims, *Computation with Finitely
+    Presented Groups*, 1994, ch. 9): the tests' reference for the
+    library's index steps and tables.  Use `collector(group)`, which
+    keeps one per group, so the memoised conjugates and powers are
+    shared.  It keeps no reference to the group, so that cache lets a
+    group go."""
+
+    def __init__(self, group: PcGroup) -> None:
+        self.pres, self.p, self.ngens = group.pres, group.p, group.ngens
+        self.identity: Element = group.identity
+        self._conj_cache: dict[tuple[int, ...], Element] = {}
+        self._power_values: dict[int, Element] = {}
+
+    def generator(self, i: int) -> Element:
+        return tuple(1 if k == i else 0 for k in range(1, self.ngens + 1))
+
+    def _power_value(self, g: int) -> Element:
+        """Normal form of g_g**p, collected from its relation word."""
+        val = self._power_values.get(g)
+        if val is None:
+            val = self._mul_word(self.identity, self.pres.power(g))
+            self._power_values[g] = val
+        return val
+
+    def _conj_gen_gen(self, h: int, g: int) -> Element:
+        """Normal form of g_h conjugated by g_g, for h > g."""
+        val = self._conj_cache.get((h, g))
+        if val is None:
+            # g_h^(g_g) = g_h * [g_h, g_g]
+            val = self._mul_word(self.generator(h), self.pres.commutator(h, g))
+            self._conj_cache[(h, g)] = val
+        return val
+
+    def _conj_elem_by_gen(self, x: Element, g: int) -> Element:
+        """Conjugate x by g_g where every letter of x has index > g."""
+        out = self.identity
+        for k in range(g + 1, self.ngens + 1):
+            a = x[k - 1]
+            if a:
+                z = self._conj_gen_gen(k, g)
+                for _ in range(a):
+                    out = self.mul(out, z)
+        return out
+
+    def _conj_genpow(self, j: int, g: int, e: int) -> Element:
+        """Normal form of g_j conjugated by g_g**e, for j > g, 0 <= e < p;
+        memoised, as a collection asks for the same conjugates often."""
+        z = self._conj_cache.get((j, g, e))
+        if z is None:
+            z = self.generator(j)
+            for _ in range(e):
+                z = self._conj_elem_by_gen(z, g)
+            self._conj_cache[(j, g, e)] = z
+        return z
+
+    def _mul_gen(self, x: Element, g: int, e: int) -> Element:
+        """Normal form of x * g_g**e for 0 <= e < p.
+
+        Terminates by descent on (ngens - g, number of nonzero
+        coordinates of x at indices beyond g): the blocker branch keeps
+        g and strictly shrinks the second component, and every other
+        spawned multiplication uses a strictly larger generator index.
+        """
+        if e == 0:
+            return x
+        j = 0
+        for k in range(self.ngens, g, -1):
+            if x[k - 1]:
+                j = k
+                break
+        if j == 0:
+            total = x[g - 1] + e
+            q, r = divmod(total, self.p)
+            y = list(x)
+            y[g - 1] = r
+            out: Element = tuple(y)
+            for _ in range(q):
+                out = self.mul(out, self._power_value(g))
+            return out
+        # x = x' * g_j**a with a the deepest letter beyond g, so
+        # x * g_g**e = (x' * g_g**e) * (g_j**(g_g**e))**a
+        a = x[j - 1]
+        stripped = list(x)
+        stripped[j - 1] = 0
+        y = self._mul_gen(tuple(stripped), g, e)
+        z = self._conj_genpow(j, g, e)
+        for _ in range(a):
+            y = self.mul(y, z)
+        return y
+
+    def _mul_word(self, x: Element, word) -> Element:
+        """x times a relation word, whose exponents lie in [1, p)."""
+        for k, e in word:
+            x = self._mul_gen(x, k, e)
+        return x
+
+    def mul(self, x: Element, y: Element) -> Element:
+        for k in range(1, self.ngens + 1):
+            e = y[k - 1]
+            if e:
+                x = self._mul_gen(x, k, e)
+        return x
+
+    def inv(self, x: Element) -> Element:
+        """Inverse, found by cancelling coordinates left to right.
+
+        Right-multiplying by g_k**(p - a) clears coordinate k without
+        disturbing earlier ones, and the cancelling letters accumulate
+        in ascending order, so they are themselves a normal form.
+        """
+        cur = x
+        out = [0] * self.ngens
+        for k in range(1, self.ngens + 1):
+            a = cur[k - 1]
+            if a:
+                t = self.p - a
+                cur = self._mul_gen(cur, k, t)
+                out[k - 1] = t
+        return tuple(out)
+
+    def pow(self, x: Element, e: int) -> Element:
+        if e < 0:
+            x = self.inv(x)
+            e = -e
+        out = self.identity
+        base = x
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return out
+
+    def conj(self, x: Element, y: Element) -> Element:
+        """x conjugated by y, i.e. y^-1 x y."""
+        return self.mul(self.inv(y), self.mul(x, y))
+
+    def comm(self, x: Element, y: Element) -> Element:
+        """Commutator x^-1 y^-1 x y."""
+        return self.mul(self.inv(self.mul(y, x)), self.mul(x, y))
+
+
+_COLLECTORS: "weakref.WeakKeyDictionary[PcGroup, Collector]" = weakref.WeakKeyDictionary()
+
+
+def collector(group: PcGroup) -> Collector:
+    """The group's `Collector`, made on first use and kept while the
+    group lives."""
+    c = _COLLECTORS.get(group)
+    if c is None:
+        c = _COLLECTORS[group] = Collector(group)
+    return c
+
+
 def elements(group: PcGroup) -> list[Element]:
     """All elements as exponent tuples, in index order."""
     return [tuple(v) for v in product(range(group.p), repeat=group.ngens)]
@@ -54,18 +215,19 @@ def gens(group: PcGroup) -> list[Element]:
 def collect(group: PcGroup, word) -> Element:
     """Normal form of a word of (index, exponent) letters, any integer
     exponents, by the tuple collector."""
-    x = group.identity
+    c = collector(group)
+    x = c.identity
     for k, e in word:
-        x = group.mul(x, group.pow(group.generator(int(k)), int(e)))
+        x = c.mul(x, c.pow(c.generator(int(k)), int(e)))
     return x
 
 
 def order_of(group: PcGroup, x: Element) -> int:
     """Order of x, by repeated p-th powers with the tuple collector."""
-    n = 1
-    while x != group.identity:
-        x = group.pow(x, group.p)
-        n *= group.p
+    c, n = collector(group), 1
+    while x != c.identity:
+        x = c.pow(x, c.p)
+        n *= c.p
     return n
 
 
@@ -73,32 +235,33 @@ def consistency_witness_by_collector(group: PcGroup) -> Optional[ConsistencyWitn
     """`PcGroup.consistency_witness` evaluated with the tuple collector:
     the same four overlap families in the same order, the first failure
     returned with its two normal forms."""
-    m, p = group.ngens, group.p
-    g = group.generator
+    c = collector(group)
+    m, p = c.ngens, c.p
+    g = c.generator
     for k in range(3, m + 1):
         for j in range(2, k):
             for i in range(1, j):
-                u = group._mul_gen(g(j), i, 1)
-                lhs = group.mul(g(k), u)
-                rhs = group._mul_gen(group._mul_gen(g(k), j, 1), i, 1)
+                u = c._mul_gen(g(j), i, 1)
+                lhs = c.mul(g(k), u)
+                rhs = c._mul_gen(c._mul_gen(g(k), j, 1), i, 1)
                 if lhs != rhs:
                     return ConsistencyWitness("assoc", (k, j, i), lhs, rhs)
     for j in range(2, m + 1):
         for i in range(1, j):
-            u = group._mul_gen(g(j), i, 1)
-            lhs = group._mul_gen(group._power_value(j), i, 1)
+            u = c._mul_gen(g(j), i, 1)
+            lhs = c._mul_gen(c._power_value(j), i, 1)
             gj_pm1 = tuple(p - 1 if t == j else 0 for t in range(1, m + 1))
-            rhs = group.mul(gj_pm1, u)
+            rhs = c.mul(gj_pm1, u)
             if lhs != rhs:
                 return ConsistencyWitness("power_left", (j, i), lhs, rhs)
-            lhs = group.mul(g(j), group._power_value(i))
-            rhs = group._mul_gen(u, i, p - 1)
+            lhs = c.mul(g(j), c._power_value(i))
+            rhs = c._mul_gen(u, i, p - 1)
             if lhs != rhs:
                 return ConsistencyWitness("power_right", (j, i), lhs, rhs)
     for i in range(1, m + 1):
-        pi = group._power_value(i)
-        lhs = group.mul(g(i), pi)
-        rhs = group._mul_gen(pi, i, 1)
+        pi = c._power_value(i)
+        lhs = c.mul(g(i), pi)
+        rhs = c._mul_gen(pi, i, 1)
         if lhs != rhs:
             return ConsistencyWitness("power_self", (i,), lhs, rhs)
     return None
@@ -289,7 +452,7 @@ def table_group_from_pcgroup(group) -> TableGroup:
     TableGroup then serves as an oracle for the library's structural
     functions.
     """
-    return TableGroup(elements(group), group.mul)
+    return TableGroup(elements(group), collector(group).mul)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +465,8 @@ def identity_map(group: PcGroup) -> GroupMap:
 
 def inner_map(group: PcGroup, g: Element) -> GroupMap:
     """Conjugation x -> g^-1 x g as a GroupMap."""
-    return GroupMap(group, [group.idx(group.conj(gen, g)) for gen in gens(group)])
+    c = collector(group)
+    return GroupMap(group, [group.idx(c.conj(gen, g)) for gen in gens(group)])
 
 
 def image_tuples(f: GroupMap) -> list[Element]:
@@ -313,13 +477,13 @@ def image_tuples(f: GroupMap) -> list[Element]:
 def apply_by_collector(f: GroupMap, x: Element) -> Element:
     """f(x) as the product images[1]**e_1 * ... * images[m]**e_m, by the
     tuple collector."""
-    G = f.group
+    c = collector(f.group)
     images = image_tuples(f)
-    out = G.identity
-    for k in range(G.ngens):
+    out = c.identity
+    for k in range(c.ngens):
         e = x[k]
         if e:
-            out = G.mul(out, G.pow(images[k], e))
+            out = c.mul(out, c.pow(images[k], e))
     return out
 
 
@@ -328,16 +492,16 @@ def verify_automorphism_by_collector(f: GroupMap) -> Optional[str]:
     left-hand sides by the collector's `pow` and `comm`, the right-hand
     sides by `apply_by_collector`; same check order and reasons."""
     G = f.group
-    p = G.p
+    c, p = collector(G), G.p
     images = image_tuples(f)
     for k in range(1, G.ngens + 1):
-        lhs = G.pow(images[k - 1], p)
-        rhs = apply_by_collector(f, G._power_value(k))
+        lhs = c.pow(images[k - 1], p)
+        rhs = apply_by_collector(f, c._power_value(k))
         if lhs != rhs:
             return f"power relation for g{k} is not preserved"
     for j in range(2, G.ngens + 1):
         for i in range(1, j):
-            lhs = G.comm(images[j - 1], images[i - 1])
+            lhs = c.comm(images[j - 1], images[i - 1])
             rhs = apply_by_collector(f, collect(G, G.pres.commutator(j, i)))
             if lhs != rhs:
                 return f"commutator relation [g{j}, g{i}] is not preserved"
@@ -349,9 +513,8 @@ def verify_automorphism_by_collector(f: GroupMap) -> Optional[str]:
 
 def canonical_rep(group: PcGroup, sub: Subgroup, x: Element) -> Element:
     """Index-least element of the coset (sub)*x, by scanning the coset."""
-    return min(
-        (group.mul(group.vec(int(z)), x) for z in sub.indices), key=group.idx
-    )
+    c = collector(group)
+    return min((c.mul(group.vec(int(z)), x) for z in sub.indices), key=group.idx)
 
 
 def value_at(d: Derivation, x: Element) -> Element:
@@ -400,16 +563,16 @@ def derivation_key(d: Derivation) -> tuple:
 def b_exponent_value(ctx, g: Element) -> Element:
     """w^i * [w,b]^(i(i-1)/2) where i is the b-exponent of g, by the
     tuple collector with exact integer exponents."""
-    G = ctx.group
+    G, c = ctx.group, collector(ctx.group)
     i, j, t = coset_exponents(ctx, G.idx(g))
-    return G.mul(G.pow(G.vec(ctx.w), i), G.pow(G.vec(ctx.comm_w_b), (i * (i - 1)) // 2))
+    return c.mul(c.pow(G.vec(ctx.w), i), c.pow(G.vec(ctx.comm_w_b), (i * (i - 1)) // 2))
 
 
 def a_exponent_value(ctx, g: Element) -> Element:
     """w^j * [w,b]^(ij + t) where i, j, t are the exponents of g."""
-    G = ctx.group
+    G, c = ctx.group, collector(ctx.group)
     i, j, t = coset_exponents(ctx, G.idx(g))
-    return G.mul(G.pow(G.vec(ctx.w), j), G.pow(G.vec(ctx.comm_w_b), i * j + t))
+    return c.mul(c.pow(G.vec(ctx.w), j), c.pow(G.vec(ctx.comm_w_b), i * j + t))
 
 
 def combine(d1: Derivation, d2: Derivation) -> Derivation:
@@ -443,6 +606,7 @@ def all_derivations(
         raise OrderBoundError(
             f"{zn.order}^{G.ngens} candidate assignments exceed bound {bound}"
         )
+    c = collector(G)
     zn_elems = [G.vec(int(i)) for i in zn.indices]
     gen_perms = [G.right_mult_perm(g) for g in G.gen_indices.tolist()]
     identity_rep = int(ct.min_table[0])
@@ -457,7 +621,7 @@ def all_derivations(
             gr = values[r]
             for k in range(G.ngens):
                 r2 = int(ct.min_table[gen_perms[k][r]])
-                val = G.mul(G.conj(gr, G.generator(k + 1)), combo[k])
+                val = c.mul(c.conj(gr, G.generator(k + 1)), combo[k])
                 known = values.get(r2)
                 if known is None:
                     values[r2] = val
@@ -481,12 +645,12 @@ def central_automorphisms_by_enumeration(group: PcGroup) -> np.ndarray:
     """All automorphisms sending each generator g to g*z with z central,
     as rows of image indices, found by honest enumeration of |Z|^m
     candidate maps with the collector's relation check."""
-    G = group
+    G, c = group, collector(group)
     z = center(G)
     z_elems = [G.vec(int(i)) for i in z.indices]
     rows = []
     for combo in itertools.product(z_elems, repeat=G.ngens):
-        images = [G.idx(G.mul(gen, combo[k])) for k, gen in enumerate(gens(G))]
+        images = [G.idx(c.mul(gen, combo[k])) for k, gen in enumerate(gens(G))]
         if verify_automorphism_by_collector(GroupMap(G, images)) is None:
             rows.append(images)
     return np.array(rows, dtype=np.int64).reshape(-1, G.ngens)
@@ -589,7 +753,7 @@ def canonical_basis_by_scan(group: PcGroup, sub: Subgroup) -> tuple[Element, ...
     """The canonical basis by scanning every element for each pivot
     candidate: the index-least element with leading coordinate 1 at k,
     reduced deepest pivot first."""
-    G = group
+    G, c = group, collector(group)
     p = G.p
     els = subgroup_tuples(G, sub)
     chosen: dict[int, Element] = {}
@@ -606,7 +770,7 @@ def canonical_basis_by_scan(group: PcGroup, sub: Subgroup) -> tuple[Element, ...
             if k2 > k:
                 e = b[k2 - 1]
                 if e:
-                    b = G.mul(b, G.pow(chosen[k2], p - e))
+                    b = c.mul(b, c.pow(chosen[k2], p - e))
         chosen[k] = b
     return tuple(chosen[k] for k in pivots)
 
@@ -629,7 +793,8 @@ def is_elementary_abelian_by_pairs(group: PcGroup, sub: Subgroup, power) -> bool
     els = subgroup_tuples(group, sub)
     if any(power(x) != group.identity for x in els):
         return False
-    return all(group.mul(x, y) == group.mul(y, x) for x in els for y in els)
+    c = collector(group)
+    return all(c.mul(x, y) == c.mul(y, x) for x in els for y in els)
 
 
 def quotient_is_cyclic_by_scan(
@@ -686,7 +851,7 @@ def frattini_by_derived_series(group: PcGroup) -> Subgroup:
     modulo G' the group is abelian, so the p-th powers of the defining
     generators generate all p-th powers there."""
     derived = lower_central_series_by_elements(group)[1]
-    powers = [group._word_index(group.pres.power(k)) for k in range(1, group.ngens + 1)]
+    powers = group.relation_indices[0][1:]
     return closure(group, np.concatenate([derived.indices, powers]))
 
 
@@ -739,8 +904,7 @@ def rtables_by_masked_passes(group: PcGroup) -> list:
         prefix = idx - idx % s
         cur = prefix + s
         top = (idx // s) % p == p - 1
-        power = group._word_index(group.pres.power(k))
-        cur[top] = prefix[top] - (p - 1) * s + power
+        cur[top] = prefix[top] - (p - 1) * s + group.relation_indices[0][k]
         for j in range(k + 1, m + 1):
             conj_word = ((j, 1),) + group.pres.commutator(j, k)
             digit = (idx // group._stride(j)) % p
@@ -878,3 +1042,25 @@ def row_echelon_by_rows(mat, p: int) -> tuple[np.ndarray, list[int]]:
         if r == rows:
             break
     return a, pivots
+
+
+# ---------------------------------------------------------------------------
+# a linear solve over F_p read from `fp.row_echelon`, which no program path
+# needs; the tests use it to check the echelon forms
+
+
+def solve_by_row_echelon(mat, rhs, p: int) -> Optional[np.ndarray]:
+    """One solution x of mat @ x = rhs over F_p (free variables 0), read
+    from `fp.row_echelon` of the augmented matrix, or None when the
+    system is inconsistent (the right-hand column is a pivot)."""
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64) % p)
+    b = np.array(rhs, dtype=np.int64).reshape(-1) % p
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("matrix and right-hand side have mismatched rows")
+    ech, pivots = fp.row_echelon(np.hstack([a, b.reshape(-1, 1)]), p)
+    n = a.shape[1]
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    x[pivots] = ech[: len(pivots), n]
+    return x
