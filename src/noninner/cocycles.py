@@ -129,18 +129,10 @@ class _Decomposer:
         return out
 
 
-def _decomposer(ctx: SelectionContext) -> _Decomposer:
-    d = getattr(ctx, "_decomp", None)
-    if d is None:
-        d = _Decomposer(ctx)
-        ctx._decomp = d
-    return d
-
-
 def coset_exponents(ctx: SelectionContext, g: int) -> Tuple[int, int, int]:
     """(i, j, t) with g = x * [a,b]^t * a^j * b^i, x in Z_{m-4},
     exponents in [0, p), for the element with index g."""
-    i, j, t = _decomposer(ctx).exponents([g])
+    i, j, t = _Decomposer(ctx).exponents([g])
     return int(i[0]), int(j[0]), int(t[0])
 
 
@@ -173,7 +165,7 @@ def _setup(ctx: SelectionContext) -> _Setup:
         setup = ctx._setup = _Setup(
             ct,
             intersection(ctx.centralizer_n, ctx.n_sub),
-            tuple(_decomposer(ctx).exponents(ct.rep_indices)),
+            tuple(_Decomposer(ctx).exponents(ct.rep_indices)),
             _powers(G, ctx.w),
             _powers(G, ctx.comm_w_b),
         )

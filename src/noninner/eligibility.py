@@ -195,14 +195,13 @@ def select_n(group: PcGroup) -> Subgroup:
 
 def _centralizer_n(group: PcGroup, n_sub: Subgroup) -> Subgroup:
     """C_G(N), computed once per group and N: select_n checks its index
-    and select_generators builds the frame on it.  The cache keeps N's
-    indices and the centralizer's state, neither of which refers back to
-    the group."""
+    and select_generators builds the frame on it.  The cache keeps the
+    pair (N, C_G(N)), and a Subgroup does not refer back to the group."""
     cached = group._cache.get("centralizer_n")
-    if cached is not None and np.array_equal(cached[0], n_sub.indices):
-        return Subgroup._view(group, cached[1])
+    if cached is not None and cached[0] == n_sub:
+        return cached[1]
     cent = centralizer(group, n_sub.basis)
-    group._cache["centralizer_n"] = (n_sub.indices, cent._state)
+    group._cache["centralizer_n"] = (n_sub, cent)
     return cent
 
 

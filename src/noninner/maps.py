@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fp
 from .errors import CertificationError
-from .pcgroup import PcGroup
+from .pcgroup import PcGroup, per_group
 from .structure import QuotientCoords, Subgroup, _conj_gen_perms, center, frattini, power_table
 
 
@@ -66,12 +66,9 @@ def compose(f: GroupMap, g: GroupMap) -> GroupMap:
     return GroupMap(f.group, g.apply_table()[f.image_indices])
 
 
+@per_group
 def _frattini_coords(group: PcGroup) -> QuotientCoords:
-    qc = group._cache.get("frattini_coords")
-    if qc is None:
-        qc = QuotientCoords(group, frattini(group))
-        group._cache["frattini_coords"] = qc
-    return qc
+    return QuotientCoords(group, frattini(group))
 
 
 def generates(group: PcGroup, indices):
@@ -129,19 +126,17 @@ def map_order(f: GroupMap, bound: int = 10_000) -> int:
     return k
 
 
+@per_group
 def _conj_columns(group: PcGroup) -> np.ndarray:
     """Array D with D[k - 1, i] = idx(vec(i)^-1 g_k vec(i)), built by the
     levels of `apply_table`: for y = parent * g_j, y^-1 g_k y is
     (parent^-1 g_k parent)^(g_j), a gather of the parents' columns
     through the conjugation permutation of g_j."""
-    cols = group._cache.get("conj_columns")
-    if cols is None:
-        perms = _conj_gen_perms(group)
-        cols = np.empty((group.ngens, group.element_count), dtype=np.int64)
-        cols[:, 0] = group.gen_indices
-        for j, ys, parents in group._last_letter_levels():
-            cols[:, ys] = perms[j - 1][cols[:, parents]]
-        group._cache["conj_columns"] = cols
+    perms = _conj_gen_perms(group)
+    cols = np.empty((group.ngens, group.element_count), dtype=np.int64)
+    cols[:, 0] = group.gen_indices
+    for j, ys, parents in group._last_letter_levels():
+        cols[:, ys] = perms[j - 1][cols[:, parents]]
     return cols
 
 

@@ -82,6 +82,26 @@ def _normalize_word(word: Iterable[Sequence[int]]) -> Word:
 _RADIX = 8
 
 
+def per_group(build):
+    """Memoise `build(group)` in `group._cache`, keyed on `build`: computed
+    on first use, then returned as is.
+
+    The one rule of the cache: a cached value must not refer back to the
+    group.  The group would otherwise sit in a reference cycle, and it
+    and all its tables would stay alive until the next full garbage
+    collection.  Subgroups qualify, as they keep the presentation, not
+    the group."""
+
+    @functools.wraps(build)
+    def cached(group):
+        value = group._cache.get(build)
+        if value is None:
+            value = group._cache[build] = build(group)
+        return value
+
+    return cached
+
+
 class PcPresentation:
     """Validated power-commutator data for a finite p-group.
 
@@ -228,7 +248,6 @@ class PcGroup:
         self._rtables: list = []
         self._ladders: list = []
         self._offsets: list = []
-        self._inv_table: Optional[np.ndarray] = None
         self._cache: dict = {}
         self._steps: list[dict[int, int]] = [{} for _ in range(pres.ngens + 1)]
         if validate:
@@ -239,11 +258,6 @@ class PcGroup:
                     f"{pres.p}**{pres.ngens}: {witness.describe()}",
                     witness,
                 )
-
-    def generator(self, i: int) -> Element:
-        if not 1 <= i <= self.ngens:
-            raise ValueError(f"generator index {i} out of range")
-        return tuple(1 if k == i else 0 for k in range(1, self.ngens + 1))
 
     # ------------------------------------------------------------------
     # tuple arithmetic through the index steps; the program calls none of
@@ -328,6 +342,7 @@ class PcGroup:
                 return ConsistencyWitness(kind, gens, self.vec(lhs), self.vec(rhs))
         return None
 
+    @per_group
     def _index_steps(self):
         """The collector's rewriting on single indices, as two functions:
         `step(x, k, e)` = idx(vec(x) * g_k**e) for 1 <= e < p, and
@@ -344,9 +359,9 @@ class PcGroup:
         step at a deeper generator, so the recursion is at most m deep.
         These are the rules of the tests' recursive tuple collector in its
         order, so on an inconsistent presentation both reach the same
-        normal forms.  The
-        conjugates and the spelling of an index as letters are memoised
-        for one call.
+        normal forms.  The pair is built once per group, and with it the
+        memos of the conjugates and of the spelling of an index as
+        letters; its closures refer to no group.
         """
         p, m = self.p, self.ngens
         strides = [self._stride(k) for k in range(m + 1)]
@@ -617,6 +632,7 @@ class PcGroup:
     def mul_idx(self, i: int, j: int) -> int:
         return int(self.mul_indices(i, j))
 
+    @per_group
     def inv_table(self) -> np.ndarray:
         """Array T with T[i] = idx(vec(i)**-1), built by first-letter
         levels, deepest first.  The elements whose first nonzero
@@ -625,18 +641,16 @@ class PcGroup:
         x^-1 = v^-1 g_k^(p - e) (g_k^p)^-1: v and the power word g_k^p are
         deeper, so their inverses are already in the table.
         """
-        if self._inv_table is None:
-            tables, power = self._tables(), self.relation_indices[0]
-            out = np.zeros(self.element_count, dtype=np.int64)
-            for k in range(self.ngens, 0, -1):
-                s = self._stride(k)
-                power_inv = int(out[power[k]])
-                cur = out[:s]
-                for e in range(self.p - 1, 0, -1):
-                    cur = tables[k][cur]
-                    out[e * s : (e + 1) * s] = self._push(cur, power_inv, k + 1)
-            self._inv_table = out
-        return self._inv_table
+        tables, power = self._tables(), self.relation_indices[0]
+        out = np.zeros(self.element_count, dtype=np.int64)
+        for k in range(self.ngens, 0, -1):
+            s = self._stride(k)
+            power_inv = int(out[power[k]])
+            cur = out[:s]
+            for e in range(self.p - 1, 0, -1):
+                cur = tables[k][cur]
+                out[e * s : (e + 1) * s] = self._push(cur, power_inv, k + 1)
+        return out
 
     def conj_perm(self, y: int) -> np.ndarray:
         """Permutation array P with P[i] = idx(vec(y)**-1 vec(i) vec(y)):

@@ -16,12 +16,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import StructureError
-from .pcgroup import PcGroup
+from .pcgroup import PcGroup, PcPresentation, per_group
 
 
 class Subgroup:
     """A subgroup given by the sorted index array of its elements (the
-    identity, index 0, first).
+    identity, index 0, first).  It keeps the group's presentation, not
+    the group, so a group may cache its subgroups (see `per_group`), and
+    subgroups of groups built from equal presentations compare equal.
 
     The canonical basis has one element index per pivot depth: for each
     depth k carrying part of the subgroup, the index-smallest element
@@ -34,7 +36,7 @@ class Subgroup:
     ways of constructing the same subgroup.
     """
 
-    __slots__ = ("group", "_state")
+    __slots__ = ("pres", "indices", "_mask", "_pivots")
 
     def __init__(self, group: PcGroup, indices: Sequence[int] | np.ndarray):
         idx = np.asarray(indices, dtype=np.int64)
@@ -42,23 +44,15 @@ class Subgroup:
             raise ValueError("subgroup must contain the identity")
         if (idx[1:] <= idx[:-1]).any():
             raise ValueError("subgroup indices must be sorted and distinct")
-        self.group = group
-        self._state = _SubgroupState(idx)
-
-    @classmethod
-    def _view(cls, group: PcGroup, state: "_SubgroupState") -> "Subgroup":
-        sub = cls.__new__(cls)
-        sub.group, sub._state = group, state
-        return sub
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Sorted element indices."""
-        return self._state.indices
+        self.pres = group.pres
+        self.indices = idx
+        self._mask: Optional[np.ndarray] = None
+        # (pivot depths, basis element indices)
+        self._pivots: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     @property
     def order(self) -> int:
-        return len(self._state.indices)
+        return len(self.indices)
 
     @property
     def log_order(self) -> int:
@@ -66,20 +60,19 @@ class Subgroup:
         n = self.order
         k = 0
         while n > 1:
-            if n % self.group.p:
+            if n % self.pres.p:
                 raise ValueError(f"subgroup order {self.order} is not a p-power")
-            n //= self.group.p
+            n //= self.pres.p
             k += 1
         return k
 
     @property
     def mask(self) -> np.ndarray:
         """Boolean membership array over all element indices."""
-        state = self._state
-        if state.mask is None:
-            state.mask = np.zeros(self.group.element_count, dtype=bool)
-            state.mask[state.indices] = True
-        return state.mask
+        if self._mask is None:
+            self._mask = np.zeros(self.pres.order, dtype=bool)
+            self._mask[self.indices] = True
+        return self._mask
 
     @property
     def basis(self) -> tuple[int, ...]:
@@ -92,16 +85,16 @@ class Subgroup:
         return self._pivot_state()[0]
 
     def _pivot_state(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        state = self._state
-        if state.pivots is None:
-            depths, elements = _pivot_elements(self.group, self.indices)
-            if self.order != self.group.p ** len(depths):
+        if self._pivots is None:
+            p = self.pres.p
+            depths, elements = _pivot_elements(self.pres, self.indices)
+            if self.order != p ** len(depths):
                 raise ValueError(
                     f"element set of size {self.order} is not a subgroup "
                     f"(basis spans p**{len(depths)})"
                 )
-            state.pivots = (tuple(depths.tolist()), tuple(elements.tolist()))
-        return state.pivots
+            self._pivots = (tuple(depths.tolist()), tuple(elements.tolist()))
+        return self._pivots
 
     def __le__(self, other: "Subgroup") -> bool:
         return bool(other.mask[self.indices].all())
@@ -112,7 +105,7 @@ class Subgroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.group is other.group and np.array_equal(self.indices, other.indices)
+        return self.pres == other.pres and np.array_equal(self.indices, other.indices)
 
     def __hash__(self) -> int:
         return hash(self.indices.tobytes())
@@ -121,69 +114,30 @@ class Subgroup:
         return f"Subgroup(order={self.order}, pivots={self.pivots})"
 
 
-def _pivot_elements(group: PcGroup, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pivot_elements(pres: PcPresentation, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Depths k and indices of the pivot elements of the sorted array
     `idx`: per k, its least index with leading coordinate 1 at k."""
-    strides = group.gen_indices
+    strides = pres.p ** np.arange(pres.ngens - 1, -1, -1, dtype=np.int64)
     pos = np.minimum(np.searchsorted(idx, strides), len(idx) - 1)
     found = (idx[pos] >= strides) & (idx[pos] < 2 * strides)
     return np.nonzero(found)[0] + 1, idx[pos[found]]
-
-
-class _SubgroupState:
-    """Everything a Subgroup knows apart from its group, shared by every
-    view of it.  The group's cache keeps these states, not Subgroups: a
-    cached Subgroup would refer back to the group, and that reference
-    cycle would keep the group and all its tables alive until the next
-    full garbage collection."""
-
-    __slots__ = ("indices", "mask", "pivots")
-
-    def __init__(self, indices: np.ndarray):
-        self.indices = indices
-        self.mask: Optional[np.ndarray] = None
-        # (pivot depths, basis element indices)
-        self.pivots: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-
-
-def _cached(group: PcGroup, key: str):
-    """The cached Subgroup, or list of Subgroups, under `key`, or None."""
-    states = group._cache.get(key)
-    if isinstance(states, list):
-        return [Subgroup._view(group, s) for s in states]
-    return None if states is None else Subgroup._view(group, states)
-
-
-def _store(group: PcGroup, key: str, value):
-    """Cache a Subgroup or a list of Subgroups by state; returns it."""
-    if isinstance(value, list):
-        group._cache[key] = [sub._state for sub in value]
-    else:
-        group._cache[key] = value._state
-    return value
 
 
 def trivial_subgroup(group: PcGroup) -> Subgroup:
     return Subgroup(group, [0])
 
 
+@per_group
 def whole_group(group: PcGroup) -> Subgroup:
-    sub = _cached(group, "whole")
-    if sub is None:
-        group._check_bound()
-        sub = _store(group, "whole", Subgroup(group, np.arange(group.element_count)))
-    return sub
+    group._check_bound()
+    return Subgroup(group, np.arange(group.element_count))
 
 
+@per_group
 def power_table(group: PcGroup) -> np.ndarray:
-    """Array P with P[i] = idx(vec(i)**p), built once per group by
-    square and multiply."""
-    table = group._cache.get("power_table")
-    if table is None:
-        group._check_bound()
-        table = group.pow_indices(np.arange(group.element_count, dtype=np.int64), group.p)
-        group._cache["power_table"] = table
-    return table
+    """Array P with P[i] = idx(vec(i)**p), by square and multiply."""
+    group._check_bound()
+    return group.pow_indices(np.arange(group.element_count, dtype=np.int64), group.p)
 
 
 def closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
@@ -215,12 +169,9 @@ def closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
     return Subgroup(group, np.nonzero(seen)[0])
 
 
+@per_group
 def _conj_gen_perms(group: PcGroup) -> list[np.ndarray]:
-    perms = group._cache.get("conj_gen_perms")
-    if perms is None:
-        perms = [group.conj_perm(g) for g in group.gen_indices.tolist()]
-        group._cache["conj_gen_perms"] = perms
-    return perms
+    return [group.conj_perm(g) for g in group.gen_indices.tolist()]
 
 
 def normal_closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
@@ -297,6 +248,7 @@ def center(group: PcGroup) -> Subgroup:
     return upper_central_series(group)[1]
 
 
+@per_group
 def upper_central_series(group: PcGroup) -> list[Subgroup]:
     """[1 = Z_0, Z_1, ..., Z_c = G], strictly ascending.
 
@@ -309,9 +261,6 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
     and sifting shows T_j is the disjoint union of the c_j^e T_(j+1), as
     c_j^e in T_(j+1) would give Z an element leading at d_j, no pivot of Z.
     """
-    series = _cached(group, "ucs")
-    if series is not None:
-        return series
     perms = _conj_gen_perms(group)
     series = [trivial_subgroup(group)]
     m_table = np.arange(group.element_count, dtype=np.int64)
@@ -328,27 +277,19 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
             m_table = _fold_basis(
                 group, m_table, [b for k, b in zip(nxt.pivots, nxt.basis) if k not in known]
             )
-    return _store(group, "ucs", series)
+    return series
 
 
-def _relation_closure(group: PcGroup, key: str, powers: bool) -> Subgroup:
-    """Normal closure of the commutator relation words, and of the power
-    words too when `powers` is set, cached under `key`."""
-    sub = _cached(group, key)
-    if sub is None:
-        power, comm = group.relation_indices
-        seeds = [c for row in comm + ([power] if powers else []) for c in row if c]
-        sub = _store(group, key, normal_closure(group, seeds))
-    return sub
-
-
+@per_group
 def derived_subgroup(group: PcGroup) -> Subgroup:
     """G' as the normal closure of the commutator relation words, the
     normal forms of the [g_j, g_i]: modulo it the defining generators
     commute, and every commutator lies in G'."""
-    return _relation_closure(group, "derived", powers=False)
+    comm = group.relation_indices[1]
+    return normal_closure(group, [c for row in comm for c in row if c])
 
 
+@per_group
 def lower_central_series(group: PcGroup) -> list[Subgroup]:
     """[G = term_1, term_2, ..., 1], strictly descending, with
     term_2 = `derived_subgroup`.
@@ -361,9 +302,6 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
     the term, and each later step takes the normal closure of m * r
     commutators [x, g_k] = x^-1 x^(g_k).
     """
-    series = _cached(group, "lcs")
-    if series is not None:
-        return series
     perms = _conj_gen_perms(group)
     inv_t = group.inv_table()
     series = [whole_group(group)]
@@ -372,13 +310,13 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
         if len(series) == 1:
             nxt = derived_subgroup(group)
         else:
-            x = _pivot_elements(group, cur.indices)[1]
+            x = _pivot_elements(group.pres, cur.indices)[1]
             comms = group.mul_indices(inv_t[x], np.array([perm[x] for perm in perms]))
             nxt = normal_closure(group, comms.ravel())
         if not nxt < cur:
             raise StructureError("lower central series stalled; group not nilpotent")
         series.append(nxt)
-    return _store(group, "lcs", series)
+    return series
 
 
 def nilpotency_class(group: PcGroup) -> int:
@@ -392,12 +330,14 @@ def coclass(group: PcGroup) -> int:
     return group.ngens - nilpotency_class(group)
 
 
+@per_group
 def frattini(group: PcGroup) -> Subgroup:
     """Frattini subgroup Phi(G) = G' G^p, as the normal closure of all
     relation words, commutator and power: modulo it the defining
     generators commute and have p-th power 1, so the quotient is
     elementary abelian, and every relation word lies in G' G^p."""
-    return _relation_closure(group, "frattini", powers=True)
+    power, comm = group.relation_indices
+    return normal_closure(group, [c for row in comm + [power] for c in row if c])
 
 
 def minimal_generator_count(group: PcGroup) -> int:
@@ -417,9 +357,10 @@ def omega1(group: PcGroup, sub: Subgroup) -> Subgroup:
 
 def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     """Intersection of two subgroups of the same group."""
-    if a.group is not b.group:
+    if a.pres != b.pres:
         raise ValueError("subgroups of different groups")
-    return Subgroup(a.group, a.indices[b.mask[a.indices]])
+    # a Subgroup reads only the presentation of its first argument
+    return Subgroup(a, a.indices[b.mask[a.indices]])
 
 
 def center_of(group: PcGroup, sub: Subgroup) -> Subgroup:

@@ -257,21 +257,76 @@ def test_certify_makes_one_rank_call(corpus_dir, eligible_ids, monkeypatch):
         assert len(shapes) == 1, (gid, shapes)
 
 
+def test_b_shift_is_chosen_when_it_has_no_conjugating_element(eligible_groups, monkeypatch):
+    """On every ELIGIBLE corpus group `b_shift` is inner, so the
+    certificate takes `a_shift`; told that `b_shift` has no conjugating
+    element, the inner search stops there, and the certificate fixes Phi
+    elementwise."""
+    import noninner.certify as certify
+    from noninner.structure import frattini
+
+    searched = []
+
+    def no_witness(f):
+        searched.append(f)
+        return None
+
+    monkeypatch.setattr(certify, "find_conjugating_element", no_witness)
+    for gid, G in eligible_groups.items():
+        searched.clear()
+        report = certify_group(G, group_id=gid)
+        assert report.chosen == "b_shift", gid
+        certs = report.certificates
+        assert certs["fixed_subgroup"] == "FRATTINI", gid
+        assert certs["b_shift_inner"] is False, gid
+        assert certs["a_shift_inner"] is None, gid
+        assert len(searched) == 1, gid
+        f = GroupMap(G, [G.idx(tuple(im)) for im in report.images])
+        phi = frattini(G).indices
+        assert np.array_equal(f.apply_table()[phi], phi), gid
+
+
 def test_group_is_freed_without_a_garbage_collection(corpus_dir):
     """The group's caches hold no reference back to the group, so its
-    tables go as soon as the last reference does."""
+    tables go as soon as the last reference does: after certification,
+    after the route and diagnostics (whose rank path fills the Frattini
+    coordinates), and after the lower central series, the conjugation
+    columns and a tuple product."""
     import gc
     import weakref
 
+    from noninner.eligibility import decide_route, diagnostics
+    from noninner.maps import _conj_columns, _frattini_coords
     from noninner.pcgroup import PcGroup
     from noninner.pcpfile import parse_pcp_file
+    from noninner.structure import lower_central_series
 
-    group = PcGroup(parse_pcp_file(corpus_dir / "g2187_a.pcp").presentation)
-    assert certify_group(group, group_id="g2187_a").certificates is not None
-    ref = weakref.ref(group)
-    gc.disable()
-    try:
-        del group
-        assert ref() is None
-    finally:
-        gc.enable()
+    def certify(group):
+        assert certify_group(group, group_id="g2187_a").certificates is not None
+
+    def route_and_diagnostics(group):
+        decide_route(group)
+        diagnostics(group)
+
+    def product(group):
+        group.mul((1,) * group.ngens, (2,) * group.ngens)
+
+    # (group, what runs on it, a per-group memo that run must fill)
+    uses = [
+        ("g2187_a", certify, PcGroup.inv_table),
+        ("heis_x_c3", route_and_diagnostics, _frattini_coords),
+        ("g2187_a", lower_central_series, lower_central_series),
+        ("g2187_a", _conj_columns, _conj_columns),
+        ("g2187_a", product, PcGroup._index_steps),
+    ]
+    for gid, run, memo in uses:
+        group = PcGroup(parse_pcp_file(corpus_dir / f"{gid}.pcp").presentation)
+        run(group)
+        assert memo.__wrapped__ in group._cache, (gid, run)
+        ref = weakref.ref(group)
+        gc.disable()
+        try:
+            del group
+            assert ref() is None, (gid, run)
+        finally:
+            gc.enable()

@@ -200,6 +200,33 @@ def test_stalled_series_is_a_typed_error(corpus_dir, capsys, monkeypatch):
     assert captured.err == "error: upper central series stalled; group not nilpotent\n"
 
 
+def test_theorem_violation_exits_3(corpus_dir, eligible_ids, tmp_path, capsys, monkeypatch):
+    import noninner.certify as certify
+
+    # a conjugating element for both lifts, which the construction rules out
+    monkeypatch.setattr(certify, "find_conjugating_element", lambda f: 1)
+    gid = eligible_ids[0]
+    assert main(["certify", corpus_path(corpus_dir, gid)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("THEOREM_VIOLATION: ")
+
+    # the violation outranks a parse error (exit 2) in the same audit
+    shutil.copy(corpus_dir / f"{gid}.pcp", tmp_path / f"{gid}.pcp")
+    (tmp_path / "broken.pcp").write_text(INCONSISTENT)
+    groups = {
+        gid: {"file": f"{gid}.pcp", "route": "ELIGIBLE"},
+        "broken": {"file": "broken.pcp", "route": "NOT_COCLASS_2"},
+    }
+    (tmp_path / "manifest.json").write_text(json.dumps({"format": 1, "groups": groups}))
+    assert main(["audit", str(tmp_path), "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["exit"] == 3
+    by_id = {row["group_id"]: row for row in data["results"]}
+    assert by_id[gid]["status"] == "THEOREM_VIOLATION"
+    assert by_id["broken"]["status"] == "PARSE_ERROR"
+
+
 @pytest.mark.parametrize("ngens", [4, 5])
 def test_conditions_central_automorphisms_past_the_element_bound(tmp_path, capsys, ngens):
     # elementary abelian 3^4 and 3^5: 81^4 and 243^5 central tail tuples

@@ -101,15 +101,15 @@ def test_inner_by_central_is_identity(heis3):
 
 def test_compose_and_order(heis3):
     C = collector(heis3)
-    f = inner_map(heis3, heis3.generator(1))
-    g = inner_map(heis3, heis3.generator(2))
+    f = inner_map(heis3, C.generator(1))
+    g = inner_map(heis3, C.generator(2))
     fg = compose(f, g)
     for i in (0, 5, 13, 26):
         x = heis3.vec(i)
         assert apply_by_collector(fg, x) == apply_by_collector(g, apply_by_collector(f, x))
     # conjugation composes to conjugation by the product
     assert image_tuples(fg) == image_tuples(
-        inner_map(heis3, C.mul(heis3.generator(1), heis3.generator(2)))
+        inner_map(heis3, C.mul(C.generator(1), C.generator(2)))
     )
 
 
@@ -120,10 +120,7 @@ def test_compose_rejects_mismatched_groups(heis3, heis5):
 
 def test_verify_rejects_relation_breakers(heis3):
     # squaring the central image breaks [g2, g1] = g3
-    f = GroupMap(
-        heis3,
-        [heis3.idx(x) for x in (heis3.generator(1), heis3.generator(2), (0, 0, 2))],
-    )
+    f = GroupMap(heis3, [*heis3.gen_indices[:2], heis3.idx((0, 0, 2))])
     reason = verify_automorphism(f)
     assert reason is not None and "commutator relation" in reason
 
@@ -139,7 +136,7 @@ def test_verify_rejects_power_breakers():
 
     c9 = PcGroup(PcPresentation(3, 2, powers={1: [(2, 1)]}))
     # g1 -> g1, g2 -> g2^2 breaks g1^3 = g2
-    f = GroupMap(c9, [c9.idx(c9.generator(1)), c9.idx((0, 2))])
+    f = GroupMap(c9, [c9.gen_indices[0], c9.idx((0, 2))])
     reason = verify_automorphism(f)
     assert reason is not None and "power relation" in reason
 
@@ -148,7 +145,7 @@ def test_map_order_bound():
     from noninner.pcgroup import PcGroup, PcPresentation
 
     c9 = PcGroup(PcPresentation(3, 2, powers={1: [(2, 1)]}))
-    f = GroupMap(c9, [c9.idx(collect(c9, [(1, 1), (2, 1)])), c9.idx(c9.generator(2))])
+    f = GroupMap(c9, [c9.idx(collect(c9, [(1, 1), (2, 1)])), c9.gen_indices[1]])
     assert verify_automorphism(f) is None
     with pytest.raises(RuntimeError, match="order exceeds"):
         map_order(f, bound=2)
@@ -160,7 +157,7 @@ def test_inner_search_size(heis3, corpus_wreath):
 
 
 def test_fixes_elementwise(heis3):
-    f = inner_map(heis3, heis3.generator(1))
+    f = inner_map(heis3, collector(heis3).generator(1))
     assert fixes_elementwise(f, trivial_subgroup(heis3))
     assert fixes_elementwise(f, center(heis3))
     assert not fixes_elementwise(f, whole_group(heis3))
@@ -170,17 +167,14 @@ def test_central_shift_recognized_as_inner(heis3):
     C = collector(heis3)
     # g1 -> g1 z, g2 -> g2 is a central map; in Heisenberg it happens to
     # be conjugation by g2^2, and the exhaustive search finds a witness.
-    z = heis3.generator(3)
-    g = GroupMap(
-        heis3,
-        [heis3.idx(C.mul(heis3.generator(1), z)), heis3.idx(heis3.generator(2)), 1],
-    )
+    z = C.generator(3)
+    g = GroupMap(heis3, [heis3.idx(C.mul(C.generator(1), z)), heis3.gen_indices[1], 1])
     assert verify_automorphism(g) is None
     assert is_central_map(g)
     witness = find_conjugating_element(g)
     assert witness is not None
     assert np.array_equal(inner_map(heis3, heis3.vec(witness)).image_indices, g.image_indices)
-    assert C.pow(heis3.generator(2), 2) in (
+    assert C.pow(C.generator(2), 2) in (
         C.mul(heis3.vec(witness), heis3.vec(int(i))) for i in center(heis3).indices
     )
 

@@ -115,7 +115,7 @@ def test_element_orders_against_oracle(heis5):
 def test_closure_and_normality_in_dihedral(corpus_dihedral):
     G = corpus_dihedral
     oracle = table_group_from_pcgroup(G)
-    g1 = G.generator(1)
+    g1 = collector(G).generator(1)
     tiny = closure(G, [G.idx(g1)])
     assert tiny.order == 2
     assert as_set(tiny) == oracle.closure({G.idx(g1)})
@@ -179,6 +179,23 @@ def test_subgroup_basics(corpus_groups):
                 assert (a <= b) == (sa <= sb), gid
                 assert (a < b) == (sa < sb), gid
                 assert as_set(intersection(a, b)) == sa & sb, gid
+
+
+def test_subgroups_are_values_of_the_presentation(corpus_groups):
+    """A Subgroup keeps the presentation, not the group: equal element
+    sets of groups built from equal presentations are equal subgroups."""
+    for gid, G in corpus_groups.items():
+        twin = PcGroup(PcPresentation(G.p, G.ngens, G.pres.powers, G.pres.commutators))
+        pairs = [(center(G), center(twin)), (frattini(G), Subgroup(twin, frattini(G).indices))]
+        for a, b in pairs:
+            assert a is not b and a == b and hash(a) == hash(b), gid
+            assert intersection(a, b) == a, gid
+        assert whole_group(G) != trivial_subgroup(twin), gid
+    heis = corpus_groups["heisenberg_3"]
+    abelian = PcGroup(PcPresentation(3, 3))
+    assert center(heis) != Subgroup(abelian, center(heis).indices)
+    with pytest.raises(ValueError, match="different groups"):
+        intersection(center(heis), whole_group(abelian))
 
 
 def test_subgroup_scans_match_tuple_oracles(corpus_groups):

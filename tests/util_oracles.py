@@ -209,7 +209,8 @@ def elements(group: PcGroup) -> list[Element]:
 
 def gens(group: PcGroup) -> list[Element]:
     """The defining generators as exponent tuples."""
-    return [group.generator(i) for i in range(1, group.ngens + 1)]
+    c = collector(group)
+    return [c.generator(i) for i in range(1, group.ngens + 1)]
 
 
 def collect(group: PcGroup, word) -> Element:
@@ -621,7 +622,7 @@ def all_derivations(
             gr = values[r]
             for k in range(G.ngens):
                 r2 = int(ct.min_table[gen_perms[k][r]])
-                val = c.mul(c.conj(gr, G.generator(k + 1)), combo[k])
+                val = c.mul(c.conj(gr, c.generator(k + 1)), combo[k])
                 known = values.get(r2)
                 if known is None:
                     values[r2] = val
