@@ -380,7 +380,10 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
                 f"central automorphisms: {len(pos)} tail tuples times |Z| = {nz} "
                 f"exceed the element bound {G.element_bound}"
             )
-        pos = np.column_stack([np.repeat(np.arange(nz), len(pos)), np.tile(pos, (nz, 1))])
+        grown = np.empty((nz, len(pos), pos.shape[1] + 1), dtype=np.int64)
+        grown[:, :, 0] = np.arange(nz)[:, None]
+        grown[:, :, 1:] = pos
+        pos = grown.reshape(-1, grown.shape[2])
         keep = powers[p][pos[:, 0]] == value(G.pres.power(k), pos, k)
         for word in starting.get(k, ()):
             keep &= value(word, pos, k) == 0

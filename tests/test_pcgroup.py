@@ -11,6 +11,7 @@ from noninner.pcgroup import _PRIME_BOUND, PcGroup, PcPresentation, _prime_error
 from util_oracles import (
     collect,
     collector,
+    conj_perm,
     consistency_witness_by_collector,
     elements,
     gens,
@@ -276,7 +277,7 @@ def test_right_mult_perm_matches_mul(heis):
         assert sorted(perm.tolist()) == list(range(27))
         for i in (0, 1, 5, 13, 26):
             assert int(perm[i]) == heis.idx(C.mul(heis.vec(i), y))
-        conj = heis.conj_perm(heis.idx(y))
+        conj = conj_perm(heis, heis.idx(y))
         for i in (0, 2, 7, 25):
             assert int(conj[i]) == heis.idx(C.conj(heis.vec(i), y))
     inv_t = heis.inv_table()
@@ -389,10 +390,12 @@ def test_power_ladder_shape(corpus_groups, probe_5_7):
     8**j < p, one block per nonzero digit: at most 8 ceil(log_8 p)
     blocks.  T_k is its block 1, not a copy.  The offset tables point each
     index at the block of its digit, and the block of digit e at place j
-    is T_k applied e 8**j times."""
+    is T_k applied e 8**j times.  The cases span p = 2 (dihedral_8), the
+    single-place primes 3 and 5, and 313 with three places."""
     import numpy as np
 
     cases = dict(corpus_groups, probe_5_7=probe_5_7, c313_squared=wide_group("c313_squared"))
+    assert {2, 3, 5, 313} <= {G.p for G in cases.values()}
     for gid, G in cases.items():
         p, n = G.p, G.element_count
         places = 1

@@ -38,6 +38,7 @@ from util_oracles import (
     canonical_basis_by_scan,
     centralizer_by_mult_perms,
     collector,
+    conj_perm,
     coset_min_table_by_elements,
     elements,
     frattini_by_derived_series,
@@ -528,6 +529,50 @@ def test_upper_central_series_folds_each_pivot_once(
         assert calls["right_mult_perm"] == series[-2].log_order, path.name
         if path.stem in ("g2187_a", "g2187_b", "g2187_c", "g2187_d"):
             assert calls["right_mult_perm"] == 5, path.name
+
+
+def test_generator_conjugations_read_the_built_tables(
+    corpus_dir, manifest, probe_5_7_path, monkeypatch
+):
+    """With the generator and inverse tables built, the conjugation
+    permutations are gathers through them: no `mul_indices` and no
+    `right_mult_perm` call, where conjugating through a right
+    multiplication by g_k made m of each.  They equal the oracle
+    `conj_perm` on every element and the collector's conjugation on a
+    seeded sample."""
+    import random
+
+    from noninner.pcpfile import parse_pcp_file
+
+    calls = {"mul_indices": 0, "right_mult_perm": 0}
+
+    def counting(name):
+        original = getattr(PcGroup, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(PcGroup, name, counting(name))
+    rng = random.Random(23)
+    paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
+    for path in sorted(paths) + [probe_5_7_path]:
+        G = PcGroup(parse_pcp_file(path).presentation, validate=False)
+        G._tables()
+        G.inv_table()
+        calls.update(mul_indices=0, right_mult_perm=0)
+        perms = _conj_gen_perms(G)
+        assert calls == {"mul_indices": 0, "right_mult_perm": 0}, (path.name, calls)
+        C = collector(G)
+        sample = rng.sample(range(G.element_count), min(G.element_count, 20))
+        for k, (g, perm) in enumerate(zip(G.gen_indices.tolist(), perms), 1):
+            assert np.array_equal(perm, conj_perm(G, g)), (path.name, k)
+            for x in sample:
+                expected = G.idx(C.conj(G.vec(x), G.vec(g)))
+                assert int(perm[x]) == expected, (path.name, k, x)
 
 
 def test_quotient_coords_match_reduction_by_products(corpus_groups, probe_5_7):

@@ -828,13 +828,21 @@ def left_mult_perm(group: PcGroup, y: int) -> np.ndarray:
     return it[group.right_mult_perm(int(it[y]))[it]]
 
 
+def conj_perm(group: PcGroup, y: int) -> np.ndarray:
+    """Permutation array P with P[i] = idx(vec(y)**-1 vec(i) vec(y)):
+    from x through x**-1 y and its inverse y**-1 x, by the right
+    multiplication by y and the inverse table, twice each."""
+    it, right = group.inv_table(), group.right_mult_perm(y)
+    return right[it[right[it]]]
+
+
 def lower_central_series_by_elements(group: PcGroup) -> list[Subgroup]:
     """The lower central series with each step the normal closure of the
     commutators [x, g_k] of every element x of the term with every
     defining generator: one product per element and generator."""
     G = group
     inv_t = G.inv_table()
-    perms = [G.conj_perm(g) for g in G.gen_indices.tolist()]
+    perms = [conj_perm(G, g) for g in G.gen_indices.tolist()]
     series = [whole_group(G)]
     while series[-1].order > 1:
         x = series[-1].indices
@@ -1046,19 +1054,36 @@ def row_echelon_by_rows(mat, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# a linear solve over F_p read from `fp.row_echelon`, which no program path
-# needs; the tests use it to check the echelon forms
+# reduced row-echelon forms over F_p from `fp`'s stacked elimination, and a
+# linear solve read from them: no program path needs either, as the program
+# asks `fp` only for ranks; the tests use them to check the elimination, and
+# tools/source_corpus.py reads its tail kernels from `row_echelon`
+
+
+def row_echelon(mat, p: int) -> tuple[np.ndarray, list]:
+    """Reduced row-echelon form of `mat` over F_p and its pivot columns (for
+    a stack, the forms and a list per matrix): `fp._eliminate`'s rows times
+    x^(p-2) = x^-1 for their leading entries x, sorted by leading column."""
+    a = np.atleast_2d(np.asarray(mat, dtype=np.int64) % p)
+    ech = fp._eliminate(a, p)[0]
+    # a row's leading zeros count its pivot column, c for a zero row
+    lead = np.cumprod(ech == 0, axis=2).sum(axis=2)
+    x = (ech * (np.arange(a.shape[-1]) == lead[:, :, None])).sum(axis=2, keepdims=True)
+    ech = ech * np.frompyfunc(lambda v: pow(int(v), p - 2, p), 1, 1)(x).astype(np.int64) % p
+    ech = np.take_along_axis(ech, lead.argsort(axis=1)[:, :, None], axis=1)
+    pivots = [row[row < a.shape[-1]].tolist() for row in np.sort(lead, axis=1)]
+    return (ech[0], pivots[0]) if a.ndim == 2 else (ech, pivots)
 
 
 def solve_by_row_echelon(mat, rhs, p: int) -> Optional[np.ndarray]:
     """One solution x of mat @ x = rhs over F_p (free variables 0), read
-    from `fp.row_echelon` of the augmented matrix, or None when the
+    from `row_echelon` of the augmented matrix, or None when the
     system is inconsistent (the right-hand column is a pivot)."""
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64) % p)
     b = np.array(rhs, dtype=np.int64).reshape(-1) % p
     if a.shape[0] != b.shape[0]:
         raise ValueError("matrix and right-hand side have mismatched rows")
-    ech, pivots = fp.row_echelon(np.hstack([a, b.reshape(-1, 1)]), p)
+    ech, pivots = row_echelon(np.hstack([a, b.reshape(-1, 1)]), p)
     n = a.shape[1]
     if n in pivots:
         return None

