@@ -19,12 +19,16 @@ collection procedure; it defines a group of order p**m exactly when the
 four families of overlap tests (`overlaps`) all pass, that is when
 `consistency_witness` returns None.
 
-The program computes on indices only: the overlap tests by memoised
-single-index steps, and everything else through the generators' power
-ladders, built from the relations.  The tuple methods `mul`, `inv`,
-`pow`, `conj` and `comm` answer through the same single-index steps and
-are on no program path; the tests' independent reference, a recursive
-tuple collector, lives with the other oracles in `tests/util_oracles.py`.
+The program computes on indices only, through the generators' power
+ladders, built from the relations.  Each overlap test is the
+associativity of one triple of indices; within `element_bound` the
+check is four array products over all the triples at once, and the
+memoised single-index steps, which need no table, run only above the
+bound and to name the first failing test.  The tuple methods `mul`,
+`inv`, `pow`, `conj` and `comm` answer through the same single-index
+steps and are on no program path; the tests' independent reference, a
+recursive tuple collector, lives with the other oracles in
+`tests/util_oracles.py`.
 """
 
 from __future__ import annotations
@@ -303,40 +307,80 @@ class PcGroup:
     # ------------------------------------------------------------------
     # consistency
 
-    def overlaps(self):
-        """Yield (kind, gens, lhs, rhs) for every overlap test, the two
-        sides as indices, in this order: g_k(g_j g_i) vs (g_k g_j)g_i for
-        k > j > i, the two power overlaps g_j**p with g_i and g_j with
-        g_i**p for j > i, and g_i * g_i**p vs g_i**p * g_i.  All pairs are
-        equal exactly when normal forms are unique, i.e. the group has
-        order p**ngens.
+    def _overlap_triples(self) -> list:
+        """Every overlap test as (kind, gens, x, y, z): the word
+        vec(x) vec(y) vec(z) of three normal forms, whose two products
+        (x y) z and x (y z) must agree.  In the order of `overlaps`:
 
-        Both sides are evaluated by `_index_steps`, which needs no table,
-        so the tests run above `element_bound`.  Every step is a sequence
-        of rule applications: equal sides join the critical pair, and
-        unequal sides are two irreducible forms of one word.  The tests
-        are evaluated lazily, one pair per `next`.
-        """
+            assoc        (k, j, i), k > j > i   (g_k, g_j, g_i)
+            power_left   (j, i), j > i          (g_j**(p-1), g_j, g_i)
+            power_right  (j, i), j > i          (g_j, g_i, g_i**(p-1))
+            power_self   (i,)                   (g_i, g_i**(p-1), g_i)
+
+        At 3^7 there are 84 of them."""
         m, p = self.ngens, self.p
-        step, times = self._index_steps()
         s = [self._stride(k) for k in range(m + 1)]
-        power = self.relation_indices[0]
-        for k in range(3, m + 1):
-            for j in range(2, k):
-                for i in range(1, j):
-                    lhs = times(s[k], step(s[j], i, 1))
-                    yield "assoc", (k, j, i), lhs, step(step(s[k], j, 1), i, 1)
+        triples = [
+            ("assoc", (k, j, i), s[k], s[j], s[i])
+            for k in range(3, m + 1)
+            for j in range(2, k)
+            for i in range(1, j)
+        ]
         for j in range(2, m + 1):
             for i in range(1, j):
-                u = step(s[j], i, 1)
-                yield "power_left", (j, i), step(power[j], i, 1), times((p - 1) * s[j], u)
-                yield "power_right", (j, i), times(s[j], power[i]), step(u, i, p - 1)
-        for i in range(1, m + 1):
-            yield "power_self", (i,), times(s[i], power[i]), step(power[i], i, 1)
+                triples.append(("power_left", (j, i), (p - 1) * s[j], s[j], s[i]))
+                triples.append(("power_right", (j, i), s[j], s[i], (p - 1) * s[i]))
+        triples += [("power_self", (i,), s[i], (p - 1) * s[i], s[i]) for i in range(1, m + 1)]
+        return triples
+
+    def overlaps(self):
+        """Yield (kind, gens, lhs, rhs) for every overlap test of
+        `_overlap_triples`, the two sides as indices: lhs is x (y z) and
+        rhs (x y) z, except that `power_left` reports (x y) z, the carry
+        g_j**p g_i, as its lhs.  All pairs are equal exactly when normal
+        forms are unique, i.e. the group has order p**ngens.
+
+        Both sides are evaluated by `_index_steps`, which needs no table,
+        so this is the check above `element_bound`, and it names the
+        failing test below it.  Every step is a sequence of rule
+        applications: equal sides join the critical pair, and unequal
+        sides are two irreducible forms of one word.  The tests are
+        evaluated lazily, one pair per `next`.
+        """
+        times = self._index_steps()[1]
+        for kind, gens, x, y, z in self._overlap_triples():
+            lhs, rhs = times(x, times(y, z)), times(times(x, y), z)
+            if kind == "power_left":
+                lhs, rhs = rhs, lhs
+            yield kind, gens, lhs, rhs
 
     def consistency_witness(self) -> Optional[ConsistencyWitness]:
         """The first unequal pair of `overlaps`, as exponent tuples, or
-        None when the presentation is consistent."""
+        None when the presentation is consistent.
+
+        Within `element_bound` the verdict comes first from the generator
+        tables: four `mul_indices` calls compare (X Y) Z with X (Y Z)
+        over the arrays of all the triples.  This is sound because every
+        ladder entry, like every index step, is a sequence of rule
+        applications on the word x g_k: the digit step and the power carry
+        g_k**p -> w_k, and x' g_l g_k -> x' g_k g_l [g_l, g_k] for a last
+        letter l > k.  So the two table sides of a test are irreducible
+        reducts of the same overlap word, one through each branch of its
+        critical pair.  On a consistent presentation every word has one
+        normal form, and both sides are it; on an inconsistent one some
+        critical pair does not join, and no reduction of its two branches
+        meets (Sims, *Computation with finitely presented groups*, 1994,
+        ch. 9; Holt, Eick and O'Brien, *Handbook of Computational Group
+        Theory*, 2005, ch. 9).  The verdict does not depend on the order
+        of the rewriting, but the unequal forms do: when the tables find a
+        failure, the witness is still the first unequal pair of the steps,
+        the collector's normal forms.
+        """
+        if self.element_count <= self.element_bound:
+            _, _, x, y, z = zip(*self._overlap_triples())
+            mul = self.mul_indices
+            if np.array_equal(mul(mul(x, y), z), mul(x, mul(y, z))):
+                return None
         for kind, gens, lhs, rhs in self.overlaps():
             if lhs != rhs:
                 return ConsistencyWitness(kind, gens, self.vec(lhs), self.vec(rhs))

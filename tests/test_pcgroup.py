@@ -376,6 +376,8 @@ def test_table_builds_make_no_array_products(corpus_dir, manifest, probe_5_7_pat
     cases = {path.name: parse_pcp_file(path).presentation for path in sorted(paths)}
     cases["probe_5_7"] = parse_pcp_file(probe_5_7_path).presentation
     cases["c313_squared"] = PcPresentation(313, 2)
+    # parsing checks consistency, by array products over the built tables
+    calls["mul_indices"] = 0
     for gid, pres in cases.items():
         G = PcGroup(pres, validate=False)
         for k in range(1, G.ngens + 1):
@@ -547,12 +549,15 @@ def test_array_product_matches_mul_at_every_prime():
 
 
 def test_consistency_check_collector_budget(corpus_dir, manifest, probe_5_7_path, monkeypatch):
-    """The consistency check of `PcGroup(pres)` runs on indices: no call
-    of a tuple method, and at most 250 distinct memoised steps on
-    every corpus presentation and the probe (143-168 made)."""
+    """Within the bound, the consistency check of `PcGroup(pres)` on a
+    consistent presentation is at most four `mul_indices` calls over the
+    built tables: no memoised step and no call of a tuple method.  With
+    `element_bound` below the order it runs on the index steps instead:
+    no table, no tuple method, and at most 250 distinct memoised steps
+    on every corpus presentation and the probe."""
     from noninner.pcpfile import parse_pcp_file
 
-    calls = dict.fromkeys(("mul", "inv", "pow", "conj", "comm"), 0)
+    calls = dict.fromkeys(("mul", "inv", "pow", "conj", "comm", "mul_indices"), 0)
 
     def counting(name):
         original = getattr(PcGroup, name)
@@ -567,17 +572,36 @@ def test_consistency_check_collector_budget(corpus_dir, manifest, probe_5_7_path
         monkeypatch.setattr(PcGroup, name, counting(name))
     paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
     for path in sorted(paths) + [probe_5_7_path]:
-        G = PcGroup(parse_pcp_file(path).presentation)
-        assert not any(calls.values()), (path.name, calls)
+        pres = parse_pcp_file(path).presentation
+        calls.update(dict.fromkeys(calls, 0))
+        G = PcGroup(pres)
+        assert calls["mul_indices"] <= 4, (path.name, calls)
+        assert not any(calls[name] for name in calls if name != "mul_indices"), (path.name, calls)
+        assert not any(G._steps), path.name
+        G = PcGroup(pres, element_bound=G.element_count - 1)
+        assert not any(calls[name] for name in calls if name != "mul_indices"), (path.name, calls)
+        assert not G._rtables, path.name
         steps = sum(len(memo) for memo in G._steps)
         assert 0 < steps <= 250, (path.name, steps)
 
 
+def _table_verdict(G) -> bool:
+    """Whether (X Y) Z = X (Y Z) on every overlap triple, by products over
+    the generator tables."""
+    import numpy as np
+
+    _, _, x, y, z = zip(*G._overlap_triples())
+    mul = G.mul_indices
+    return bool(np.array_equal(mul(mul(x, y), z), mul(x, mul(y, z))))
+
+
 def test_consistency_witness_matches_the_collector(corpus_dir, manifest, probe_5_7_path):
-    """The index steps reach the collector's normal forms in its order,
-    so the witness is the collector's, kind, generators and both sides,
-    on 2 400 seeded random presentations, every corpus file and the
-    probe."""
+    """The table products and the index steps reach the same verdict, and
+    the witness is the collector's, kind, generators and both sides, on
+    2 400 seeded random presentations, every corpus file, the probe and
+    two presentations at p = 13, whose ladders have two base-8 places.
+    Built again with `element_bound` below the order, the check runs on
+    the steps alone and gives the same witness."""
     import random
 
     from noninner.pcpfile import parse_pcp_file
@@ -586,14 +610,29 @@ def test_consistency_witness_matches_the_collector(corpus_dir, manifest, probe_5
     cases = [random_presentation(rng) for _ in range(2400)]
     paths = [corpus_dir / entry["file"] for entry in manifest["groups"].values()]
     cases += [parse_pcp_file(path).presentation for path in sorted(paths) + [probe_5_7_path]]
-    kinds = []
+    cases += [
+        PcPresentation(13, 3, commutators={(2, 1): [(3, 1)]}),
+        PcPresentation(**dict(COLLAPSING, p=13)),
+    ]
+    kinds, tabled = [], 0
     for pres in cases:
         expected = consistency_witness_by_collector(PcGroup(pres, validate=False))
-        assert PcGroup(pres, validate=False).consistency_witness() == expected, pres
+        G = PcGroup(pres, validate=False)
+        if G.element_count <= G.element_bound:
+            assert G.consistency_witness() == expected, pres
+            steps_agree = all(lhs == rhs for _, _, lhs, rhs in G.overlaps())
+            assert _table_verdict(G) == steps_agree == (expected is None), pres
+            tabled += 1
+        G = PcGroup(pres, validate=False, element_bound=G.element_count - 1)
+        assert G.consistency_witness() == expected, pres
+        assert not G._rtables, pres
         kinds.append(expected.kind if expected else None)
-    # every family fails somewhere, and most presentations pass
+    # every family fails somewhere, most presentations pass, and the
+    # tables decide nearly all of them; the Heisenberg group mod 13 passes
     assert {"assoc", "power_left", "power_right", "power_self"} <= set(kinds)
     assert 300 <= len(cases) - kinds.count(None) <= len(cases) // 2
+    assert tabled >= 0.9 * len(cases), tabled
+    assert kinds[-2:] == [None, "power_self"], kinds[-2:]
 
 
 def test_consistency_check_past_the_element_bound(corpus_dir):
@@ -615,8 +654,10 @@ def test_consistency_check_past_the_element_bound(corpus_dir):
 
 def test_memoised_steps_match_the_generator_tables(corpus_groups):
     """Each memoised step, the tail t times g_k**e, is the entry of t
-    under e gathers through the generator table of g_k."""
+    under e gathers through the generator table of g_k.  The check of a
+    group within the bound makes no step, so the overlaps are run here."""
     for gid, G in corpus_groups.items():
+        assert all(lhs == rhs for _, _, lhs, rhs in G.overlaps()), gid
         tables = G._tables()
         for k in range(1, G.ngens + 1):
             assert G._steps[k], (gid, k)
