@@ -23,7 +23,7 @@ from .cocycles import (
     lift_to_automorphism,
     verify_cocycles,
 )
-from .eligibility import Route, decide_route, select_generators, select_n
+from .eligibility import Route, decide_route, select_generators
 from .errors import CertificationError, TheoremViolationError
 from .maps import (
     find_conjugating_element,
@@ -87,8 +87,7 @@ def certify_group(
         )
 
     t0 = time.perf_counter()
-    n_sub = select_n(group)
-    ctx = select_generators(group, n_sub)
+    ctx = select_generators(group)
     timings["selection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -8,17 +8,26 @@ Subcommands:
     audit <dir> [--json]        certify a corpus directory against its
                                 manifest route expectations
 
-Exit codes: 0 success; 1 usage, I/O, manifest mismatch, a malformed
-manifest or manifest entry, a group above the element bound (or, for
-`conditions`, a central-automorphism solve that would hold more tail
-tuples than that bound), a central series that stalls (`error:`, a
-broken invariant), a failed selection step (`selection failed:`)
-or a failed certification check (`certification failed:`); 2 parse
-error or inconsistent presentation; 3 certified theorem violation.
-When several failures occur the highest-priority code wins (3 over 2
-over 1).  `audit` reports each failure of a group as a per-group status
-and goes on with the next group; a manifest that is not valid JSON or
-has no "groups" object ends it at once.
+Exit codes: 0 success; 1 a usage error (`usage error:`), a manifest
+that is missing, not valid JSON or without a "groups" object
+(`error:`), or an audited group whose route or manifest entry is wrong.
+Any other failure ends in the code and stderr label of the first row of
+`FAILURES` that its exception matches:
+
+    3  THEOREM_VIOLATION          TheoremViolationError
+    2  parse error                PcpSyntaxError
+    2  inconsistent presentation  InconsistentPresentationError
+    1  selection failed           SelectionError
+    1  certification failed       CertificationError
+    1  error                      OrderBoundError (a group above the
+                                  element bound, or a central-automorphism
+                                  solve past it), or any other RuntimeError
+                                  (StructureError: a stalled central series)
+    1  i/o error                  OSError
+
+`audit` reports such a failure of a group as its status, THEOREM_VIOLATION
+(3), PARSE_ERROR (2) or ERROR (1), goes on with the next group, and exits
+with the highest code it met (3 over 2 over 1).
 """
 
 from __future__ import annotations
@@ -29,18 +38,17 @@ import sys
 from pathlib import Path
 
 from .certify import certify_group
-from .eligibility import decide_route, diagnostics, select_generators, select_n
+from .eligibility import decide_route, diagnostics, select_generators
 from .errors import (
     CertificationError,
     InconsistentPresentationError,
     OrderBoundError,
     PcpSyntaxError,
     SelectionError,
-    StructureError,
     TheoremViolationError,
 )
 from .pcpfile import parse_pcp_file
-from .report import report_to_dict, report_to_json, report_to_text
+from .report import report_to_json, report_to_text
 from .structure import (
     coclass,
     derived_subgroup,
@@ -54,6 +62,28 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_THEOREM = 3
+
+# How a failure ends a command: the first row whose classes match gives
+# the exit code and the stderr label of `main`; `audit` keeps the group's
+# status for the code and goes on.  RuntimeError catches the invariant
+# errors without a row of their own, StructureError among them.
+FAILURES = (
+    ((TheoremViolationError,), EXIT_THEOREM, "THEOREM_VIOLATION"),
+    ((PcpSyntaxError,), EXIT_PARSE, "parse error"),
+    ((InconsistentPresentationError,), EXIT_PARSE, "inconsistent presentation"),
+    ((SelectionError,), EXIT_USAGE, "selection failed"),
+    ((CertificationError,), EXIT_USAGE, "certification failed"),
+    ((OrderBoundError, RuntimeError), EXIT_USAGE, "error"),
+    ((OSError,), EXIT_USAGE, "i/o error"),
+)
+_FAILURE_CLASSES = tuple(cls for classes, _, _ in FAILURES for cls in classes)
+AUDIT_STATUS = {EXIT_THEOREM: "THEOREM_VIOLATION", EXIT_PARSE: "PARSE_ERROR", EXIT_USAGE: "ERROR"}
+
+
+def _failure(exc: BaseException) -> tuple[int, str]:
+    """Exit code and stderr label of the first `FAILURES` row that
+    matches `exc`."""
+    return next((code, label) for classes, code, label in FAILURES if isinstance(exc, classes))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,8 +157,7 @@ def _cmd_conditions(args) -> int:
     for key, value in diag.items():
         print(f"    {key} = {value}")
     if decision.route.value == "ELIGIBLE":
-        n_sub = select_n(group)
-        ctx = select_generators(group, n_sub)
+        ctx = select_generators(group)
         print("selection:")
         for key, value in ctx.summary().items():
             print(f"    {key} = {value}")
@@ -184,22 +213,11 @@ def _cmd_audit(args) -> int:
         try:
             doc = parse_pcp_file(root / entry["file"])
             report = certify_group(doc.group, group_id=group_id)
-        except TheoremViolationError as exc:
-            row["status"] = "THEOREM_VIOLATION"
+        except _FAILURE_CLASSES as exc:
+            code = _failure(exc)[0]
+            row["status"] = AUDIT_STATUS[code]
             row["detail"] = str(exc)
-            worst = max(worst, EXIT_THEOREM)
-            results.append(row)
-            continue
-        except (PcpSyntaxError, InconsistentPresentationError) as exc:
-            row["status"] = "PARSE_ERROR"
-            row["detail"] = str(exc)
-            worst = max(worst, EXIT_PARSE)
-            results.append(row)
-            continue
-        except (OrderBoundError, SelectionError, RuntimeError, OSError) as exc:
-            row["status"] = "ERROR"
-            row["detail"] = str(exc)
-            worst = max(worst, EXIT_USAGE)
+            worst = max(worst, code)
             results.append(row)
             continue
         row["route"] = report.route
@@ -243,27 +261,10 @@ def main(argv=None) -> int:
     handler = handlers[args.command]
     try:
         return handler(args)
-    except TheoremViolationError as exc:
-        print(f"THEOREM_VIOLATION: {exc}", file=sys.stderr)
-        return EXIT_THEOREM
-    except PcpSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InconsistentPresentationError as exc:
-        print(f"inconsistent presentation: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SelectionError as exc:
-        print(f"selection failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CertificationError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OrderBoundError, StructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _FAILURE_CLASSES as exc:
+        code, label = _failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

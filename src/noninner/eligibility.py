@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -147,6 +146,12 @@ def select_n(group: PcGroup) -> Subgroup:
     least sorted element-index tuple.  If Z_2 has an element of order
     p^2 the choice is forced: N = Omega_1(Z_2).
     """
+    return _select_n(group)[0]
+
+
+def _select_n(group: PcGroup) -> tuple[Subgroup, Subgroup]:
+    """`select_n`'s N and C_G(N), which it checks maximal and on which
+    `select_generators` builds the frame."""
     p = group.p
     series = upper_central_series(group)
     z1, z2 = series[1], series[2]
@@ -184,25 +189,13 @@ def select_n(group: PcGroup) -> Subgroup:
         raise SelectionError("selected subgroup does not sit strictly between Z and Z_2")
     if not is_normal(group, n_sub):
         raise SelectionError("selected subgroup is not normal")
-    cent = _centralizer_n(group, n_sub)
+    cent = centralizer(group, n_sub.basis)
     if cent.order * p != group.element_count:
         raise SelectionError(
             "centralizer of the selected subgroup is not maximal "
             f"(index {group.element_count // cent.order})"
         )
-    return n_sub
-
-
-def _centralizer_n(group: PcGroup, n_sub: Subgroup) -> Subgroup:
-    """C_G(N), computed once per group and N: select_n checks its index
-    and select_generators builds the frame on it.  The cache keeps the
-    pair (N, C_G(N)), and a Subgroup does not refer back to the group."""
-    cached = group._cache.get("centralizer_n")
-    if cached is not None and cached[0] == n_sub:
-        return cached[1]
-    cent = centralizer(group, n_sub.basis)
-    group._cache["centralizer_n"] = (n_sub, cent)
-    return cent
+    return n_sub, cent
 
 
 @dataclass
@@ -243,8 +236,8 @@ class SelectionContext:
         }
 
 
-def select_generators(group: PcGroup, n_sub: Subgroup) -> SelectionContext:
-    """Deterministic choice of the frame (a, b, w).
+def select_generators(group: PcGroup) -> SelectionContext:
+    """Deterministic choice of N (`select_n`) and the frame (a, b, w).
 
     b: index-least element outside C_G(N); a: index-least element of
     C_G(N) outside Phi; w: index-least element of N outside Z with
@@ -257,7 +250,7 @@ def select_generators(group: PcGroup, n_sub: Subgroup) -> SelectionContext:
     series = upper_central_series(group)
     z1 = series[1]
     phi = frattini(group)
-    cent = _centralizer_n(group, n_sub)
+    n_sub, cent = _select_n(group)
 
     # Structural layout around the frame (checked, not assumed):
     # series steps |Z_i| = p^(i+1) for 2 <= i <= m-3, Z_{m-3} = Phi,

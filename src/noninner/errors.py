@@ -6,7 +6,22 @@ from __future__ import annotations
 class PresentationError(ValueError):
     """A presentation violates the structural rules for weighted
     power-commutator data (bad exponent range, non-ascending word,
-    relation referring to a generator of too-low index, and so on)."""
+    relation referring to a generator of too-low index, and so on).
+    `PcPresentation` is the one place that raises it.
+
+    `reason` names the broken rule, and `field`, `key` and `letter` say
+    where: `field` is "prime" or "ngens" for a header value, else "pow"
+    or "comm" with `key` the relation's key, i or (j, i), and `letter`
+    the 0-based position of the offending letter in its word, or None
+    when the key itself is at fault."""
+
+    def __init__(self, reason: str, field: str, key=None, letter=None) -> None:
+        where = f"{field} {key}" + ("" if letter is None else f", letter {letter + 1}")
+        super().__init__(reason if key is None else f"{where}: {reason}")
+        self.reason = reason
+        self.field = field
+        self.key = key
+        self.letter = letter
 
 
 class InconsistentPresentationError(ValueError):

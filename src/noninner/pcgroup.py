@@ -52,11 +52,9 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-@functools.lru_cache(maxsize=64)
 def _prime_error(n: int) -> Optional[str]:
     """None when n is prime, else why it is refused as p: not prime, or
-    too large for the deterministic test.  Cached, so the parser's header
-    check and `PcPresentation` test a file's prime once."""
+    too large for the deterministic test."""
     if n >= _PRIME_BOUND:
         return f"p = {n} is not below {_PRIME_BOUND}, the bound of the primality test"
     if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
@@ -136,48 +134,49 @@ class PcPresentation:
     ) -> None:
         problem = _prime_error(p)
         if problem:
-            raise PresentationError(problem)
+            raise PresentationError(problem, "prime")
         if ngens < 1:
-            raise PresentationError(f"ngens must be >= 1, got {ngens}")
+            raise PresentationError(f"ngens must be >= 1, got {ngens}", "ngens")
         self.p = p
         self.ngens = ngens
         pw: dict[int, Word] = {}
         for i, word in (powers or {}).items():
             i = int(i)
             if not 1 <= i <= ngens:
-                raise PresentationError(f"power relation index {i} out of range")
+                raise PresentationError(f"generator index {i} out of range", "pow", i)
             w = _normalize_word(word)
-            self._check_word(w, floor=i, context=f"power relation for generator {i}")
+            self._check_word(w, floor=i, field="pow", key=i)
             if w:
                 pw[i] = w
         cm: dict[tuple[int, int], Word] = {}
         for key, word in (commutators or {}).items():
-            j, i = int(key[0]), int(key[1])
-            if not (1 <= i < j <= ngens):
+            j, i = key = int(key[0]), int(key[1])
+            if not 1 <= i < j <= ngens:
                 raise PresentationError(
-                    f"commutator relation key ({j}, {i}) must satisfy ngens >= j > i >= 1"
+                    f"comm indices need ngens >= j > i >= 1, got {j} {i}", "comm", key
                 )
             w = _normalize_word(word)
-            self._check_word(w, floor=j, context=f"commutator relation [{j}, {i}]")
+            self._check_word(w, floor=j, field="comm", key=key)
             if w:
-                cm[(j, i)] = w
+                cm[key] = w
         self.powers = pw
         self.commutators = cm
 
-    def _check_word(self, word: Word, floor: int, context: str) -> None:
+    def _check_word(self, word: Word, floor: int, field: str, key) -> None:
         prev = floor
-        for k, e in word:
-            if not floor < k <= self.ngens:
-                raise PresentationError(
-                    f"{context}: generator index {k} must lie in ({floor}, {self.ngens}]"
-                )
-            if k <= prev:
-                raise PresentationError(f"{context}: indices must be strictly ascending")
-            if not 1 <= e <= self.p - 1:
-                raise PresentationError(
-                    f"{context}: exponent {e} must lie in [1, {self.p - 1}]"
-                )
-            prev = k
+        for pos, (k, e) in enumerate(word):
+            if not 1 <= k <= self.ngens:
+                problem = f"generator index {k} out of range"
+            elif k <= floor:
+                problem = f"generator index {k} not above {floor}"
+            elif k <= prev:
+                problem = "generator indices must be strictly ascending"
+            elif not 1 <= e <= self.p - 1:
+                problem = f"exponent {e} outside [1, {self.p - 1}]"
+            else:
+                prev = k
+                continue
+            raise PresentationError(problem, field, key, pos)
 
     def power(self, i: int) -> Word:
         """Relation word for g_i**p (empty tuple if trivial)."""
@@ -307,7 +306,7 @@ class PcGroup:
     # ------------------------------------------------------------------
     # consistency
 
-    def _overlap_triples(self) -> list:
+    def _overlap_triples(self):
         """Every overlap test as (kind, gens, x, y, z): the word
         vec(x) vec(y) vec(z) of three normal forms, whose two products
         (x y) z and x (y z) must agree.  In the order of `overlaps`:
@@ -317,21 +316,20 @@ class PcGroup:
             power_right  (j, i), j > i          (g_j, g_i, g_i**(p-1))
             power_self   (i,)                   (g_i, g_i**(p-1), g_i)
 
-        At 3^7 there are 84 of them."""
+        At 3^7 there are 84 of them.  They are generated one at a time, as
+        there are about m**3 / 6."""
         m, p = self.ngens, self.p
         s = [self._stride(k) for k in range(m + 1)]
-        triples = [
-            ("assoc", (k, j, i), s[k], s[j], s[i])
-            for k in range(3, m + 1)
-            for j in range(2, k)
-            for i in range(1, j)
-        ]
+        for k in range(3, m + 1):
+            for j in range(2, k):
+                for i in range(1, j):
+                    yield "assoc", (k, j, i), s[k], s[j], s[i]
         for j in range(2, m + 1):
             for i in range(1, j):
-                triples.append(("power_left", (j, i), (p - 1) * s[j], s[j], s[i]))
-                triples.append(("power_right", (j, i), s[j], s[i], (p - 1) * s[i]))
-        triples += [("power_self", (i,), s[i], (p - 1) * s[i], s[i]) for i in range(1, m + 1)]
-        return triples
+                yield "power_left", (j, i), (p - 1) * s[j], s[j], s[i]
+                yield "power_right", (j, i), s[j], s[i], (p - 1) * s[i]
+        for i in range(1, m + 1):
+            yield "power_self", (i,), s[i], (p - 1) * s[i], s[i]
 
     def overlaps(self):
         """Yield (kind, gens, lhs, rhs) for every overlap test of

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import PcpSyntaxError
-from .pcgroup import PcGroup, PcPresentation, Word, _prime_error
+from .errors import PcpSyntaxError, PresentationError
+from .pcgroup import PcGroup, PcPresentation, Word
 
 _TOKEN = re.compile(r"\S+")
 _ID_COMMENT = re.compile(r"^#\s*id:\s*(\S+)\s*$")
@@ -60,16 +60,13 @@ def _parse_int(tok: str, lineno: int, col: int, what: str) -> int:
         raise PcpSyntaxError(lineno, col, f"{what} of {len(tok)} digits is too long") from None
 
 
-def _parse_word(
-    toks, lineno: int, p: int, ngens: int, floor: int
-) -> Word:
+def _parse_word(toks, lineno: int) -> Word:
     """Word tokens after the `=`; `1` for the empty word."""
     if not toks:
         raise PcpSyntaxError(lineno, len(toks) + 1, "missing word after '='")
     if len(toks) == 1 and toks[0][0] == "1":
         return []
     word: list[tuple[int, int]] = []
-    prev = floor
     for tok, col in toks:
         m = re.fullmatch(r"(\d+)\^(\d+)", tok)
         if not m:
@@ -78,35 +75,28 @@ def _parse_word(
             )
         k = _parse_int(m.group(1), lineno, col, "a generator index")
         e = _parse_int(m.group(2), lineno, col, "an exponent")
-        if not 1 <= k <= ngens:
-            raise PcpSyntaxError(lineno, col, f"generator index {k} out of range")
-        if k <= floor:
-            raise PcpSyntaxError(
-                lineno, col, f"generator index {k} not above {floor}"
-            )
-        if k <= prev:
-            raise PcpSyntaxError(
-                lineno, col, f"generator indices must be strictly ascending"
-            )
-        if not 1 <= e <= p - 1:
-            raise PcpSyntaxError(
-                lineno, col, f"exponent {e} outside [1, {p - 1}]"
-            )
         word.append((k, e))
-        prev = k
     return word
 
 
 def parse_pcp(text: str, group_id: Optional[str] = None) -> PcpDocument:
-    """Parse `.pcp` text.  A `# id:` comment overrides `group_id`.  The
-    group is built by `PcGroup`, whose consistency check raises
-    InconsistentPresentationError (with witness) on failure."""
+    """Parse `.pcp` text.  A `# id:` comment overrides `group_id`.
+
+    The parser reads the syntax: tokens, numbers, the header order, `=`,
+    duplicate relations, directives and the id comment.  The rules on
+    the values (p prime, ngens >= 1, relation keys, and the letters'
+    range, order and exponents) are `PcPresentation`'s, and a
+    PresentationError it raises becomes a PcpSyntaxError at the token it
+    names.  The group is built by `PcGroup`, whose consistency check
+    raises InconsistentPresentationError (with witness) on failure."""
     lines = text.splitlines()
     header_stage = 0  # 0: expect "pcp 1", 1: expect prime, 2: expect ngens, 3: body
     p = 0
     ngens = 0
     powers: dict[int, Word] = {}
     commutators: dict[tuple[int, int], Word] = {}
+    # (field, key) -> (line, [column of the value or key, columns of the letters])
+    spots: dict = {}
     file_id: Optional[str] = None
 
     for lineno, line in enumerate(lines, start=1):
@@ -132,9 +122,7 @@ def parse_pcp(text: str, group_id: Optional[str] = None) -> PcpDocument:
                     lineno, toks[0][1], "second line must be 'prime <p>'"
                 )
             p = _parse_int(toks[1][0], lineno, toks[1][1], "a prime")
-            problem = _prime_error(p)
-            if problem:
-                raise PcpSyntaxError(lineno, toks[1][1], problem)
+            spots["prime", None] = (lineno, [toks[1][1]])
             header_stage = 2
             continue
         if header_stage == 2:
@@ -143,8 +131,7 @@ def parse_pcp(text: str, group_id: Optional[str] = None) -> PcpDocument:
                     lineno, toks[0][1], "third line must be 'ngens <m>'"
                 )
             ngens = _parse_int(toks[1][0], lineno, toks[1][1], "a generator count")
-            if ngens < 1:
-                raise PcpSyntaxError(lineno, toks[1][1], f"ngens must be >= 1, got {ngens}")
+            spots["ngens", None] = (lineno, [toks[1][1]])
             header_stage = 3
             continue
 
@@ -152,38 +139,25 @@ def parse_pcp(text: str, group_id: Optional[str] = None) -> PcpDocument:
         if kind == "pow":
             if len(toks) < 3 or toks[2][0] != "=":
                 raise PcpSyntaxError(lineno, col0, "expected 'pow <i> = <word>'")
-            i = _parse_int(toks[1][0], lineno, toks[1][1], "a generator index")
-            if not 1 <= i <= ngens:
-                raise PcpSyntaxError(
-                    lineno, toks[1][1], f"generator index {i} out of range"
-                )
-            if i in powers:
-                raise PcpSyntaxError(
-                    lineno, toks[1][1], f"duplicate power relation for {i}"
-                )
-            powers[i] = _parse_word(toks[3:], lineno, p, ngens, floor=i)
+            key = _parse_int(toks[1][0], lineno, toks[1][1], "a generator index")
+            relations, word_toks = powers, toks[3:]
+            duplicate = f"power relation for {key}"
         elif kind == "comm":
             if len(toks) < 4 or toks[3][0] != "=":
                 raise PcpSyntaxError(lineno, col0, "expected 'comm <j> <i> = <word>'")
             j = _parse_int(toks[1][0], lineno, toks[1][1], "a generator index")
             i = _parse_int(toks[2][0], lineno, toks[2][1], "a generator index")
-            if not 1 <= j <= ngens or not 1 <= i <= ngens:
-                raise PcpSyntaxError(
-                    lineno, toks[1][1], f"generator index out of range"
-                )
-            if j <= i:
-                raise PcpSyntaxError(
-                    lineno, toks[1][1], f"comm indices need j > i, got {j} {i}"
-                )
-            if (j, i) in commutators:
-                raise PcpSyntaxError(
-                    lineno, toks[1][1], f"duplicate commutator relation for {j} {i}"
-                )
-            commutators[(j, i)] = _parse_word(toks[4:], lineno, p, ngens, floor=j)
+            key = (j, i)
+            relations, word_toks = commutators, toks[4:]
+            duplicate = f"commutator relation for {j} {i}"
         else:
             raise PcpSyntaxError(
                 lineno, col0, f"unknown directive {kind!r}"
             )
+        if key in relations:
+            raise PcpSyntaxError(lineno, toks[1][1], f"duplicate {duplicate}")
+        relations[key] = _parse_word(word_toks, lineno)
+        spots[kind, key] = (lineno, [col for _, col in [toks[1], *word_toks]])
 
     if header_stage != 3:
         missing = ["pcp 1", "prime <p>", "ngens <m>"][header_stage]
@@ -191,8 +165,10 @@ def parse_pcp(text: str, group_id: Optional[str] = None) -> PcpDocument:
 
     try:
         pres = PcPresentation(p, ngens, powers=powers, commutators=commutators)
-    except ValueError as exc:
-        raise PcpSyntaxError(1, 1, str(exc)) from exc
+    except PresentationError as exc:
+        lineno, cols = spots[exc.field, exc.key]
+        col = cols[0 if exc.letter is None else exc.letter + 1]
+        raise PcpSyntaxError(lineno, col, exc.reason) from exc
     return PcpDocument(pres, file_id or group_id, PcGroup(pres))
 
 

@@ -140,7 +140,9 @@ def power_table(group: PcGroup) -> np.ndarray:
     return group.pow_indices(np.arange(group.element_count, dtype=np.int64), group.p)
 
 
-def closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
+def closure(
+    group: PcGroup, seeds: Sequence[int] | np.ndarray, moves: Sequence[np.ndarray] = ()
+) -> Subgroup:
     """Subgroup generated by the elements with indices `seeds`.
 
     The seeds are taken in turn; a seed outside the subgroup found so
@@ -148,12 +150,14 @@ def closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
     right multiplication with every generator.  Seeds already inside
     cost nothing, so a long seed list (all commutators of a term, say)
     adds at most log_p |G| generators, each one permutation of G.
+    `moves` are permutations of G that the search applies too: the
+    result is then the set reached from 1 by both (see `normal_closure`).
     """
     n = group.element_count
     idx = np.arange(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    perms: list[np.ndarray] = []
+    perms: list[np.ndarray] = list(moves)
     for s in np.asarray(seeds, dtype=np.int64).tolist():
         if seen[s]:
             continue
@@ -179,17 +183,14 @@ def _conj_gen_perms(group: PcGroup) -> list[np.ndarray]:
 
 def normal_closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
     """Smallest normal subgroup containing the elements with indices
-    `seeds`."""
-    perms = _conj_gen_perms(group)
-    sub = closure(group, seeds)
-    while True:
-        fresh = np.zeros(group.element_count, dtype=bool)
-        for perm in perms:
-            fresh[perm[sub.indices]] = True
-        fresh &= ~sub.mask
-        if not fresh.any():
-            return sub
-        sub = closure(group, np.concatenate([sub.indices, np.nonzero(fresh)[0]]))
+    `seeds`, in one `closure` search whose moves are also the
+    generators' conjugations (`_conj_gen_perms`).  The set S it reaches
+    from 1 lies in the normal closure and holds every conjugate c of a
+    seed s, c = s^w; it is closed under conjugation, so for x in S,
+    x c = (x^(w^-1) s)^w is in S too.  S is therefore closed under right
+    multiplication by the conjugates of the seeds, which generate the
+    normal closure."""
+    return closure(group, seeds, _conj_gen_perms(group))
 
 
 def is_normal(group: PcGroup, sub: Subgroup) -> bool:

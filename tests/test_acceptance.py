@@ -23,7 +23,6 @@ from noninner.eligibility import (
     central_automorphisms,
     decide_route,
     select_generators,
-    select_n,
 )
 from noninner.maps import (
     GroupMap,
@@ -72,7 +71,7 @@ def as_set(sub) -> set:
 def eligible_ctxs(eligible_groups):
     """Selected generator frames, one per eligible corpus group."""
     return {
-        gid: select_generators(group, select_n(group))
+        gid: select_generators(group)
         for gid, group in eligible_groups.items()
     }
 

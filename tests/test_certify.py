@@ -112,12 +112,12 @@ def test_certified_images_rebuild_the_automorphism(eligible_groups, eligible_rep
         assert verify_automorphism(f) is None
         assert closure(G, f.image_indices).order == G.element_count
         assert map_order(f) == 3
-        from noninner.eligibility import select_generators, select_n
+        from noninner.eligibility import select_generators
         from noninner.maps import find_conjugating_element, is_central_map
 
         assert not is_central_map(f)
         assert find_conjugating_element(f) is None  # exhaustive noninner check
-        ctx = select_generators(G, select_n(G))
+        ctx = select_generators(G)
         fixed = ctx.phi if report.chosen == "b_shift" else ctx.z_deep
         assert fixes_elementwise(f, fixed)
 
@@ -144,18 +144,18 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
     included: from a presentation, the consistency check of
     `PcGroup(pres)` included, no tuple method of `PcGroup` is called.
     Subgroups, maps and the frame are indices, so few of them become
-    tuples (`vec`).  Two centralizers are
-    computed: C_G(Z(Phi)) for the route, and C_G(N) once for select_n
-    and select_generators; the derivation builds take Z(N) as C_G(N)
-    meet N.  Six coset tables are built: one per proper term of the
-    upper central series (five at class 5) and N's, which both
-    derivations share, as they share the representatives' exponents
-    (one decomposition) and the powers of w and [w,b] (two power
-    lists).  The class comes from the upper central series, Phi from the
-    relation words, and generation is tested modulo Phi, so the lower
-    central series is never built and at most two closures run (Phi's,
-    and Omega_1(Z_2) when Z_2 has exponent p^2; N's candidates are
-    cosets of Z); only the chosen N is checked elementary abelian."""
+    tuples (`vec`).  Two centralizers are computed: C_G(Z(Phi)) for
+    the route, and C_G(N) once in select_generators; the derivation
+    builds take Z(N) as C_G(N) meet N.  One coset table is built, N's,
+    which both derivations share, as they share the representatives'
+    exponents (one decomposition) and the powers of w and [w,b] (two
+    power lists); the upper central series folds one running table
+    instead (`_fold_basis`).  The class comes from the upper central
+    series, Phi from the relation words, and generation is tested
+    modulo Phi, so the lower central series is never built and at most
+    two closures run (Phi's, and Omega_1(Z_2) when Z_2 has exponent
+    p^2; N's candidates are cosets of Z); only the chosen N is checked
+    elementary abelian."""
     import sys
 
     import noninner.cocycles as cocycles
@@ -227,7 +227,7 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
         assert not any(calls[name] for name in collector), (gid, calls)
         assert calls["vec"] <= 200, (gid, calls)
         assert calls["centralizer"] <= 2, (gid, calls)
-        assert calls["coset_min_table"] <= 6, (gid, calls)
+        assert calls["coset_min_table"] == 1, (gid, calls)
         assert calls["exponents"] <= 1, (gid, calls)
         assert calls["_powers"] <= 2, (gid, calls)
         assert calls["lower_central_series"] == 0, (gid, calls)

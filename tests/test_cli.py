@@ -8,9 +8,12 @@ import pytest
 from noninner.cli import main
 from noninner.errors import (
     CertificationError,
+    InconsistentPresentationError,
     OrderBoundError,
+    PcpSyntaxError,
     SelectionError,
     StructureError,
+    TheoremViolationError,
 )
 
 INCONSISTENT = (
@@ -364,6 +367,47 @@ def test_audit_certify_error_is_a_group_status(small_corpus, capsys, monkeypatch
     assert by_id["heisenberg_3"]["detail"] == "injected failure"
     # the groups after the failing one are still audited
     assert by_id["wreath_81"]["status"] == "OK"
+
+
+# error class -> exit code, `main`'s stderr label, `audit`'s status
+EXITS = {
+    TheoremViolationError: (3, "THEOREM_VIOLATION", "THEOREM_VIOLATION"),
+    PcpSyntaxError: (2, "parse error", "PARSE_ERROR"),
+    InconsistentPresentationError: (2, "inconsistent presentation", "PARSE_ERROR"),
+    SelectionError: (1, "selection failed", "ERROR"),
+    CertificationError: (1, "certification failed", "ERROR"),
+    OrderBoundError: (1, "error", "ERROR"),
+    StructureError: (1, "error", "ERROR"),
+    RuntimeError: (1, "error", "ERROR"),
+    OSError: (1, "i/o error", "ERROR"),
+}
+
+
+@pytest.mark.parametrize("error", list(EXITS), ids=lambda cls: cls.__name__)
+def test_one_failure_table_serves_main_and_audit(small_corpus, capsys, monkeypatch, error):
+    """An error raised under `certify` and under `audit` ends both by the
+    first row of `cli.FAILURES` that matches it: `main` prints the row's
+    label and exits with its code, and `audit` gives the group the status
+    of that code and exits with it."""
+    import noninner.cli as cli
+
+    assert {cls for classes, _, _ in cli.FAILURES for cls in classes} <= set(EXITS)
+    row = next(r for r in cli.FAILURES if issubclass(error, r[0]))
+    code, label, status = EXITS[error]
+    assert row[1:] == (code, label) and cli.AUDIT_STATUS[code] == status
+    exc = error(1, 1, "injected") if error is PcpSyntaxError else error("injected")
+
+    def failing(presentation, group_id):
+        raise exc
+
+    monkeypatch.setattr(cli, "certify_group", failing)
+    assert main(["certify", str(small_corpus / "heisenberg_3.pcp")]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{label}: {exc}\n")
+    assert main(["audit", str(small_corpus), "--json"]) == code
+    data = json.loads(capsys.readouterr().out)
+    assert data["exit"] == code
+    assert [(r["status"], r["detail"]) for r in data["results"]] == [(status, str(exc))] * 3
 
 
 def test_audit_missing_manifest(tmp_path, capsys):

@@ -16,7 +16,7 @@ from noninner.cocycles import (
     verify_cocycle,
     verify_cocycles,
 )
-from noninner.eligibility import select_generators, select_n
+from noninner.eligibility import select_generators
 from noninner.errors import CertificationError, OrderBoundError
 from noninner.maps import is_central_map, map_order, verify_automorphism
 from noninner.structure import center, closure, whole_group
@@ -39,7 +39,7 @@ def ctx(eligible_groups):
     """Selection frame for the alphabetically first eligible group."""
     gid = sorted(eligible_groups)[0]
     G = eligible_groups[gid]
-    return select_generators(G, select_n(G))
+    return select_generators(G)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def mutations(eligible_groups):
     out = {}
     for gid in sorted(eligible_groups):
         G = eligible_groups[gid]
-        ctx = select_generators(G, select_n(G))
+        ctx = select_generators(G)
         clean = (derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx))
         mutated = []
         for d in clean:
@@ -287,7 +287,7 @@ def test_verify_cocycles_takes_least_g2_before_least_g1(eligible_groups):
     the check must still report the least g2, then the least g1."""
     G = eligible_groups["g2187_a"]
     C = collector(G)
-    ctx = select_generators(G, select_n(G))
+    ctx = select_generators(G)
     d_b, d_a = derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)
     ct = d_b.coset_table
     R = ct.count
@@ -330,7 +330,7 @@ def test_verify_cocycle_memory_is_bounded(eligible_groups):
     import tracemalloc
 
     G = eligible_groups["g2187_a"]
-    ctx = select_generators(G, select_n(G))
+    ctx = select_generators(G)
     ds = [derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)]
     R = ds[0].coset_table.count
     tracemalloc.start()
@@ -418,7 +418,7 @@ def test_cocycle_frame_rows_and_products(eligible_groups, monkeypatch):
         return original(self, a, b)
 
     for gid, G in sorted(eligible_groups.items()):
-        ctx = select_generators(G, select_n(G))
+        ctx = select_generators(G)
         ds = [derivation_from_b_exponent(ctx), derivation_from_a_exponent(ctx)]
         ct = ds[0].coset_table
         assert ct._frame is None

@@ -173,7 +173,7 @@ def test_select_n_rejects_wrong_layer_sizes(corpus_wreath, corpus_dihedral):
 def test_select_generators_frame(eligible_groups):
     for gid, G in eligible_groups.items():
         C = collector(G)
-        ctx = select_generators(G, select_n(G))
+        ctx = select_generators(G)
         p, m = G.p, G.ngens
         a, b, w = G.vec(ctx.a), G.vec(ctx.b), G.vec(ctx.w)
         assert closure(G, [ctx.a, ctx.b]).order == G.element_count
@@ -197,7 +197,7 @@ def test_select_generators_frame(eligible_groups):
 
 def test_select_generators_rejects_wrong_shape(heis3):
     with pytest.raises(SelectionError, match="upper central series"):
-        select_generators(heis3, select_n(heis3))
+        select_generators(heis3)
 
 
 # ---------------------------------------------------------------------------

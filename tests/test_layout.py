@@ -1,8 +1,7 @@
 """Values computed once per group are kept by one memo, `pcgroup.per_group`,
 whose rule is that no kept value refers back to the group.  A hand-written
 `group._cache` block elsewhere could break that rule unseen, so only the
-memo, `PcGroup.__init__` (which makes the cache) and `_centralizer_n` (which
-keeps C_G(N) together with its N) may touch the cache."""
+memo and `PcGroup.__init__` (which makes the cache) may touch the cache."""
 
 import ast
 from pathlib import Path
@@ -12,7 +11,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "noninner"
 ALLOWED = {
     ("pcgroup.py", ("per_group",)),
     ("pcgroup.py", ("PcGroup", "__init__")),
-    ("eligibility.py", ("_centralizer_n",)),
 }
 
 

@@ -201,11 +201,11 @@ def test_verify_automorphism_matches_collector_on_lifts_and_mutations(eligible_g
         derivation_from_b_exponent,
         lift_to_automorphism,
     )
-    from noninner.eligibility import select_generators, select_n
+    from noninner.eligibility import select_generators
 
     verdicts = []
     for gid, G in sorted(eligible_groups.items()):
-        ctx = select_generators(G, select_n(G))
+        ctx = select_generators(G)
         for build in (derivation_from_b_exponent, derivation_from_a_exponent):
             lift = lift_to_automorphism(build(ctx))
             candidates = [lift.image_indices]

@@ -652,6 +652,18 @@ def test_consistency_check_past_the_element_bound(corpus_dir):
     assert witness == consistency_witness_by_collector(PcGroup(chain, validate=False))
 
 
+def test_overlaps_are_evaluated_lazily():
+    """The first overlap test of 3^200 comes without building the other
+    1.3 million triples first."""
+    import time
+
+    G = PcGroup(PcPresentation(3, 200), validate=False)
+    start = time.perf_counter()
+    kind, gens, lhs, rhs = next(G.overlaps())
+    assert time.perf_counter() - start < 0.1
+    assert (kind, gens) == ("assoc", (3, 2, 1)) and lhs == rhs
+
+
 def test_memoised_steps_match_the_generator_tables(corpus_groups):
     """Each memoised step, the tail t times g_k**e, is the entry of t
     under e gathers through the generator table of g_k.  The check of a

@@ -120,20 +120,27 @@ def test_header_values_point_at_their_token(comments, header, line, fragment):
     assert fragment in exc.value.reason
 
 
-def test_large_prime_parses_fast_and_is_tested_once():
+def test_large_prime_parses_fast_and_is_tested_once(monkeypatch):
     """A 17-digit prime (trial division took seconds on it) parses in well
-    under a second, and its primality is decided once per parse although
-    both the header and `PcPresentation` check it."""
+    under a second, and its primality is decided once per parse: the
+    parser leaves the check to `PcPresentation`."""
     import time
 
-    from noninner.pcgroup import _prime_error
+    import noninner.pcgroup as pcgroup
 
-    _prime_error.cache_clear()
+    calls = []
+    original = pcgroup._prime_error
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(pcgroup, "_prime_error", counted)
     start = time.perf_counter()
     doc = parse_pcp("pcp 1\nprime 10000000000000061\nngens 1\n")
     assert time.perf_counter() - start < 0.2
     assert doc.presentation.p == 10_000_000_000_000_061
-    assert _prime_error.cache_info().misses == 1
+    assert calls == [10_000_000_000_000_061]
 
 
 def test_prime_above_the_primality_bound_points_at_its_token():
