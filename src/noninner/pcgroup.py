@@ -249,8 +249,8 @@ class PcGroup:
         self.element_bound = element_bound
         self.identity: Element = (0,) * pres.ngens
         self._rtables: list = []
-        self._ladders: list = []
-        self._offsets: list = []
+        self._ladder: Optional[np.ndarray] = None
+        self._offsets: Optional[np.ndarray] = None
         self._cache: dict = {}
         self._steps: list[dict[int, int]] = [{} for _ in range(pres.ngens + 1)]
         if validate:
@@ -493,14 +493,14 @@ class PcGroup:
     # index-table arithmetic
     #
     # Arithmetic over many elements at once works on index arrays, and
-    # single elements are indices too.  Every product reads the power
-    # ladders of the generators: the ladder of g_k holds, one block of |G|
-    # entries each, the tables of x -> x g_k**(e 8**j) for every base-8
-    # place j of the exponents below p and every digit e, and beside it one
-    # offset table per place maps each index i to the start of the block
-    # of the place-j digit of coordinate k of i.  Block 1 is the generator
-    # table T_k[i] = idx(vec(i) * g_k).  The ladders are built from the
-    # relations alone, without the tuple collector.
+    # single elements are indices too.  Every product reads one flat power
+    # ladder of |G|-entry blocks: the identity, shared, then per generator
+    # g_k the tables of x -> x g_k**(e 8**j) for every base-8 place j of the
+    # exponents below p and nonzero digit e, the first of them the generator
+    # table T_k[i] = idx(vec(i) * g_k).  Row (k, j) of the offset matrix,
+    # whose rows go by generator, then place, maps each index to the start
+    # in the flat ladder of the block of its place-j digit of coordinate k
+    # (0 for digit 0).  Both come from the relations alone, not the collector.
 
     def _stride(self, k: int) -> int:
         """Index of g_k, the place value of coordinate k."""
@@ -547,18 +547,17 @@ class PcGroup:
         with last letter l > k, and x g_k = (x' g_k) g_l^(g_k), where
         g_l^(g_k) = g_l [g_l, g_k] is a normal word beyond k: the entry of
         the parent x', an earlier level, pushed through its letters'
-        ladders.
+        blocks.
 
-        T_k is built in place as block 1 of the ladder of g_k, and the
-        ladder is completed before the next generator: within a place,
-        block e is T_k**(8**j) applied to block e - 1, and the first block
-        of a place, g_k**(8**j) = g_k**(8**(j-1)) g_k**(7 * 8**(j-1)), is
-        the previous place's first block applied to its last.  The layout
-        is read from Python ints: place j has its first block and one
-        block per nonzero digit, and starts[d] is the start of the block
-        of the place-j digit of d (0, the identity block, for digit 0).
-        The offset tables of a place, one per generator, are the rows of
-        one gather of its starts by the digit matrix of all coordinates.
+        T_k is built in place as the first block of g_k in the flat ladder,
+        and the blocks of g_k are completed before the next generator:
+        within a place, block e is T_k**(8**j) applied to block e - 1, and
+        the first block of a place, g_k**(8**j) = g_k**(8**(j-1))
+        g_k**(7 * 8**(j-1)), is the previous place's first block applied to
+        its last.  Place j has one block per nonzero digit; starts[j][d]
+        numbers the block of the place-j digit of d among a generator's
+        blocks (0, the identity, for digit 0), and one gather of them by the
+        digit matrix of all coordinates is the offset matrix.
         """
         if not self._rtables:
             p, m, n = self.p, self.ngens, self.element_count
@@ -568,24 +567,27 @@ class PcGroup:
             while weight < p:
                 count = min(_RADIX - 1, (p - 1) // weight)
                 row = []
-                for start in [0, *range(first * n, (first + count) * n, n)]:
+                for start in [0, *range(first, first + count)]:
                     row += [start] * weight
                 places.append((first, count))
                 # row holds one period, 8**(j+1), of the place-j digits, or all d < p
                 starts.append((row * -(-p // len(row)))[:p])
                 first, weight = first + count, weight * _RADIX
-            blocks, dtype = first, np.min_scalar_type(first * n)
-            # digits[k - 1] holds coordinate k of every index
-            digits = np.arange(n) // self.gen_indices[:, None] % p
-            offsets = [np.array(row, dtype=dtype).take(digits) for row in starts]
-            self._ladders = [None] * (m + 1)
-            self._offsets = [None] + [[place[k] for place in offsets] for k in range(m)]
+            # own blocks per generator besides the identity: block b > 0 of g_k
+            # is block b + (k - 1) own of the flat ladder, and row (k, j) of the
+            # offset matrix reads starts[k - 1, j] at each digit of coordinate k
+            own, starts = first - 1, np.array(starts)
+            starts = ((starts + own * (starts > 0) * np.arange(m)[:, None, None]) * n).ravel()
+            rows = p * np.arange(starts.size // p).reshape(m, -1, 1)
+            digits = np.indices((p,) * m).reshape(m, 1, n)  # no division
+            self._offsets = starts.take(digits + rows).reshape(-1, n)
+            self._ladder = np.empty((1 + m * own) * n, dtype=np.int64)
+            flat = self._ladder.reshape(-1, n)
+            flat[0] = np.arange(n)
             tables: list = [None] * (m + 1)
             for k in range(m, 0, -1):
                 s = self._stride(k)
-                ladder = np.empty(blocks * n, dtype=np.int64)
-                block = [ladder[b * n : (b + 1) * n] for b in range(blocks)]
-                block[0][:] = np.arange(n)
+                block = [flat[0], *flat[1 + (k - 1) * own : 1 + k * own]]
                 cur = block[1]
                 cur[::s] = np.arange(s, n + s, s)
                 cur[(p - 1) * s :: p * s] += power[k] - p * s
@@ -601,7 +603,6 @@ class PcGroup:
                         np.take(block[prev], block[first - 1], out=block[first], mode="clip")
                     for b in range(first + 1, first + count):
                         np.take(block[first], block[b - 1], out=block[b], mode="clip")
-                self._ladders[k] = ladder
                 tables[k] = cur
             self._rtables = tables
         return self._rtables
@@ -612,41 +613,40 @@ class PcGroup:
 
     def _push(self, idx: np.ndarray, y: int, first: int) -> np.ndarray:
         """idx right-multiplied entrywise by the element of index y, whose
-        coordinates before `first` are 0: one gather per nonzero base-8
-        digit of each later coordinate, through that digit's block."""
-        n = self.element_count
-        for k in range(first, self.ngens + 1):
-            ladder = self._ladders[k]
-            for offsets in self._offsets[k]:
-                start = int(offsets[y])
-                if start:
-                    idx = ladder[start : start + n].take(idx)
+        coordinates before `first` are 0: the block starts of y are read
+        from the offset matrix's rows of g_first onwards, and each nonzero
+        start, one per nonzero base-8 digit of a coordinate, is one gather."""
+        n, rows = self.element_count, len(self._offsets) // self.ngens
+        for start in self._offsets[(first - 1) * rows :, y].tolist():
+            if start:
+                idx = self._ladder[start : start + n].take(idx)
         return idx
 
     def mul_indices(self, a, b) -> np.ndarray:
         """Elementwise product of index arrays, idx(vec(a[i]) * vec(b[i])).
 
         `b` may also be a single index, which then multiplies every entry
-        of `a`.  Coordinate k of b is applied through the power ladder of
-        g_k, one gather per base-8 place: an array b picks each entry's
-        block by the offset table, and a single b gathers only through the
-        blocks of its nonzero digits.  At p <= 7 that is one gather per
-        coordinate.
+        of `a`.  An array b takes its block starts from the offset matrix
+        in one gather, and each row, one per generator and base-8 place in
+        order, is then one gather from the flat ladder; a single b gathers
+        only through the blocks of its nonzero digits.  At p <= 7 that is
+        one gather per coordinate.
         """
         self._tables()
         b = np.asarray(b, dtype=np.int64)
         if b.ndim == 0:
             return self._push(np.array(a, dtype=np.int64), int(b), 1)
         out = np.asarray(a, dtype=np.int64)
-        for ladder, places in zip(self._ladders[1:], self._offsets[1:]):
-            for offsets in places:
-                out = ladder.take(offsets.take(b) + out)
+        for row in self._offsets.take(b, axis=1):
+            out = self._ladder.take(row + out)
         return out
 
     def pow_indices(self, x, e: int) -> np.ndarray:
         """Elementwise power x**e, e >= 0, of an index array or a single
         index, by square and multiply: bit_length(e) - 1 squarings and
         popcount(e) - 1 products."""
+        if e < 0:
+            raise ValueError(f"pow_indices needs an exponent e >= 0, got e = {e}")
         base = np.array(x, dtype=np.int64)
         out = None
         while e:

@@ -383,49 +383,59 @@ def test_table_builds_make_no_array_products(corpus_dir, manifest, probe_5_7_pat
         for k in range(1, G.ngens + 1):
             G._rtable(k)
         G.inv_table()
-        assert all(ladder is not None for ladder in G._ladders[1:]), gid
+        assert G._ladder is not None and G._offsets is not None, gid
         assert calls["mul_indices"] == 0, (gid, calls)
 
 
 def test_power_ladder_shape(corpus_groups, probe_5_7):
-    """Each ladder holds one identity block and, per base-8 place j with
-    8**j < p, one block per nonzero digit: at most 8 ceil(log_8 p)
-    blocks.  T_k is its block 1, not a copy.  The offset tables point each
-    index at the block of its digit, and the block of digit e at place j
-    is T_k applied e 8**j times.  The cases span p = 2 (dihedral_8), the
-    single-place primes 3 and 5, and 313 with three places."""
+    """The flat ladder holds one identity block, shared by all m
+    generators, and then each generator's blocks: per base-8 place j with
+    8**j < p, one block per nonzero digit, so 1 + m (b - 1) blocks for b
+    blocks per generator, b <= 8 ceil(log_8 p).  T_k is a view of the flat
+    ladder at the first block of g_k, not a copy.  The offset matrix has
+    one int64 row per (generator, place), a generator's rows together,
+    and row (k, j) points each index at the block of the place-j digit of
+    its coordinate k; the block of digit e at place j is T_k applied
+    e 8**j times.  The cases span p = 2 (dihedral_8), the single-place
+    primes 3 and 5, and 313 with three places."""
     import numpy as np
 
     cases = dict(corpus_groups, probe_5_7=probe_5_7, c313_squared=wide_group("c313_squared"))
     assert {2, 3, 5, 313} <= {G.p for G in cases.values()}
     for gid, G in cases.items():
-        p, n = G.p, G.element_count
+        p, m, n = G.p, G.ngens, G.element_count
         places = 1
         while 8**places < p:
             places += 1
-        blocks = 1 + sum(min(7, (p - 1) // 8**j) for j in range(places))
+        # the first block of each place among a generator's blocks
+        firsts = [1 + sum(min(7, (p - 1) // 8**i) for i in range(j)) for j in range(places + 1)]
+        blocks = firsts[-1]
         assert blocks <= 8 * places
+        G._tables()
+        ladder, offsets = G._ladder, G._offsets
+        assert ladder.shape == ((1 + m * (blocks - 1)) * n,), gid
+        assert np.array_equal(ladder[:n], np.arange(n)), gid
+        assert offsets.shape == (m * places, n) and offsets.dtype == np.int64, gid
         idx = np.arange(n)
-        for k in range(1, G.ngens + 1):
-            table = G._rtable(k)
-            ladder = G._ladders[k]
-            assert ladder.size == blocks * n, (gid, k)
-            assert np.shares_memory(table, ladder), (gid, k)
-            assert len(G._offsets[k]) == places, (gid, k)
+        for k in range(1, m + 1):
+            table, base = G._rtable(k), 1 + (k - 1) * (blocks - 1)
+            assert table.base is ladder, (gid, k)
+            start = ladder.__array_interface__["data"][0] + base * n * ladder.itemsize
+            assert table.__array_interface__["data"][0] == start, (gid, k)
+            rows = offsets[(k - 1) * places : k * places]
             digit = idx // G._stride(k) % p
-            cur, first = idx, 1
-            for j, offsets in enumerate(G._offsets[k]):
+            for j, row in enumerate(rows):
                 place_digit = digit // 8**j % 8
-                starts = np.where(place_digit > 0, (first + place_digit - 1) * n, 0)
-                assert np.array_equal(offsets, starts), (gid, k, j)
-                first += min(7, (p - 1) // 8**j)
+                block = base + firsts[j] + place_digit - 2
+                assert np.array_equal(row, np.where(place_digit > 0, block * n, 0)), (gid, k, j)
+            cur = idx
             for d in range(1, p):
                 cur = table[cur]
                 j = 0
                 while d % 8 ** (j + 1) == 0:
                     j += 1
                 if d < 8 ** (j + 1):  # d = e 8**j with 1 <= e < 8
-                    start = int(G._offsets[k][j][d * G._stride(k)])
+                    start = int(rows[j][d * G._stride(k)])
                     assert np.array_equal(ladder[start : start + n], cur), (gid, k, d)
 
 
@@ -451,6 +461,18 @@ def test_pow_indices_match_products(corpus_groups, probe_5_7):
     for e in (2, 7, 64, 312, 313, 314):
         assert np.array_equal(G.pow_indices(x, e), pow_indices_by_products(G, x, e)), e
     assert int(G.pow_indices(int(x[0]), 313)) == 0
+
+
+def test_pow_indices_refuses_a_negative_exponent():
+    """A negative exponent is refused at once, with the exponent named;
+    halving it would never reach 0."""
+    import time
+
+    G = PcGroup(HEIS)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="e = -1"):
+        G.pow_indices(5, -1)
+    assert time.perf_counter() - start < 0.1
 
 
 def _class_two(rng, p: int, top: int, central: int) -> PcPresentation:
@@ -493,7 +515,8 @@ def wide_group(gid: str) -> PcGroup:
 
 def _check_products(G, a, b):
     """mul_indices against the collector and the masked-pass oracle, for
-    1-D and 2-D right factors and single left and right factors."""
+    1-D and 2-D right factors and single left and right factors, with a
+    1-D or 2-D left factor; every product is int64."""
     import numpy as np
 
     C = collector(G)
@@ -501,21 +524,32 @@ def _check_products(G, a, b):
     def collected(i, j):
         return G.idx(C.mul(G.vec(int(i)), G.vec(int(j))))
 
-    product = G.mul_indices(a, b)
+    def product_of(x, y):
+        out = G.mul_indices(x, y)
+        assert out.dtype == np.int64, (np.shape(x), np.shape(y))
+        return out
+
+    product = product_of(a, b)
     assert product.tolist() == [collected(i, j) for i, j in zip(a, b)]
     assert np.array_equal(mul_indices_by_masked_passes(G, a, b), product)
-    # 2-D right factors, against a 2-D and a broadcast 1-D left factor
+    # 2-D right factors, against a 2-D and a broadcast 1-D left factor, and
+    # transposed, so the offsets are gathered along every axis of b
     b2 = np.stack([b, b[::-1]])
     expected = [product.tolist(), [collected(i, j) for i, j in zip(a, b[::-1])]]
-    assert G.mul_indices(np.stack([a, a]), b2).tolist() == expected
-    assert G.mul_indices(a, b2).tolist() == expected
-    assert np.array_equal(mul_indices_by_masked_passes(G, a, b2), G.mul_indices(a, b2))
+    assert product_of(np.stack([a, a]), b2).tolist() == expected
+    assert product_of(a, b2).tolist() == expected
+    assert np.array_equal(mul_indices_by_masked_passes(G, a, b2), product_of(a, b2))
+    transposed = mul_indices_by_masked_passes(G, a[:, None], b2.T)
+    assert np.array_equal(transposed, product_of(a[:, None], b2.T))
     # a single left factor multiplies into every entry
-    assert G.mul_indices(int(a[0]), b).tolist() == [collected(a[0], j) for j in b]
-    # a single right factor multiplies every entry
-    single = G.mul_indices(a, int(b[0]))
+    assert product_of(int(a[0]), b).tolist() == [collected(a[0], j) for j in b]
+    # a single right factor multiplies every entry, of a 1-D or 2-D left factor
+    single = product_of(a, int(b[0]))
     assert single.tolist() == [collected(i, b[0]) for i in a]
     assert np.array_equal(single, mul_indices_by_masked_passes(G, a, np.full_like(a, b[0])))
+    a2 = np.stack([a, a[::-1]])
+    assert product_of(a2, int(b[0])).tolist() == [single.tolist(), single[::-1].tolist()]
+    assert product_of(int(a[0]), int(b[0])).shape == ()
     assert G.mul_idx(int(a[0]), int(b[0])) == product[0]
 
 
