@@ -573,9 +573,8 @@ class PcGroup:
                 # row holds one period, 8**(j+1), of the place-j digits, or all d < p
                 starts.append((row * -(-p // len(row)))[:p])
                 first, weight = first + count, weight * _RADIX
-            # own blocks per generator besides the identity: block b > 0 of g_k
-            # is block b + (k - 1) own of the flat ladder, and row (k, j) of the
-            # offset matrix reads starts[k - 1, j] at each digit of coordinate k
+            # g_k owns `own` blocks besides the identity, its block b > 0 being flat
+            # block b + (k - 1) own; offset row (k, j) is starts[k - 1, j] of digit k
             own, starts = first - 1, np.array(starts)
             starts = ((starts + own * (starts > 0) * np.arange(m)[:, None, None]) * n).ravel()
             rows = p * np.arange(starts.size // p).reshape(m, -1, 1)
@@ -626,18 +625,19 @@ class PcGroup:
         """Elementwise product of index arrays, idx(vec(a[i]) * vec(b[i])).
 
         `b` may also be a single index, which then multiplies every entry
-        of `a`.  An array b takes its block starts from the offset matrix
-        in one gather, and each row, one per generator and base-8 place in
-        order, is then one gather from the flat ladder; a single b gathers
-        only through the blocks of its nonzero digits.  At p <= 7 that is
-        one gather per coordinate.
+        of `a` through the blocks of its nonzero digits.  An array b reads
+        its block starts from each offset row, all rows in one gather
+        unless that temporary would outgrow one block, and then gathers
+        once from the flat ladder per row: per coordinate at p <= 7.
         """
         self._tables()
         b = np.asarray(b, dtype=np.int64)
         if b.ndim == 0:
             return self._push(np.array(a, dtype=np.int64), int(b), 1)
+        fits = b.size * len(self._offsets) <= self.element_count
+        starts = self._offsets.take(b, axis=1) if fits else (row.take(b) for row in self._offsets)
         out = np.asarray(a, dtype=np.int64)
-        for row in self._offsets.take(b, axis=1):
+        for row in starts:
             out = self._ladder.take(row + out)
         return out
 

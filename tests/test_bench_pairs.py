@@ -63,8 +63,3 @@ def test_summary_keeps_workloads_apart_and_counts_failures():
     assert small["wall_ref"]["parent"] == pytest.approx([3.05, 3.1, 3.15])
     assert small["wall_ref"]["change_wins"] == 1
 
-
-def test_higher_is_better_counts_the_other_way():
-    metrics = [{"name": "wall_ref", "better": "higher"}]
-    runs = _runs("w", [_line(1.0, 1.0), _line(2.0, 1.0)], [_line(2.0, 1.0), _line(1.0, 1.0)])
-    assert bench_pairs.summarize(runs, metrics)["w"]["wall_ref"]["change_wins"] == 1

@@ -582,6 +582,41 @@ def test_array_product_matches_mul_at_every_prime():
         _check_products(G, b, a)
 
 
+def test_array_product_temporaries_stay_within_one_block(corpus_groups):
+    """An array right factor reads its block starts from all offset rows in
+    one gather while that gathers at most |G| entries, and row by row
+    beyond, so no offset gather outgrows one ladder block or b itself.  On
+    either side of the switch, for 1-D and 2-D right factors, the products
+    match the masked-pass oracle."""
+    import numpy as np
+
+    takes = []
+
+    class Offsets(np.ndarray):
+        def take(self, indices, axis=None):
+            out = np.asarray(self).take(indices, axis=axis)
+            takes.append((axis, out.size))
+            return out
+
+    rng = np.random.default_rng(26)
+    for group in (corpus_groups["dihedral_8"], corpus_groups["g2187_c"], wide_group(WIDE[-1])):
+        G = PcGroup(group.pres)  # a fresh group, as its offsets are replaced
+        G._tables()
+        n, rows = G.element_count, len(G._offsets)
+        G._offsets = G._offsets.view(Offsets)
+        fit = n // rows
+        for size, shape in ((fit, (fit,)), (fit + 1, (fit + 1,)), (2 * n, (2, n)), (n, (n,))):
+            a, b = rng.integers(0, n, shape), rng.integers(0, n, shape)
+            takes.clear()
+            product = G.mul_indices(a, b)
+            assert np.array_equal(product, mul_indices_by_masked_passes(G, a, b))
+            if size * rows <= n:
+                assert takes == [(1, size * rows)]
+            else:
+                assert takes == [(None, size)] * rows
+            assert max(t for _, t in takes) <= max(n, size)
+
+
 def test_consistency_check_collector_budget(corpus_dir, manifest, probe_5_7_path, monkeypatch):
     """Within the bound, the consistency check of `PcGroup(pres)` on a
     consistent presentation is at most four `mul_indices` calls over the

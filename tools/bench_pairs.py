@@ -5,10 +5,9 @@
         [--seconds 50] [--seed 1] [--out BENCH_<N>.json]
 
 Each pair runs `perfbench/run.py --trace 0` once in each tree, on every
-workload of the change tree's BENCHMARK.json (or those named with
---workload), with the same seed on both sides; which side runs first
-alternates from pair to pair, so a drift of the host's speed falls on both
-alike.  Nothing is imported from either tree: each run is a subprocess in
+workload of the change tree's BENCHMARK.json, with the same seed on both
+sides; which side runs first alternates from pair to pair, so a drift of
+the host's speed falls on both alike.  Nothing is imported from either tree: each run is a subprocess in
 its tree, and only its last line, the metrics object, is kept.
 
 Before the first pair both trees' `src/` are byte-compiled afresh.  Where
@@ -64,8 +63,8 @@ def quartiles(values) -> list:
 
 def summarize(runs: list, metrics: list) -> dict:
     """Per workload and metric: each side's quartiles and the pairs in
-    which the change was better, ties counting for neither side.  A
-    metric's `better` is "lower" or "higher", as in BENCHMARK.json."""
+    which the change was lower, ties counting for neither side: every
+    end-to-end metric of BENCHMARK.json is better lower."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict = {}
@@ -75,13 +74,13 @@ def summarize(runs: list, metrics: list) -> dict:
         both = [pair for pair in pairs.values() if len(pair) == 2]
         out = summary[workload] = {"pairs": len(both)}
         for metric in metrics:
-            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            name = metric["name"]
             parent = [pair["parent"]["metrics"][name]["value"] for pair in both]
             change = [pair["change"]["metrics"][name]["value"] for pair in both]
             out[name] = {
                 "parent": quartiles(parent),
                 "change": quartiles(change),
-                "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+                "change_wins": sum(c < p for p, c in zip(parent, change)),
             }
         out["failed"] = sum(pair[side]["failed"] for pair in both for side in pair)
         out["all_correct"] = all(pair[side]["correct"] for pair in both for side in pair)
@@ -95,12 +94,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--seed", type=int, default=1, help="pair i runs seed + i")
-    parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     for tree in trees.values():
         compileall.compile_dir(tree / "src", quiet=1, force=True)
     runs = []
