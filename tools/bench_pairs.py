@@ -7,8 +7,9 @@
 Each pair runs `perfbench/run.py --trace 0` once in each tree, on every
 workload of the change tree's BENCHMARK.json, with the same seed on both
 sides; which side runs first alternates from pair to pair, so a drift of
-the host's speed falls on both alike.  Nothing is imported from either tree: each run is a subprocess in
-its tree, and only its last line, the metrics object, is kept.
+the host's speed falls on both alike.  Nothing is imported from either
+tree: each run is a subprocess in its tree, and only its last line, the
+metrics object, is kept.
 
 Before the first pair both trees' `src/` are byte-compiled afresh.  Where
 PYTHONDONTWRITEBYTECODE is set, a stale `.pyc` is otherwise recompiled in
