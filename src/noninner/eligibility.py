@@ -104,7 +104,10 @@ class RouteDecision:
 def decide_route(group: PcGroup) -> RouteDecision:
     """First failing structural condition, in the fixed check order:
     odd p, coclass 2, order >= p^7, Z_2/Z noncyclic, then
-    (Z_2 <= Z(Phi) and d = 2)."""
+    (Z_2 <= Z(Phi) and d = 2).  Z_2 <= Z(Phi) holds exactly when
+    Z_2 <= Phi and every basis element of Z_2 commutes with every one of
+    Phi, as the bases generate the two subgroups: two products over all
+    those pairs, and no centralizer."""
 
     def decided(route: Route) -> RouteDecision:
         return RouteDecision(route, CITATIONS[route])
@@ -120,8 +123,9 @@ def decide_route(group: PcGroup) -> RouteDecision:
     if quotient_is_cyclic(group, z2, z1):
         return decided(Route.Z2_OVER_Z_CYCLIC)
     phi = frattini(group)
-    z_phi = center_of(group, phi)
-    if not (z2 <= z_phi and minimal_generator_count(group) == 2):
+    x, y = np.array(z2.basis)[:, None], np.array(phi.basis)  # all pairs, by broadcasting
+    in_z_phi = z2 <= phi and np.array_equal(group.mul_indices(x, y), group.mul_indices(y, x))
+    if not (in_z_phi and minimal_generator_count(group) == 2):
         return decided(Route.Z2_NOT_IN_ZPHI_OR_D_NOT_2)
     return decided(Route.ELIGIBLE)
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import fp
 from .errors import CertificationError
 from .pcgroup import PcGroup, per_group
-from .structure import QuotientCoords, Subgroup, _conj_gen_perms, center, frattini, power_table
+from .structure import QuotientCoords, Subgroup, _conj_gen_perms, burnside_basis, center
+from .structure import frattini, power_table
 
 
 class GroupMap:
@@ -128,31 +129,40 @@ def map_order(f: GroupMap, bound: int = 10_000) -> int:
 
 @per_group
 def _conj_columns(group: PcGroup) -> np.ndarray:
-    """Array D with D[k - 1, i] = idx(vec(i)^-1 g_k vec(i)), built by the
-    levels of `apply_table`: for y = parent * g_j, y^-1 g_k y is
+    """Array D with D[r, i] = idx(vec(i)^-1 g_k vec(i)) for the r-th
+    basis generator g_k (`burnside_basis`), built by the levels of
+    `apply_table`: for y = parent * g_j, y^-1 g_k y is
     (parent^-1 g_k parent)^(g_j), a gather of the parents' columns
     through the conjugation permutation of g_j."""
-    perms = _conj_gen_perms(group)
-    cols = np.empty((group.ngens, group.element_count), dtype=np.int64)
-    cols[:, 0] = group.gen_indices
+    perms, rows = _conj_gen_perms(group), [k - 1 for k in burnside_basis(group)]
+    cols = np.empty((len(rows), group.element_count), dtype=np.int64)
+    cols[:, 0] = group.gen_indices[rows]
     for j, ys, parents in group._last_letter_levels():
         cols[:, ys] = perms[j - 1][cols[:, parents]]
     return cols
 
 
 def find_conjugating_element(f: GroupMap) -> Optional[int]:
-    """The least index g with conjugation by g equal to f, or None.
+    """The least index g with conjugation by g equal to f on every
+    defining generator, or None.
 
-    Witnesses come in whole center-cosets, so scanning every element is
-    the same search as one representative per Z(G)-coset.
+    The candidates are the g whose conjugation agrees with f on the basis
+    generators (`_conj_columns`).  Their conjugations agree on a
+    generating set, so they are one automorphism, and either all of them
+    or none agree with f on all m generators: the least candidate, when
+    it does, is the least witness of a scan of all m generators,
+    automorphism or not.  A noninner automorphism has no candidate.
     """
     G = f.group
-    cols = _conj_columns(G)
-    mask = np.ones(G.element_count, dtype=bool)
-    for k in range(G.ngens):
-        mask &= cols[k] == f.image_indices[k]
-    hits = np.nonzero(mask)[0]
-    return int(hits[0]) if hits.size else None
+    rows = [k - 1 for k in burnside_basis(G)]
+    agree = (_conj_columns(G) == f.image_indices[rows, None]).all(axis=0)
+    g = int(agree.argmax())  # the least candidate, if there is one
+    if not agree[g]:
+        return None
+    # g^-1 g_k g = (g_k^-1 g)^-1 g: two single-factor products
+    it = G.inv_table()
+    conj = G.mul_indices(it[G.mul_indices(it[G.gen_indices], g)], g)
+    return g if np.array_equal(conj, f.image_indices) else None
 
 
 def inner_search_size(group: PcGroup) -> int:

@@ -247,10 +247,12 @@ class PcGroup:
         self.p = pres.p
         self.ngens = pres.ngens
         self.element_bound = element_bound
+        self.element_count = pres.order
         self.identity: Element = (0,) * pres.ngens
         self._rtables: list = []
         self._ladder: Optional[np.ndarray] = None
         self._offsets: Optional[np.ndarray] = None
+        self._blocks: dict[int, np.ndarray] = {}
         self._cache: dict = {}
         self._steps: list[dict[int, int]] = [{} for _ in range(pres.ngens + 1)]
         if validate:
@@ -466,10 +468,6 @@ class PcGroup:
     # ------------------------------------------------------------------
     # indexed view
 
-    @property
-    def element_count(self) -> int:
-        return self.p**self.ngens
-
     def _check_bound(self) -> None:
         if self.element_count > self.element_bound:
             raise OrderBoundError(
@@ -583,6 +581,7 @@ class PcGroup:
             self._ladder = np.empty((1 + m * own) * n, dtype=np.int64)
             flat = self._ladder.reshape(-1, n)
             flat[0] = np.arange(n)
+            self._blocks = {b * n: block for b, block in enumerate(flat)}
             tables: list = [None] * (m + 1)
             for k in range(m, 0, -1):
                 s = self._stride(k)
@@ -614,32 +613,39 @@ class PcGroup:
         """idx right-multiplied entrywise by the element of index y, whose
         coordinates before `first` are 0: the block starts of y are read
         from the offset matrix's rows of g_first onwards, and each nonzero
-        start, one per nonzero base-8 digit of a coordinate, is one gather."""
-        n, rows = self.element_count, len(self._offsets) // self.ngens
+        start, one per nonzero base-8 digit of a coordinate, is one gather
+        from that block's view, made once in `_tables`."""
+        rows = len(self._offsets) // self.ngens
         for start in self._offsets[(first - 1) * rows :, y].tolist():
             if start:
-                idx = self._ladder[start : start + n].take(idx)
+                idx = self._blocks[start].take(idx)
         return idx
 
     def mul_indices(self, a, b) -> np.ndarray:
         """Elementwise product of index arrays, idx(vec(a[i]) * vec(b[i])).
 
         `b` may also be a single index, which then multiplies every entry
-        of `a` through the blocks of its nonzero digits.  An array b reads
-        its block starts from each offset row, all rows in one gather
-        unless that temporary would outgrow one block, and then gathers
-        once from the flat ladder per row: per coordinate at p <= 7.
+        of `a` through the blocks of its nonzero digits; `a` is copied only
+        when no gather ran, so the result never shares memory with it.  An
+        array b reads its block starts from each offset row, all rows in
+        one gather unless that temporary would outgrow one block, and then
+        gathers once from the flat ladder per row: per coordinate at p <= 7.
         """
         self._tables()
-        b = np.asarray(b, dtype=np.int64)
-        if b.ndim == 0:
-            return self._push(np.array(a, dtype=np.int64), int(b), 1)
-        fits = b.size * len(self._offsets) <= self.element_count
-        starts = self._offsets.take(b, axis=1) if fits else (row.take(b) for row in self._offsets)
-        out = np.asarray(a, dtype=np.int64)
-        for row in starts:
-            out = self._ladder.take(row + out)
-        return out
+        if not isinstance(b, (int, np.integer)):
+            b = np.asarray(b, dtype=np.int64)
+            if b.ndim:
+                offsets = self._offsets
+                fits = b.size * len(offsets) <= self.element_count
+                starts = offsets.take(b, axis=1) if fits else (row.take(b) for row in offsets)
+                out = np.asarray(a, dtype=np.int64)
+                for row in starts:
+                    out = self._ladder.take(row + out)
+                return out
+            b = int(b)
+        a = np.asarray(a, dtype=np.int64)
+        out = self._push(a, b, 1)
+        return out.copy() if out is a else out
 
     def pow_indices(self, x, e: int) -> np.ndarray:
         """Elementwise power x**e, e >= 0, of an index array or a single

@@ -2,11 +2,12 @@
 
 A subgroup is stored as the sorted index array of its elements (the
 package targets groups of desk-scale order, a few thousand elements);
-its membership mask and a canonical induced generating sequence are
-derived from that array on demand, so equal subgroups always present
-identical bases.  Closures, series and quotient predicates work on
-index arrays through the group's generator tables and the cached table
-of p-th powers, and basis elements are element indices too.
+its membership mask, unless the pass that built it kept one, and a
+canonical induced generating sequence are derived from that array on
+demand, so equal subgroups always present identical bases.  Closures,
+series and quotient predicates work on index arrays through the group's
+generator tables and the cached table of p-th powers, and basis
+elements are element indices too.
 """
 
 from __future__ import annotations
@@ -36,23 +37,23 @@ class Subgroup:
     ways of constructing the same subgroup.
     """
 
-    __slots__ = ("pres", "indices", "_mask", "_pivots")
+    __slots__ = ("pres", "indices", "order", "_mask", "_pivots")
 
-    def __init__(self, group: PcGroup, indices: Sequence[int] | np.ndarray):
+    def __init__(self, group: PcGroup, indices: Sequence[int] | np.ndarray, mask=None):
+        """`mask`, when given, is the membership mask that `indices` were
+        read from by `np.nonzero`, so they are sorted and not checked; the
+        subgroup keeps it, and no one may write to it afterwards."""
         idx = np.asarray(indices, dtype=np.int64)
         if not idx.size or idx[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        if (idx[1:] <= idx[:-1]).any():
+        if mask is None and (idx[1:] <= idx[:-1]).any():
             raise ValueError("subgroup indices must be sorted and distinct")
         self.pres = group.pres
         self.indices = idx
-        self._mask: Optional[np.ndarray] = None
+        self.order = len(idx)
+        self._mask = mask
         # (pivot depths, basis element indices)
         self._pivots: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
 
     @property
     def log_order(self) -> int:
@@ -170,7 +171,7 @@ def closure(
             new_mask &= ~seen
             seen |= new_mask
             frontier = np.nonzero(new_mask)[0]
-    return Subgroup(group, np.nonzero(seen)[0])
+    return Subgroup(group, np.nonzero(seen)[0], seen)
 
 
 @per_group
@@ -181,20 +182,55 @@ def _conj_gen_perms(group: PcGroup) -> list[np.ndarray]:
     return [t[it[t[it]]] for t in group._tables()[1:]]
 
 
+@per_group
+def burnside_basis(group: PcGroup) -> tuple[int, ...]:
+    """The k, ascending, whose g_k span G/Phi: those that are no pivot of
+    R, the span of the relation words' exponent vectors in F_p^m, which
+    is row-reduced here on the words, leading letter first.  In the
+    elementary abelian quotient a relation g_k^p = w_k or
+    [g_j, g_i] = w_ji says that the exponent vector of w is 0, so
+    G/Phi = F_p^m / R, and the unit vectors off R's pivots are a basis of
+    it.  By Burnside's basis theorem these d(G) generators generate G."""
+    p = group.p
+    rows: dict[int, dict[int, int]] = {}  # pivot -> reduced row, leading 1
+    for word in [*group.pres.powers.values(), *group.pres.commutators.values()]:
+        row = dict(word)
+        while row:
+            lead = min(row)
+            if lead not in rows:
+                scale = pow(row[lead], -1, p)
+                rows[lead] = {k: e * scale % p for k, e in row.items()}
+                break
+            c = row[lead]
+            for k, e in rows[lead].items():
+                row[k] = (row.get(k, 0) - c * e) % p
+            row = {k: e for k, e in row.items() if e}
+    return tuple(k for k in range(1, group.ngens + 1) if k not in rows)
+
+
+def _basis_conj_perms(group: PcGroup) -> list[np.ndarray]:
+    """The conjugation permutations of the `burnside_basis` generators."""
+    perms = _conj_gen_perms(group)
+    return [perms[k - 1] for k in burnside_basis(group)]
+
+
 def normal_closure(group: PcGroup, seeds: Sequence[int] | np.ndarray) -> Subgroup:
     """Smallest normal subgroup containing the elements with indices
     `seeds`, in one `closure` search whose moves are also the
-    generators' conjugations (`_conj_gen_perms`).  The set S it reaches
-    from 1 lies in the normal closure and holds every conjugate c of a
-    seed s, c = s^w; it is closed under conjugation, so for x in S,
-    x c = (x^(w^-1) s)^w is in S too.  S is therefore closed under right
-    multiplication by the conjugates of the seeds, which generate the
-    normal closure."""
-    return closure(group, seeds, _conj_gen_perms(group))
+    conjugations by the basis generators (`_basis_conj_perms`).  The set
+    S it reaches from 1 lies in the normal closure and is closed under
+    conjugation by a generating set, so by all of G (conjugation by g^-1
+    is a power of conjugation by g); it holds every conjugate c of a
+    seed s, c = s^w, so for x in S, x c = (x^(w^-1) s)^w is in S too.  S
+    is therefore closed under right multiplication by the conjugates of
+    the seeds, which generate the normal closure."""
+    return closure(group, seeds, _basis_conj_perms(group))
 
 
 def is_normal(group: PcGroup, sub: Subgroup) -> bool:
-    perms = _conj_gen_perms(group)
+    """Whether conjugation by each basis generator keeps `sub`: a set
+    closed under conjugation by a generating set is normal."""
+    perms = _basis_conj_perms(group)
     return all(bool(sub.mask[perm[sub.indices]].all()) for perm in perms)
 
 
@@ -232,7 +268,7 @@ def _fold_basis(group: PcGroup, table: np.ndarray, elements: Sequence[int]) -> n
 
 
 def _fixed_by_conjugation(group: PcGroup, targets: Iterable[int]) -> np.ndarray:
-    """Sorted indices of the x with x^t = x for every target index t,
+    """Membership mask of the x with x^t = x for every target index t,
     where x^t for t = g_1^e_1 ... g_m^e_m is x conjugated by g_1 e_1
     times, then by g_2 e_2 times, ...: gathers through `_conj_gen_perms`."""
     perms = _conj_gen_perms(group)
@@ -244,7 +280,7 @@ def _fixed_by_conjugation(group: PcGroup, targets: Iterable[int]) -> np.ndarray:
             for _ in range(e):
                 conj = perm[conj]
         mask &= conj == idx
-    return np.nonzero(mask)[0]
+    return mask
 
 
 def center(group: PcGroup) -> Subgroup:
@@ -256,8 +292,10 @@ def center(group: PcGroup) -> Subgroup:
 def upper_central_series(group: PcGroup) -> list[Subgroup]:
     """[1 = Z_0, Z_1, ..., Z_c = G], strictly ascending.
 
-    Z_(i+1) holds the x whose coset x Z_i every generator fixes by
-    conjugation, read from Z_i's coset-minimum table.  One table runs up
+    Z_(i+1) holds the x whose coset x Z_i every basis generator
+    (`burnside_basis`) fixes by conjugation, read from Z_i's coset-minimum
+    table: those generate G, so their images generate G/Z_i, and x Z_i is
+    central once it commutes with them.  One table runs up
     the series: Z_i's is Z = Z_(i-1)'s folded (`_fold_basis`) with the
     basis elements c_j of Z_i at the pivots d_1 < ... < d_s that Z lacks,
     log_p |Z_(c-1)| folds in all.  This is exact: T_j = Z_i n G_(d_j) Z is
@@ -265,14 +303,14 @@ def upper_central_series(group: PcGroup) -> list[Subgroup]:
     and sifting shows T_j is the disjoint union of the c_j^e T_(j+1), as
     c_j^e in T_(j+1) would give Z an element leading at d_j, no pivot of Z.
     """
-    perms = _conj_gen_perms(group)
+    perms = _basis_conj_perms(group)
     series = [trivial_subgroup(group)]
     m_table = np.arange(group.element_count, dtype=np.int64)
     while series[-1].order < group.element_count:
         mask = np.ones(group.element_count, dtype=bool)
         for perm in perms:
             mask &= m_table[perm] == m_table
-        nxt = Subgroup(group, np.nonzero(mask)[0])
+        nxt = Subgroup(group, np.nonzero(mask)[0], mask)
         if nxt.order <= series[-1].order:
             raise StructureError("upper central series stalled; group not nilpotent")
         series.append(nxt)
@@ -299,14 +337,14 @@ def lower_central_series(group: PcGroup) -> list[Subgroup]:
     term_2 = `derived_subgroup`.
 
     For H = <X>, [H, G] is the normal closure of the [x, g_k] over x in
-    X and the defining generators g_k: modulo it every x commutes with
-    every g_k, so H is central.  The r pivot elements of a term (see
-    `_pivot_elements`) have distinct leading depths, with coordinate 1
-    there, so their p^r normal-form products are distinct: they generate
-    the term, and each later step takes the normal closure of m * r
-    commutators [x, g_k] = x^-1 x^(g_k).
+    X and the basis generators g_k (`burnside_basis`), which generate G:
+    modulo it every x commutes with every g_k, so H is central.  The r
+    pivot elements of a term (see `_pivot_elements`) have distinct
+    leading depths, with coordinate 1 there, so their p^r normal-form
+    products are distinct: they generate the term, and each later step
+    takes the normal closure of d * r commutators [x, g_k] = x^-1 x^(g_k).
     """
-    perms = _conj_gen_perms(group)
+    perms = _basis_conj_perms(group)
     inv_t = group.inv_table()
     series = [whole_group(group)]
     while series[-1].order > 1:
@@ -351,7 +389,8 @@ def minimal_generator_count(group: PcGroup) -> int:
 def centralizer(group: PcGroup, targets: Iterable[int]) -> Subgroup:
     """Elements commuting with every target index (pass a subgroup's
     basis to centralize the subgroup), by `_fixed_by_conjugation`."""
-    return Subgroup(group, _fixed_by_conjugation(group, targets))
+    mask = _fixed_by_conjugation(group, targets)
+    return Subgroup(group, np.nonzero(mask)[0], mask)
 
 
 def omega1(group: PcGroup, sub: Subgroup) -> Subgroup:
@@ -364,7 +403,8 @@ def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     if a.pres != b.pres:
         raise ValueError("subgroups of different groups")
     # a Subgroup reads only the presentation of its first argument
-    return Subgroup(a, a.indices[b.mask[a.indices]])
+    mask = a.mask & b.mask
+    return Subgroup(a, np.nonzero(mask)[0], mask)
 
 
 def center_of(group: PcGroup, sub: Subgroup) -> Subgroup:

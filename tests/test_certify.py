@@ -144,9 +144,10 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
     included: from a presentation, the consistency check of
     `PcGroup(pres)` included, no tuple method of `PcGroup` is called.
     Subgroups, maps and the frame are indices, so few of them become
-    tuples (`vec`).  Two centralizers are computed: C_G(Z(Phi)) for
-    the route, and C_G(N) once in select_generators; the derivation
-    builds take Z(N) as C_G(N) meet N.  One coset table is built, N's,
+    tuples (`vec`).  One centralizer is computed, C_G(N), once in
+    select_generators: the route tests Z_2 <= Z(Phi) on commutators of
+    the bases of Z_2 and Phi, and the derivation builds take Z(N) as
+    C_G(N) meet N.  One coset table is built, N's,
     which both derivations share, as they share the representatives'
     exponents (one decomposition) and the powers of w and [w,b] (two
     power lists); the upper central series folds one running table
@@ -226,7 +227,7 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
         assert report.certificates is not None, gid
         assert not any(calls[name] for name in collector), (gid, calls)
         assert calls["vec"] <= 200, (gid, calls)
-        assert calls["centralizer"] <= 2, (gid, calls)
+        assert calls["centralizer"] == 1, (gid, calls)
         assert calls["coset_min_table"] == 1, (gid, calls)
         assert calls["exponents"] <= 1, (gid, calls)
         assert calls["_powers"] <= 2, (gid, calls)

@@ -466,6 +466,31 @@ def test_route_and_diagnostics_build_no_lower_central_series(corpus_dir, manifes
         assert calls["lower_central_series"] == 0, gid
 
 
+def test_route_takes_no_centralizer(eligible_groups, monkeypatch):
+    """On the ELIGIBLE groups, which pass every check, the route decides
+    Z_2 <= Z(Phi) from commutators of the bases of Z_2 and Phi, so it
+    calls neither `centralizer` nor `center_of`."""
+    import sys
+
+    import noninner.structure as structure
+
+    calls = {"centralizer": 0, "center_of": 0}
+    for attr in calls:
+        original = getattr(structure, attr)
+
+        def counted(*args, attr=attr, original=original):
+            calls[attr] += 1
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("noninner") and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    assert len(eligible_groups) == 4
+    for gid, G in sorted(eligible_groups.items()):
+        assert decide_route(PcGroup(G.pres)).route is Route.ELIGIBLE, gid
+        assert calls == {"centralizer": 0, "center_of": 0}, (gid, calls)
+
+
 def test_central_automorphisms_match_unique_dedup(corpus_groups, probe_5_7):
     """The rank test once per distinct code row keeps exactly the rows
     the `np.unique` deduplication of the coordinate matrices kept."""

@@ -17,7 +17,14 @@ from noninner.maps import (
     verify_automorphism,
 )
 from noninner.pcgroup import PcGroup
-from noninner.structure import _conj_gen_perms, center, closure, trivial_subgroup, whole_group
+from noninner.structure import (
+    _conj_gen_perms,
+    burnside_basis,
+    center,
+    closure,
+    trivial_subgroup,
+    whole_group,
+)
 from util_oracles import (
     apply_by_collector,
     collect,
@@ -231,9 +238,55 @@ def test_verify_automorphism_matches_collector_on_lifts_and_mutations(eligible_g
 
 
 def test_conj_columns_match_product_oracle(corpus_groups, probe_5_7):
+    """The columns are kept for the basis generators only, so they are
+    the oracle's rows of those generators."""
     cases = dict(corpus_groups, probe_5_7=probe_5_7)
     for gid, G in cases.items():
-        assert np.array_equal(_conj_columns(G), conj_columns_by_products(G)), gid
+        rows = [k - 1 for k in burnside_basis(G)]
+        assert np.array_equal(_conj_columns(G), conj_columns_by_products(G)[rows]), gid
+
+
+def test_inner_search_is_the_least_witness_over_all_generators(corpus_groups, probe_5_7):
+    """`find_conjugating_element` equals the least g whose conjugation
+    agrees with the map on all m generators, read from the oracle's m
+    columns: on every certificate map (both lifts of each ELIGIBLE
+    group), on conjugations by seeded elements (inner, with a witness in
+    each element of a center coset), and on those conjugations changed at
+    one generator off the basis, which agree with them on the basis
+    generators.  Every corpus group, and a seeded sample at the probe."""
+    from noninner.cocycles import (
+        derivation_from_a_exponent,
+        derivation_from_b_exponent,
+        lift_to_automorphism,
+    )
+    from noninner.eligibility import Route, decide_route, select_generators
+
+    rng = np.random.default_rng(28)
+    answers, witness_counts = set(), set()
+    for gid, G in dict(corpus_groups, probe_5_7=probe_5_7).items():
+        cols = conj_columns_by_products(G)
+        n, maps = G.element_count, []
+        if decide_route(G).route is Route.ELIGIBLE:
+            ctx = select_generators(G)
+            for build in (derivation_from_b_exponent, derivation_from_a_exponent):
+                maps.append(lift_to_automorphism(build(ctx)).image_indices)
+        basis = [k - 1 for k in burnside_basis(G)]
+        off_basis = [k for k in range(G.ngens) if k not in basis]
+        for g in rng.integers(0, n, 8 if gid == "probe_5_7" else 20).tolist():
+            maps.append(cols[:, g])
+            if off_basis:
+                changed = cols[:, g].copy()
+                k = off_basis[rng.integers(len(off_basis))]
+                changed[k] = (changed[k] + rng.integers(1, n)) % n
+                maps.append(changed)
+        for images in maps:
+            hits = np.nonzero((cols == images[:, None]).all(axis=0))[0]
+            expected = int(hits[0]) if hits.size else None
+            assert find_conjugating_element(GroupMap(G, images)) == expected, (gid, images)
+            answers.add(expected is None)
+            witness_counts.add(min(hits.size, 2))
+    assert answers == {True, False}
+    assert witness_counts == {0, 2}
 
 
 def test_conj_columns_make_no_array_products(corpus_groups, monkeypatch):

@@ -582,6 +582,27 @@ def test_array_product_matches_mul_at_every_prime():
         _check_products(G, b, a)
 
 
+def test_single_right_factor_returns_a_fresh_array(corpus_groups):
+    """A single right factor, 0 (no gather), a Python int or a numpy
+    int64, multiplies a 1-D or 2-D left factor into a new int64 array
+    that shares no memory with it, equal to the collector's products."""
+    import numpy as np
+
+    rng = np.random.default_rng(28)
+    for gid in ("dihedral_8", "g2187_c", WIDE[0], WIDE[-1]):
+        G = corpus_groups[gid] if gid in corpus_groups else wide_group(gid)
+        C = collector(G)
+        n = G.element_count
+        a = rng.integers(0, n, 12)
+        for left in (a, a.reshape(3, 4)):
+            for y in (0, int(rng.integers(1, n)), np.int64(rng.integers(1, n))):
+                out = G.mul_indices(left, y)
+                assert out.dtype == np.int64 and out.shape == left.shape, (gid, y)
+                assert not np.shares_memory(out, left), (gid, y)
+                expected = [G.idx(C.mul(G.vec(int(i)), G.vec(int(y)))) for i in left.ravel()]
+                assert out.ravel().tolist() == expected, (gid, y)
+
+
 def test_array_product_temporaries_stay_within_one_block(corpus_groups):
     """An array right factor reads its block starts from all offset rows in
     one gather while that gathers at most |G| entries, and row by row

@@ -1,6 +1,7 @@
 """Structural computations checked against brute-force table oracles."""
 
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from noninner.structure import (
     QuotientCoords,
     Subgroup,
     _conj_gen_perms,
+    burnside_basis,
     center,
     center_of,
     centralizer,
@@ -473,6 +475,59 @@ def _fresh_groups(corpus_groups, probe_5_7) -> dict[str, PcGroup]:
         for gid, G in dict(corpus_groups, probe_5_7=probe_5_7).items()
     }
     return dict(groups, **_random_consistent_groups())
+
+
+def _basis_cases(corpus_groups, probe_5_7) -> dict[str, PcGroup]:
+    """`_fresh_groups` with the coclass-3 fixture and the wide
+    presentations at p in {2, 5, 7, 11, 43, 313}."""
+    from noninner.pcpfile import parse_pcp_file
+    from test_pcgroup import WIDE, wide_group
+
+    path = Path(__file__).resolve().parent / "data" / "jordan_5_4_2.pcp"
+    groups = _fresh_groups(corpus_groups, probe_5_7)
+    groups["jordan_5_4_2"] = PcGroup(parse_pcp_file(path).presentation)
+    groups.update({gid: PcGroup(wide_group(gid).pres, validate=False) for gid in WIDE})
+    return groups
+
+
+def test_burnside_basis_is_a_minimal_generating_set(corpus_groups, probe_5_7):
+    """The basis read from the relation words has d(G) generators, off
+    Phi's pivots, and they generate G, by the rank modulo Phi and by
+    building the closure."""
+    from noninner.maps import generates
+
+    for gid, G in _basis_cases(corpus_groups, probe_5_7).items():
+        basis = burnside_basis(G)
+        assert len(basis) == minimal_generator_count(G), gid
+        assert basis == QuotientCoords(G, frattini(G)).added_pivots, gid
+        gens = G.gen_indices[[k - 1 for k in basis]]
+        assert generates(G, gens), gid
+        assert closure(G, gens).order == G.element_count, gid
+
+
+def test_passes_over_the_basis_match_all_generators_and_oracles(corpus_groups, probe_5_7):
+    """The upper and lower central series, G', Phi and normality, with
+    conjugation by the basis generators only, equal the same passes over
+    all m generators (the upper series and the normal closures) and the
+    element-by-element oracles."""
+    verdicts = set()
+    for gid, G in _basis_cases(corpus_groups, probe_5_7).items():
+        every = _conj_gen_perms(G)
+        power, comm = G.relation_indices
+        words = [c for row in comm for c in row if c]
+        assert upper_central_series(G) == upper_central_series_by_terms(G)[0], gid
+        lower = lower_central_series_by_elements(G)
+        assert lower_central_series(G) == lower, gid
+        assert derived_subgroup(G) == closure(G, words, every) == lower[1], gid
+        phi = closure(G, words + [c for c in power if c], every)
+        assert frattini(G) == phi == frattini_by_derived_series(G), gid
+        subs = lower + upper_central_series(G) + [phi]
+        subs += [closure(G, [g]) for g in G.gen_indices.tolist()]
+        for sub in subs:
+            expected = all(sub.mask[perm[sub.indices]].all() for perm in every)
+            assert is_normal(G, sub) == expected, (gid, sub)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_upper_central_series_running_tables_match_per_term_oracle(
