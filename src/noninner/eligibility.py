@@ -104,10 +104,9 @@ class RouteDecision:
 def decide_route(group: PcGroup) -> RouteDecision:
     """First failing structural condition, in the fixed check order:
     odd p, coclass 2, order >= p^7, Z_2/Z noncyclic, then
-    (Z_2 <= Z(Phi) and d = 2).  Z_2 <= Z(Phi) holds exactly when
-    Z_2 <= Phi and every basis element of Z_2 commutes with every one of
-    Phi, as the bases generate the two subgroups: two products over all
-    those pairs, and no centralizer."""
+    (Z_2 <= Z(Phi) and d = 2).  Z_2 <= Z(Phi) exactly when Z_2 <= Phi
+    and the bases of Z_2 and Phi, which generate them, commute pairwise
+    (`_commute`): no centralizer is built."""
 
     def decided(route: Route) -> RouteDecision:
         return RouteDecision(route, CITATIONS[route])
@@ -123,21 +122,23 @@ def decide_route(group: PcGroup) -> RouteDecision:
     if quotient_is_cyclic(group, z2, z1):
         return decided(Route.Z2_OVER_Z_CYCLIC)
     phi = frattini(group)
-    x, y = np.array(z2.basis)[:, None], np.array(phi.basis)  # all pairs, by broadcasting
-    in_z_phi = z2 <= phi and np.array_equal(group.mul_indices(x, y), group.mul_indices(y, x))
+    in_z_phi = z2 <= phi and _commute(group, z2.basis, phi.basis)
     if not (in_z_phi and minimal_generator_count(group) == 2):
         return decided(Route.Z2_NOT_IN_ZPHI_OR_D_NOT_2)
     return decided(Route.ELIGIBLE)
 
 
+def _commute(group: PcGroup, xs, ys) -> bool:
+    """Whether every x in xs commutes with every y in ys: all the pairs
+    at once, by broadcasting, in two products."""
+    x, y = np.array(xs, dtype=np.int64)[:, None], np.array(ys, dtype=np.int64)
+    return np.array_equal(group.mul_indices(x, y), group.mul_indices(y, x))
+
+
 def _is_elementary_abelian(group: PcGroup, sub: Subgroup) -> bool:
     """Exponent p from the power table, and pairwise commuting basis
     elements, which generate `sub`."""
-    if power_table(group)[sub.indices].any():
-        return False
-    basis = np.array(sub.basis, dtype=np.int64)
-    x, y = (basis[i] for i in np.triu_indices(len(basis), 1))
-    return bool((group.mul_indices(x, y) == group.mul_indices(y, x)).all())
+    return not power_table(group)[sub.indices].any() and _commute(group, sub.basis, sub.basis)
 
 
 def select_n(group: PcGroup) -> Subgroup:

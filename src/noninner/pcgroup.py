@@ -642,9 +642,8 @@ class PcGroup:
                 for row in starts:
                     out = self._ladder.take(row + out)
                 return out
-            b = int(b)
         a = np.asarray(a, dtype=np.int64)
-        out = self._push(a, b, 1)
+        out = self._push(a, int(b), 1)
         return out.copy() if out is a else out
 
     def pow_indices(self, x, e: int) -> np.ndarray:
