@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import OrderBoundError, SelectionError
-from .maps import _frattini_coords, generates
+from .maps import generates
 from .pcgroup import PcGroup
 from .structure import (
     Subgroup,
@@ -27,6 +27,7 @@ from .structure import (
     coclass,
     derived_subgroup,
     frattini,
+    frattini_coords,
     is_normal,
     minimal_generator_count,
     omega1,
@@ -391,11 +392,11 @@ def central_automorphisms(group: PcGroup) -> np.ndarray:
     if frattini(G).mask[z_idx].all():
         return images
 
-    qc = _frattini_coords(G)
     # row k of a tuple's coordinate matrix is coords(g_k) + coords(z_k), so
     # the codes of the z_k (coordinate rows read base p) fix the matrix;
     # the all-identity tuple always solves, so there is a first code row
-    codes = (qc.coords(z_idx) @ p ** np.arange(qc.dim, dtype=np.int64))[pos]
+    d = minimal_generator_count(G)
+    codes = (frattini_coords(G, z_idx) @ p ** np.arange(d, dtype=np.int64))[pos]
     order = np.lexsort(codes.T[::-1])
     first = np.r_[True, (codes[order[1:]] != codes[order[:-1]]).any(axis=1)]
     full = generates(G, images[order[first]])[np.cumsum(first) - 1]

@@ -4,7 +4,8 @@ A GroupMap assigns an image to each defining generator, held as an
 element index; every check evaluates it through its table.  Nothing is
 assumed about it until verify_automorphism has passed; after that the
 usual automorphism machinery (composition order, inner-witness search,
-fixed subgroups) applies.
+fixed subgroups) applies.  Whether elements generate the group is
+decided modulo Phi, by the rank of their Frattini coordinates.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ import numpy as np
 from . import fp
 from .errors import CertificationError
 from .pcgroup import PcGroup, per_group
-from .structure import QuotientCoords, Subgroup, _conj_gen_perms, burnside_basis, center
-from .structure import frattini, power_table
+from .structure import Subgroup, _conj_gen_perms, burnside_basis, center, frattini_coords
+from .structure import power_table
+
+# composition steps `map_order` takes before it gives up
+ORDER_BOUND = 10_000
 
 
 class GroupMap:
@@ -67,18 +71,13 @@ def compose(f: GroupMap, g: GroupMap) -> GroupMap:
     return GroupMap(f.group, g.apply_table()[f.image_indices])
 
 
-@per_group
-def _frattini_coords(group: PcGroup) -> QuotientCoords:
-    return QuotientCoords(group, frattini(group))
-
-
 def generates(group: PcGroup, indices):
     """Whether the elements with the given indices generate the group (for
     a (B, k) array, whether each row does).  By Burnside's basis theorem,
     exactly when their Frattini coordinates have full rank modulo Phi(G),
     in one `fp.rank` call (`verify_automorphism` reads its table instead)."""
-    qc, indices = _frattini_coords(group), np.asarray(indices, dtype=np.int64)
-    full = fp.rank(qc.coords(indices).reshape(*indices.shape, qc.dim), group.p) == qc.dim
+    indices = np.asarray(indices, dtype=np.int64)
+    full = fp.rank(frattini_coords(group, indices), group.p) == len(burnside_basis(group))
     return full if indices.ndim == 2 else bool(full)
 
 
@@ -115,15 +114,15 @@ def verify_automorphism(f: GroupMap) -> Optional[str]:
     return None
 
 
-def map_order(f: GroupMap, bound: int = 10_000) -> int:
+def map_order(f: GroupMap) -> int:
     """Least k >= 1 with the k-fold composition equal to the identity."""
     cur = f
     k = 1
     while not cur.is_identity():
         cur = compose(cur, f)
         k += 1
-        if k > bound:
-            raise CertificationError(f"map order exceeds bound {bound}")
+        if k > ORDER_BOUND:
+            raise CertificationError(f"map order exceeds bound {ORDER_BOUND}")
     return k
 
 

@@ -1,4 +1,4 @@
-"""Subgroups, central series and quotient coordinates for PcGroup.
+"""Subgroups, central series and the Frattini quotient for PcGroup.
 
 A subgroup is stored as the sorted index array of its elements (the
 package targets groups of desk-scale order, a few thousand elements);
@@ -7,7 +7,8 @@ canonical induced generating sequence are derived from that array on
 demand, so equal subgroups always present identical bases.  Closures,
 series and quotient predicates work on index arrays through the group's
 generator tables and the cached table of p-th powers, and basis
-elements are element indices too.
+elements are element indices too.  Phi, d(G) and G/Phi all come from one
+row reduction of the relation words (`_frattini_rows`), with no product.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import OrderBoundError, StructureError
 from .pcgroup import PcGroup, PcPresentation, per_group
 
 
@@ -183,16 +184,18 @@ def _conj_gen_perms(group: PcGroup) -> list[np.ndarray]:
 
 
 @per_group
-def burnside_basis(group: PcGroup) -> tuple[int, ...]:
-    """The k, ascending, whose g_k span G/Phi: those that are no pivot of
-    R, the span of the relation words' exponent vectors in F_p^m, which
-    is row-reduced here on the words, leading letter first.  In the
-    elementary abelian quotient a relation g_k^p = w_k or
-    [g_j, g_i] = w_ji says that the exponent vector of w is 0, so
-    G/Phi = F_p^m / R, and the unit vectors off R's pivots are a basis of
-    it.  By Burnside's basis theorem these d(G) generators generate G."""
-    p = group.p
-    rows: dict[int, dict[int, int]] = {}  # pivot -> reduced row, leading 1
+def _frattini_rows(group: PcGroup) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """G/Phi from the relation words: the `burnside_basis`, the reduced
+    rows of R, the span of the words' exponent vectors in F_p^m, and the
+    m x d matrix of the images of the g_k in G/Phi.  A relation
+    g_k^p = w_k or [g_j, g_i] = w_ji says that w's vector is 0 in the
+    elementary abelian quotient, so G/Phi = F_p^m / R, and Phi holds the
+    elements whose exponent vector lies in R.  The words are reduced
+    leading letter first, then back-substituted so that each row is 0 at
+    the other pivots: g_k off the pivots maps to its unit vector, and g_k
+    at a pivot to minus its row."""
+    p, m = group.p, group.ngens
+    rows: dict[int, dict[int, int]] = {}  # pivot -> row, leading 1
     for word in [*group.pres.powers.values(), *group.pres.commutators.values()]:
         row = dict(word)
         while row:
@@ -205,7 +208,22 @@ def burnside_basis(group: PcGroup) -> tuple[int, ...]:
             for k, e in rows[lead].items():
                 row[k] = (row.get(k, 0) - c * e) % p
             row = {k: e for k, e in row.items() if e}
-    return tuple(k for k in range(1, group.ngens + 1) if k not in rows)
+    for k in sorted(rows, reverse=True):  # clear pivot k from the rows above it
+        for row in [rows[l] for l in rows if l < k and rows[l].get(k)]:
+            c = row[k]
+            for j, e in rows[k].items():
+                row[j] = (row.get(j, 0) - c * e) % p
+    cols = range(1, m + 1)
+    basis = tuple(k for k in cols if k not in rows)
+    reduced = [[rows[k].get(j, 0) for j in cols] for k in sorted(rows)]
+    images = [[(int(k == b) - rows.get(k, {}).get(b, 0)) % p for b in basis] for k in cols]
+    return basis, np.array(reduced, dtype=np.int64).reshape(-1, m), np.array(images, dtype=np.int64)
+
+
+def burnside_basis(group: PcGroup) -> tuple[int, ...]:
+    """The k, ascending, whose g_k span G/Phi (`_frattini_rows`); by
+    Burnside's basis theorem these d(G) generators generate G."""
+    return _frattini_rows(group)[0]
 
 
 def _basis_conj_perms(group: PcGroup) -> list[np.ndarray]:
@@ -374,16 +392,31 @@ def coclass(group: PcGroup) -> int:
 
 @per_group
 def frattini(group: PcGroup) -> Subgroup:
-    """Frattini subgroup Phi(G) = G' G^p, as the normal closure of all
-    relation words, commutator and power: modulo it the defining
-    generators commute and have p-th power 1, so the quotient is
-    elementary abelian, and every relation word lies in G' G^p."""
-    power, comm = group.relation_indices
-    return normal_closure(group, [c for row in comm + [power] for c in row if c])
+    """Frattini subgroup Phi(G) = G' G^p: the p^r combinations of the r
+    reduced rows of `_frattini_rows`, with no product.  As the rows are
+    echelon, an element's digits before the pivot of row i + 1 depend
+    only on the coefficients of rows 1 to i, so coefficients listed in
+    lexicographic order list the indices sorted."""
+    p, reduced = group.p, _frattini_rows(group)[1]
+    if p ** len(reduced) > group.element_bound:
+        raise OrderBoundError(f"|Phi| exceeds the element bound {group.element_bound}")
+    digits = np.zeros((1, group.ngens), dtype=np.int64)
+    for row in reduced:
+        digits = (digits[:, None] + np.outer(np.arange(p), row)).reshape(-1, group.ngens) % p
+    return Subgroup(group, digits @ group.gen_indices)
+
+
+def frattini_coords(group: PcGroup, indices) -> np.ndarray:
+    """Images in G/Phi = F_p^d of the elements with the given indices,
+    shape indices.shape + (d,): their digits times the generator images
+    of `_frattini_rows`, as the map onto an elementary abelian group is a
+    homomorphism.  Its kernel is Phi."""
+    digits = np.asarray(indices, dtype=np.int64)[..., None] // group.gen_indices % group.p
+    return digits @ _frattini_rows(group)[2] % group.p
 
 
 def minimal_generator_count(group: PcGroup) -> int:
-    return group.ngens - frattini(group).log_order
+    return len(burnside_basis(group))
 
 
 def centralizer(group: PcGroup, targets: Iterable[int]) -> Subgroup:
@@ -433,51 +466,3 @@ def quotient_is_cyclic(group: PcGroup, upper: Subgroup, lower: Subgroup) -> bool
         y = powers[y]
         k *= group.p
     return k == upper.order // lower.order
-
-
-class QuotientCoords:
-    """Coordinates on an elementary abelian quotient G/S.
-
-    Right-multiplying by powers of S's basis elements, pivot by pivot in
-    ascending order, clears the digits at S's pivots (see `Subgroup`)
-    and leaves the earlier digits alone, so each coset of S holds
-    exactly one element whose pivot digits vanish, and the images of the
-    other generators (the added pivots) form a basis of G/S.  The
-    coordinates of an element are the digits of its coset's
-    representative at the added pivots: a homomorphism onto F_p^dim
-    with kernel S.  Only the images of the defining generators are
-    kept, and they refer to no group.
-
-    They are read from digits, without a product: g_k at an added pivot
-    is its own representative, with image the unit vector u_k, and at a
-    pivot k of S the basis element b_k = g_k * (letters beyond k) has
-    digit 0 at S's deeper pivots, so 0 = coords(b_k) = coords(g_k) + the
-    sum of e_l(b_k) u_l over the added l > k.
-    """
-
-    def __init__(self, group: PcGroup, sub: Subgroup):
-        p, m = group.p, group.ngens
-        power, comm = group.relation_indices
-        if not sub.mask[comm].all():
-            raise ValueError("quotient is not abelian")
-        if not sub.mask[power].all():
-            raise ValueError("quotient does not have exponent p")
-        places = group.gen_indices
-        self.p = p
-        self._places = places
-        self.added_pivots = tuple(k for k in range(1, m + 1) if k not in sub.pivots)
-        self.dim = len(self.added_pivots)
-        added_places = places[[k - 1 for k in self.added_pivots]].reshape(1, -1)
-        # b_k at each pivot k of S, the identity elsewhere
-        kernel = np.zeros(m, dtype=np.int64)
-        kernel[[k - 1 for k in sub.pivots]] = sub.basis
-        gen, ker = places.reshape(-1, 1), kernel.reshape(-1, 1)
-        self._gen_coords = (gen // added_places - ker // added_places) % p
-
-    def coords(self, indices) -> np.ndarray:
-        """Images in F_p^dim of the elements with the given indices, one
-        row each: the sum of e_k times the image of g_k over the
-        coordinates e_k of the element, as the map is a homomorphism
-        onto an elementary abelian group."""
-        digits = np.asarray(indices, dtype=np.int64).reshape(-1, 1) // self._places % self.p
-        return digits @ self._gen_coords % self.p

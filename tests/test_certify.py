@@ -152,11 +152,11 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
     exponents (one decomposition) and the powers of w and [w,b] (two
     power lists); the upper central series folds one running table
     instead (`_fold_basis`).  The class comes from the upper central
-    series, Phi from the relation words, and generation is tested
-    modulo Phi, so the lower central series is never built and at most
-    two closures run (Phi's, and Omega_1(Z_2) when Z_2 has exponent
-    p^2; N's candidates are cosets of Z); only the chosen N is checked
-    elementary abelian."""
+    series, Phi from a row reduction of the relation words with no
+    closure, and generation is tested modulo Phi, so the lower central
+    series is never built and at most one closure runs (Omega_1(Z_2)
+    when Z_2 has exponent p^2; N's candidates are cosets of Z); only the
+    chosen N is checked elementary abelian."""
     import sys
 
     import noninner.cocycles as cocycles
@@ -232,7 +232,7 @@ def test_certify_collector_call_budget(corpus_dir, monkeypatch):
         assert calls["exponents"] <= 1, (gid, calls)
         assert calls["_powers"] <= 2, (gid, calls)
         assert calls["lower_central_series"] == 0, (gid, calls)
-        assert calls["closure"] <= 2, (gid, calls)
+        assert calls["closure"] <= 1, (gid, calls)
         assert calls["_is_elementary_abelian"] <= 1, (gid, calls)
 
 
@@ -290,17 +290,17 @@ def test_b_shift_is_chosen_when_it_has_no_conjugating_element(eligible_groups, m
 def test_group_is_freed_without_a_garbage_collection(corpus_dir):
     """The group's caches hold no reference back to the group, so its
     tables go as soon as the last reference does: after certification,
-    after the route and diagnostics (whose rank path fills the Frattini
-    coordinates), and after the lower central series, the conjugation
+    after the route and diagnostics (whose rank path fills the row
+    reduction of G/Phi), and after the lower central series, the conjugation
     columns and a tuple product."""
     import gc
     import weakref
 
     from noninner.eligibility import decide_route, diagnostics
-    from noninner.maps import _conj_columns, _frattini_coords
+    from noninner.maps import _conj_columns
     from noninner.pcgroup import PcGroup
     from noninner.pcpfile import parse_pcp_file
-    from noninner.structure import lower_central_series
+    from noninner.structure import _frattini_rows, lower_central_series
 
     def certify(group):
         assert certify_group(group, group_id="g2187_a").certificates is not None
@@ -315,7 +315,7 @@ def test_group_is_freed_without_a_garbage_collection(corpus_dir):
     # (group, what runs on it, a per-group memo that run must fill)
     uses = [
         ("g2187_a", certify, PcGroup.inv_table),
-        ("heis_x_c3", route_and_diagnostics, _frattini_coords),
+        ("heis_x_c3", route_and_diagnostics, _frattini_rows),
         ("g2187_a", lower_central_series, lower_central_series),
         ("g2187_a", _conj_columns, _conj_columns),
         ("g2187_a", product, PcGroup._index_steps),

@@ -156,6 +156,20 @@ def test_certify_above_element_bound(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["series", "conditions", "certify"])
+def test_commands_stop_at_the_element_bound_though_phi_needs_no_table(
+    tmp_path, capsys, command
+):
+    # Heisenberg mod 53, of order 148 877: Phi and d come from the relation
+    # words, but the upper central series still needs the tables
+    path = tmp_path / "heis53.pcp"
+    path.write_text("pcp 1\nprime 53\nngens 3\ncomm 2 1 = 3^1\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group order 148877 exceeds the element bound 100000\n"
+
+
 def test_certify_and_audit_check_consistency_once_per_file(
     corpus_dir, manifest, capsys, monkeypatch
 ):

@@ -148,14 +148,18 @@ def test_verify_rejects_power_breakers():
     assert reason is not None and "power relation" in reason
 
 
-def test_map_order_bound():
+def test_map_order_bound(monkeypatch):
+    import noninner.maps as maps
+    from noninner.errors import CertificationError
     from noninner.pcgroup import PcGroup, PcPresentation
 
     c9 = PcGroup(PcPresentation(3, 2, powers={1: [(2, 1)]}))
     f = GroupMap(c9, [c9.idx(collect(c9, [(1, 1), (2, 1)])), c9.gen_indices[1]])
     assert verify_automorphism(f) is None
-    with pytest.raises(RuntimeError, match="order exceeds"):
-        map_order(f, bound=2)
+    assert map_order(f) == 3
+    monkeypatch.setattr(maps, "ORDER_BOUND", 2)
+    with pytest.raises(CertificationError, match="order exceeds bound 2"):
+        map_order(f)
 
 
 def test_inner_search_size(heis3, corpus_wreath):

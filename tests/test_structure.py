@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from noninner.eligibility import _is_elementary_abelian
+from noninner.errors import OrderBoundError
 from noninner.pcgroup import PcGroup, PcPresentation
 from noninner.structure import (
-    QuotientCoords,
     Subgroup,
     _conj_gen_perms,
+    _frattini_rows,
     burnside_basis,
     center,
     center_of,
@@ -21,6 +22,7 @@ from noninner.structure import (
     coset_min_table,
     derived_subgroup,
     frattini,
+    frattini_coords,
     intersection,
     is_normal,
     lower_central_series,
@@ -51,6 +53,7 @@ from util_oracles import (
     quotient_gen_coords_by_products,
     quotient_is_cyclic_by_scan,
     random_presentation,
+    row_echelon_by_rows,
     subgroup_tuples,
     table_group_from_pcgroup,
     upper_central_series_by_terms,
@@ -364,21 +367,18 @@ def test_frattini_coords_are_a_homomorphism_with_kernel_phi(corpus_groups, probe
     for gid, G in dict(corpus_groups, probe_5_7=probe_5_7).items():
         C = collector(G)
         phi = frattini(G)
-        qc = QuotientCoords(G, phi)
-        assert G.p**qc.dim * phi.order == G.element_count, gid
-        assert qc.added_pivots == tuple(
-            k for k in range(1, G.ngens + 1) if k not in phi.pivots
-        ), gid
+        d = minimal_generator_count(G)
+        assert G.p**d * phi.order == G.element_count, gid
         n = G.element_count
-        coords = qc.coords(np.arange(n))
-        assert coords.shape == (n, qc.dim), gid
+        coords = frattini_coords(G, np.arange(n))
+        assert coords.shape == (n, d), gid
         assert np.array_equal(~coords.any(axis=1), phi.mask), gid
         if gid in SMALL_IDS:
             pairs = [(i, j) for i in range(n) for j in range(0, n, max(1, n // 20))]
         else:
             pairs = rng.integers(0, n, size=(300, 2)).tolist()
         for i, j in pairs:
-            assert np.array_equal(qc.coords(i), coords[i : i + 1]), (gid, i)
+            assert np.array_equal(frattini_coords(G, i), coords[i]), (gid, i)
             expected = (coords[i] + coords[j]) % G.p
             product = G.idx(C.mul(G.vec(i), G.vec(j)))
             assert np.array_equal(coords[product], expected), (gid, i, j)
@@ -477,9 +477,27 @@ def _fresh_groups(corpus_groups, probe_5_7) -> dict[str, PcGroup]:
     return dict(groups, **_random_consistent_groups())
 
 
+# presentations at the edges of the row reduction of G/Phi, with d(G)
+EDGE_CASES = {
+    # no relation word: Phi = 1, no row, and d = m
+    "elementary_3_4": (PcPresentation(3, 4), 4),
+    "elementary_2_3": (PcPresentation(2, 3), 3),
+    # cyclic of order 5^4: g_k^5 = g_(k+1)
+    "cyclic_5_4": (PcPresentation(5, 4, powers={1: [(2, 1)], 2: [(3, 1)], 3: [(4, 1)]}), 1),
+    # g2^3 = g3^3 = g4 repeat a row, and the row of g1^3 = g2 g3 g4 is 0
+    # at the deeper pivot 4 only after the back-substitution
+    "abelian_3_4": (
+        PcPresentation(3, 4, powers={1: [(2, 1), (3, 1), (4, 1)], 2: [(4, 1)], 3: [(4, 1)]}),
+        2,
+    ),
+    # quaternion: the three words g1^2 = g2^2 = [g2, g1] = g3 agree
+    "quaternion_8": (PcPresentation(2, 3, {1: [(3, 1)], 2: [(3, 1)]}, {(2, 1): [(3, 1)]}), 2),
+}
+
+
 def _basis_cases(corpus_groups, probe_5_7) -> dict[str, PcGroup]:
-    """`_fresh_groups` with the coclass-3 fixture and the wide
-    presentations at p in {2, 5, 7, 11, 43, 313}."""
+    """`_fresh_groups` with the coclass-3 fixture, the wide presentations
+    at p in {2, 5, 7, 11, 43, 313} and the `EDGE_CASES`."""
     from noninner.pcpfile import parse_pcp_file
     from test_pcgroup import WIDE, wide_group
 
@@ -487,6 +505,7 @@ def _basis_cases(corpus_groups, probe_5_7) -> dict[str, PcGroup]:
     groups = _fresh_groups(corpus_groups, probe_5_7)
     groups["jordan_5_4_2"] = PcGroup(parse_pcp_file(path).presentation)
     groups.update({gid: PcGroup(wide_group(gid).pres, validate=False) for gid in WIDE})
+    groups.update({gid: PcGroup(pres) for gid, (pres, _) in EDGE_CASES.items()})
     return groups
 
 
@@ -499,7 +518,7 @@ def test_burnside_basis_is_a_minimal_generating_set(corpus_groups, probe_5_7):
     for gid, G in _basis_cases(corpus_groups, probe_5_7).items():
         basis = burnside_basis(G)
         assert len(basis) == minimal_generator_count(G), gid
-        assert basis == QuotientCoords(G, frattini(G)).added_pivots, gid
+        assert basis == tuple(k for k in range(1, G.ngens + 1) if k not in frattini(G).pivots), gid
         gens = G.gen_indices[[k - 1 for k in basis]]
         assert generates(G, gens), gid
         assert closure(G, gens).order == G.element_count, gid
@@ -630,26 +649,43 @@ def test_generator_conjugations_read_the_built_tables(
                 assert int(perm[x]) == expected, (path.name, k, x)
 
 
+def _check_frattini_rows(gid: str, G: PcGroup) -> None:
+    """Phi equals `frattini_by_derived_series`, the generator images in
+    G/Phi equal `quotient_gen_coords_by_products` on it, and the reduced
+    rows and the Burnside basis equal `row_echelon_by_rows` of the
+    relation words' exponent vectors and the columns it leaves free."""
+    basis, reduced, images = _frattini_rows(G)
+    phi = frattini_by_derived_series(G)
+    assert frattini(G) == phi, gid
+    assert minimal_generator_count(G) == G.ngens - phi.log_order, gid
+    assert np.array_equal(images, quotient_gen_coords_by_products(G, phi)), gid
+    power, comm = G.relation_indices
+    words = [w for w in power + [c for row in comm for c in row] if w]
+    digits = np.array(words, dtype=np.int64).reshape(-1, 1) // G.gen_indices % G.p
+    echelon, pivots = row_echelon_by_rows(digits.reshape(-1, G.ngens), G.p)
+    assert np.array_equal(reduced, echelon[: len(pivots)]), gid
+    assert basis == tuple(k for k in range(1, G.ngens + 1) if k - 1 not in pivots), gid
+
+
 def test_quotient_coords_match_reduction_by_products(corpus_groups, probe_5_7):
-    """The generator images read from basis digits equal those of the
-    reduction by products, modulo Phi and modulo Phi joined with seeded
-    elements, where the basis has nonzero digits at added pivots."""
-    rng = np.random.default_rng(17)
-    for gid, G in _fresh_groups(corpus_groups, probe_5_7).items():
-        phi = frattini(G)
-        subs = [phi] + [
-            closure(G, np.append(phi.basis, x))
-            for x in rng.integers(0, G.element_count, size=2).tolist()
-        ]
-        for sub in subs:
-            qc = QuotientCoords(G, sub)
-            expected = quotient_gen_coords_by_products(G, sub)
-            assert np.array_equal(qc._gen_coords, expected), (gid, sub)
+    """On `_basis_cases`, G/Phi from the relation words agrees with Phi
+    from the lower central series and the reduction by masked products
+    (`_check_frattini_rows`), and the edge cases have the expected d."""
+    groups = _basis_cases(corpus_groups, probe_5_7)
+    for gid, G in groups.items():
+        _check_frattini_rows(gid, G)
+    for gid, (_, d) in EDGE_CASES.items():
+        assert minimal_generator_count(groups[gid]) == d, gid
 
 
 def test_frattini_coords_take_no_products(corpus_groups, probe_5_7, monkeypatch):
-    """`QuotientCoords(G, Phi)` makes no `mul_indices` call (10 per
-    eligible 3^7 group by reduction with products)."""
+    """Phi, d(G), the Burnside basis and the Frattini coordinates come
+    from the relation words alone: on fresh groups they make no
+    `mul_indices` call (Phi as a normal closure took products over |G|)
+    and build no generator table, inverse table or conjugation
+    permutation.  So they need no table within the element bound: on the
+    Heisenberg group mod 10 007 (order about 10^12) they give Phi of
+    order 10 007 and d = 2."""
     calls = {"mul_indices": 0}
     original = PcGroup.mul_indices
 
@@ -657,12 +693,26 @@ def test_frattini_coords_take_no_products(corpus_groups, probe_5_7, monkeypatch)
         calls["mul_indices"] += 1
         return original(self, a, b)
 
-    groups = dict(corpus_groups, probe_5_7=probe_5_7)
-    phis = {gid: frattini(G) for gid, G in groups.items()}
     monkeypatch.setattr(PcGroup, "mul_indices", counted)
-    for gid, G in groups.items():
-        QuotientCoords(G, phis[gid])
+    heis = PcPresentation(10_007, 3, commutators={(2, 1): [(3, 1)]})
+    groups = {gid: G.pres for gid, G in dict(corpus_groups, probe_5_7=probe_5_7).items()}
+    for gid, pres in dict(groups, heisenberg_10007=heis).items():
+        G = PcGroup(pres, validate=False)
+        phi = frattini(G)
+        d = minimal_generator_count(G)
+        assert len(burnside_basis(G)) == d, gid
+        coords = frattini_coords(G, phi.indices)
+        assert coords.shape == (phi.order, d) and not coords.any(), gid
         assert calls["mul_indices"] == 0, gid
+        assert G._ladder is None and not G._rtables, gid
+        assert set(G._cache) == {_frattini_rows.__wrapped__, frattini.__wrapped__}, gid
+    assert (phi.order, d) == (10_007, 2)
+    assert frattini_coords(G, G.gen_indices).tolist() == [[1, 0], [0, 1], [0, 0]]
+    # cyclic of order 3^12: d = 1, but Phi has 3^11 elements, past the bound
+    G = PcGroup(PcPresentation(3, 12, powers={k: [(k + 1, 1)] for k in range(1, 12)}))
+    assert minimal_generator_count(G) == 1
+    with pytest.raises(OrderBoundError, match="element bound"):
+        frattini(G)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -30,7 +30,7 @@ import numpy as np
 from noninner import fp
 from noninner.cocycles import CosetTable, Derivation, coset_exponents, verify_cocycle
 from noninner.errors import OrderBoundError
-from noninner.maps import GroupMap, _frattini_coords
+from noninner.maps import GroupMap
 from noninner.pcgroup import ConsistencyWitness, Element, PcGroup, PcPresentation
 from noninner.structure import (
     Subgroup,
@@ -506,8 +506,8 @@ def verify_automorphism_by_collector(f: GroupMap) -> Optional[str]:
             rhs = apply_by_collector(f, collect(G, G.pres.commutator(j, i)))
             if lhs != rhs:
                 return f"commutator relation [g{j}, g{i}] is not preserved"
-    qc = _frattini_coords(G)
-    if fp.rank(qc.coords([G.idx(im) for im in images]), p) != qc.dim:
+    gen_coords = frattini_gen_coords_by_products(G)
+    if fp.rank(np.array(images) @ gen_coords % p, p) != gen_coords.shape[1]:
         return "images do not generate the group"
     return None
 
@@ -720,13 +720,15 @@ def central_automorphisms_by_unique(group: PcGroup) -> np.ndarray:
         rows = rows[keep]
     rows = rows[np.lexsort(rows.T[::-1])]
 
-    qc = _frattini_coords(G)
-    mats = (qc.coords(G.gen_indices) + qc.coords(z_idx)[np.searchsorted(z_idx, rows)]) % p
+    gen_coords = frattini_gen_coords_by_products(G)
+    z_coords = np.array([G.vec(int(z)) for z in z_idx]) @ gen_coords % p
+    mats = (gen_coords + z_coords[np.searchsorted(z_idx, rows)]) % p
     distinct, which = np.unique(
         mats.reshape(len(rows), -1), axis=0, return_inverse=True
     )
+    dim = gen_coords.shape[1]
     full = np.array(
-        [fp.rank(mat.reshape(m, -1), p) == qc.dim for mat in distinct], dtype=bool
+        [fp.rank(mat.reshape(m, -1), p) == dim for mat in distinct], dtype=bool
     )
     rows = rows[full[which.reshape(-1)]]
     # z_k is central, so z_k g_k is the image g_k z_k
@@ -1014,6 +1016,13 @@ def quotient_gen_coords_by_products(group: PcGroup, sub: Subgroup) -> np.ndarray
             reps[sel] = group.mul_indices(reps[sel], b)
     added = [k - 1 for k in range(1, m + 1) if k not in sub.pivots]
     return reps.reshape(-1, 1) // places[added] % p
+
+
+def frattini_gen_coords_by_products(group: PcGroup) -> np.ndarray:
+    """The images of the defining generators in G/Phi, from Phi as
+    `frattini_by_derived_series` and the reduction by products: an
+    element with exponent vector e has coordinates e times this matrix."""
+    return quotient_gen_coords_by_products(group, frattini_by_derived_series(group))
 
 
 # ---------------------------------------------------------------------------
